@@ -28,10 +28,6 @@ class DeltaUnsolvable(BuilderError):
     pass
 
 
-class AmbiguousDelta(BuilderError):
-    pass
-
-
 class ChainShapeMismatch(BuilderError):
     pass
 
@@ -149,8 +145,9 @@ class _PartPlan:
                                % (list(part.elements),))
         self.params = [restore_epsilon(delta, values[i], tol) for i, _ in self.blocks]
         self.choices = {}
+        up_sets = part.up_sets()
         for i in self.singles:
-            fits = [u for u in part.up_sets()
+            fits = [u for u in up_sets
                     if abs(sum(chi[g] for g in u) - values[i]) <= 10 * tol]
             if not fits:
                 raise DeltaUnsolvable("no up-set of %r has weight %r"

@@ -21,73 +21,105 @@ class BadSplit(PosetError):
     pass
 
 
+def _bits(mask):
+    "indices of the set bits of mask, lowest first"
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close(up):
+    """Transitive closure (Warshall) of per-element successor bitmasks.
+
+    A cycle through i shows up as bit i set in row i.
+    """
+    up = list(up)
+    for k, row in enumerate(up):
+        if row:
+            bit = 1 << k
+            for i, mask in enumerate(up):
+                if mask & bit:
+                    up[i] = mask | row
+    return up
+
+
 class Poset:
     """A finite strict partial order on opaque string elements.
 
-    Relations are stored as the transitive closure; the element list
-    fixes matrix row ordering downstream.
+    The order is held as closed up/down bitmasks per element, bit j of
+    _up[i] meaning elements[i] < elements[j]; the element list fixes matrix
+    row ordering downstream. relations (the closure) and hasse (the cover
+    pairs) are frozensets of element pairs.
     """
 
     def __init__(self, elements, relations=()):
         self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise PosetError("duplicate elements")
         self._index = {g: i for i, g in enumerate(self.elements)}
-        rel = set()
+        if len(self._index) != len(self.elements):
+            raise PosetError("duplicate elements")
+        up = [0] * len(self.elements)
         for g, h in relations:
             if g not in self._index or h not in self._index:
                 raise PosetError("relation (%r, %r) mentions an unknown element" % (g, h))
             if g == h:
                 raise PosetError("reflexive relation on %r" % (g,))
-            rel.add((g, h))
-        self.relations = self._close(rel)
-        for g, h in self.relations:
-            if (h, g) in self.relations:
-                raise PosetError("cycle through %r and %r" % (g, h))
-        self.hasse = self._reduce(self.relations)
+            up[self._index[g]] |= 1 << self._index[h]
+        self._up = _close(up)
+        self._down = [0] * len(up)
+        for i, mask in enumerate(self._up):
+            if mask >> i & 1:
+                j = next(j for j in _bits(mask) if j != i and self._up[j] >> i & 1)
+                raise PosetError("cycle through %r and %r" % (self.elements[i], self.elements[j]))
+            for j in _bits(mask):
+                self._down[j] |= 1 << i
+        els = self.elements
+        pairs = [(i, j) for i, mask in enumerate(self._up) for j in _bits(mask)]
+        self.relations = frozenset((els[i], els[j]) for i, j in pairs)
+        self.hasse = frozenset((els[i], els[j]) for i, j in pairs
+                               if not self._up[i] & self._down[j])
 
-    def _close(self, rel):
-        rel = set(rel)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        return frozenset(rel)
-
-    def _reduce(self, rel):
-        covers = set()
-        for g, h in rel:
-            if not any((g, m) in rel and (m, h) in rel for m in self.elements):
-                covers.add((g, h))
-        return frozenset(covers)
+    def _names(self, mask):
+        return frozenset(self.elements[i] for i in _bits(mask))
 
     def less(self, g, h):
-        return (g, h) in self.relations
+        return bool(self._up[self._index[g]] >> self._index[h] & 1)
 
     def comparable(self, g, h):
-        return g == h or (g, h) in self.relations or (h, g) in self.relations
+        i, j = self._index[g], self._index[h]
+        return i == j or bool((self._up[i] | self._down[i]) >> j & 1)
 
     def up_set(self, g):
-        return frozenset(h for h in self.elements if (g, h) in self.relations)
+        return self._names(self._up[self._index[g]])
 
     def down_set(self, g):
-        return frozenset(h for h in self.elements if (h, g) in self.relations)
+        return self._names(self._down[self._index[g]])
 
     def induced(self, subset):
-        keep = [g for g in self.elements if g in set(subset)]
-        rel = [(g, h) for g, h in self.relations if g in set(keep) and h in set(keep)]
-        return Poset(keep, rel)
+        keep = set(subset)
+        return Poset([g for g in self.elements if g in keep],
+                     [(g, h) for g, h in self.relations if g in keep and h in keep])
 
     def up_sets(self):
-        "all upward-closed subsets, as frozensets"
-        result = []
-        for bits in itertools.product((0, 1), repeat=len(self.elements)):
-            take = frozenset(g for g, b in zip(self.elements, bits) if b)
-            if all(h in take for g in take for h in self.up_set(g)):
-                result.append(take)
+        """All upward-closed subsets, as frozensets, in 0/1 product-scan order.
+
+        Depth-first over the elements, "out" before "in"; taking an element
+        takes its up-set and leaving it out drops its down-set, so every
+        branch ends in an up-set.
+        """
+        n, result = len(self.elements), []
+        stack = [(0, 0, 0)]  # (next element, taken mask, left-out mask)
+        while stack:
+            i, take, drop = stack.pop()
+            if i == n:
+                result.append(self._names(take))
+                continue
+            bit = 1 << i
+            # "in" goes on the stack first so that "out" is explored first
+            if not drop & bit:
+                stack.append((i + 1, take | bit | self._up[i], drop))
+            if not take & bit:
+                stack.append((i + 1, take, drop | bit | self._down[i]))
         return result
 
     def __eq__(self, other):
@@ -109,6 +141,9 @@ class Poset:
             relations = [tuple(pair) for pair in doc.get("relations", [])]
         except (TypeError, KeyError) as exc:
             raise PosetError("poset document needs 'elements' and 'relations'") from exc
+        names = [g for pair in relations for g in pair]
+        if not isinstance(elements, list) or not all(isinstance(g, str) for g in elements + names):
+            raise PosetError("elements and relation entries must be strings")
         return cls(elements, relations)
 
     def to_json(self):
@@ -119,86 +154,61 @@ class Poset:
 class ChainDecomposition:
     """Blocks of size one or two, listed from poset bottom to top."""
 
-    order_direction = "bottom-to-top"
-
     def __init__(self, blocks):
         self.blocks = [tuple(b) for b in blocks]
         pairs = [i for i, b in enumerate(self.blocks) if len(b) == 2]
         self.pair_index = pairs[0] if len(pairs) == 1 else None
         self.pair_count = len(pairs)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
+        self.kind = (CHAIN_TAME, ONE_PARAMETER, TWO_WIDTH_TAME)[min(len(pairs), 2)]
 
 
 def width(p):
-    "maximum antichain size, by brute force"
-    best = 1 if p.elements else 0
-    n = len(p.elements)
-    for bits in range(1, 1 << n):
-        members = [p.elements[i] for i in range(n) if bits >> i & 1]
-        if len(members) <= best:
-            continue
-        if all(not p.comparable(g, h) for g, h in itertools.combinations(members, 2)):
-            best = len(members)
-    return best
+    """Maximum antichain size: by Dilworth's theorem the fewest chains covering
+    p, which is n minus a maximum matching of the strict order read as a
+    bipartite graph (Fulkerson 1956), grown here by augmenting paths.
+    """
+    owner = {}  # j -> the i matched to it, i < j
 
-
-def contains_one_two(p):
-    "true iff some element is incomparable to both members of a 2-chain"
-    for b, c in p.relations:
-        for a in p.elements:
-            if a != b and a != c and not p.comparable(a, b) and not p.comparable(a, c):
+    def augment(i, seen):
+        # seen[0]: bitmask of the j already reached in this search
+        free = p._up[i] & ~seen[0]
+        seen[0] |= free
+        for j in _bits(free):
+            if j not in owner or augment(owner[j], seen):
+                owner[j] = i
                 return True
-    return False
+        return False
+
+    return len(p.elements) - sum(augment(i, [0]) for i in range(len(p.elements)))
 
 
 def decompose(p):
     """Split a tame poset into a chain of Singleton and Pair blocks.
 
-    Raises NotTame when no such chain exists (width over 2, or a
-    (1,2)-subposet forces an element into two different pairs).
+    Raises NotTame when an element is incomparable to two others (width over
+    2, or a (1,2)-subposet). Otherwise the blocks are totally ordered, so
+    they sort by the size of their down-sets.
     """
-    partner = {}
-    for g, h in itertools.combinations(p.elements, 2):
-        if not p.comparable(g, h):
-            if g in partner or h in partner:
-                raise NotTame("element incomparable to two others")
-            partner[g] = h
-            partner[h] = g
+    everything = (1 << len(p.elements)) - 1
     blocks = []
-    used = set()
-    for g in p.elements:
-        if g in used:
-            continue
-        if g in partner:
-            blocks.append((g, partner[g]))
-            used.update(blocks[-1])
-        else:
+    for i, g in enumerate(p.elements):
+        loose = everything & ~(p._up[i] | p._down[i] | 1 << i)
+        if loose & (loose - 1):
+            raise NotTame("element incomparable to two others")
+        if not loose:
             blocks.append((g,))
-            used.add(g)
-
-    def below(b, c):
-        return all(p.less(x, y) for x in b for y in c)
-
-    for b, c in itertools.combinations(blocks, 2):
-        if not below(b, c) and not below(c, b):
-            raise NotTame("blocks %r and %r are not comparable" % (b, c))
-    depth = {b: sum(below(c, b) for c in blocks) for b in blocks}
-    blocks.sort(key=depth.get)
+        elif loose > 1 << i:
+            blocks.append((g, p.elements[loose.bit_length() - 1]))
+    blocks.sort(key=lambda b: p._down[p._index[b[0]]].bit_count())
     return ChainDecomposition(blocks)
 
 
 def classify(p):
-    if width(p) >= 3 or contains_one_two(p):
+    "Wild exactly when decompose fails, else by the number of Pair blocks"
+    try:
+        return decompose(p).kind
+    except NotTame:
         return WILD
-    if width(p) == 1:
-        return CHAIN_TAME
-    dec = decompose(p)
-    return ONE_PARAMETER if dec.pair_count == 1 else TWO_WIDTH_TAME
 
 
 def split_two_one_parameter(p, s1_elements):
@@ -230,10 +240,10 @@ def is_isomorphic(p, q):
     if len(p.elements) != len(q.elements) or len(p.relations) != len(q.relations):
         return False
 
-    def profile(r, g):
-        return (len(r.up_set(g)), len(r.down_set(g)))
+    def profile(r):
+        return sorted((u.bit_count(), d.bit_count()) for u, d in zip(r._up, r._down))
 
-    if sorted(profile(p, g) for g in p.elements) != sorted(profile(q, g) for g in q.elements):
+    if profile(p) != profile(q):
         return False
     for perm in itertools.permutations(q.elements):
         m = dict(zip(p.elements, perm))
@@ -242,20 +252,15 @@ def is_isomorphic(p, q):
     return False
 
 
-def _catalog():
-    four = Poset(["g1", "g2", "g3", "g4"], [])
-    a2 = Poset(["g1", "g2", "g3", "g4", "g5"], [("g1", "g5"), ("g2", "g5")])
-    a6 = Poset(["g1", "g2", "g3", "g4", "g5", "g6"],
-               [("g1", "g5"), ("g2", "g5"), ("g5", "g6")])
-    a4 = Poset(["g1", "g2", "g3", "g4", "g5", "g6"],
-               [("g1", "g5"), ("g2", "g5"), ("g3", "g6"), ("g4", "g6")])
-    return [("(1,1,1,1)", four),
-            ("a2", a2), ("a2_dual", dual(a2)),
-            ("a6", a6), ("a6_dual", dual(a6)),
-            ("a4", a4), ("a4_dual", dual(a4))]
-
-
-CATALOG = dict(_catalog())
+_A2 = Poset(["g1", "g2", "g3", "g4", "g5"], [("g1", "g5"), ("g2", "g5")])
+_A6 = Poset(["g1", "g2", "g3", "g4", "g5", "g6"],
+            [("g1", "g5"), ("g2", "g5"), ("g5", "g6")])
+_A4 = Poset(["g1", "g2", "g3", "g4", "g5", "g6"],
+            [("g1", "g5"), ("g2", "g5"), ("g3", "g6"), ("g4", "g6")])
+CATALOG = {"(1,1,1,1)": Poset(["g1", "g2", "g3", "g4"], []),
+           "a2": _A2, "a2_dual": dual(_A2),
+           "a6": _A6, "a6_dual": dual(_A6),
+           "a4": _A4, "a4_dual": dual(_A4)}
 
 # The pair g1, g2 with one element above, one below, and two loose points.
 # Recognized by nothing in CATALOG: it carries no essential representation.
@@ -265,7 +270,7 @@ A8 = Poset(["g1", "g2", "g3", "g4", "g5", "g6"],
 
 def essential_catalog_match(p):
     "catalog name if p is order-isomorphic to a catalog member, else None"
-    for name, member in _catalog():
+    for name, member in CATALOG.items():
         if is_isomorphic(p, member):
             return name
     return None
@@ -290,21 +295,10 @@ def generate_posets(n):
         for b, (i, j) in enumerate(pairs):
             if mask >> b & 1:
                 up[i] |= 1 << j
-        for i in range(n - 1, -1, -1):
-            acc = up[i]
-            j = up[i]
-            while j:
-                low = j & -j
-                acc |= up[low.bit_length() - 1]
-                j ^= low
-            up[i] = acc
         key = 0
-        for i in range(n):
-            j = up[i]
-            while j:
-                low = j & -j
-                key |= 1 << bit_of[(i, low.bit_length() - 1)]
-                j ^= low
+        for i, row in enumerate(_close(up)):
+            for j in _bits(row):
+                key |= 1 << bit_of[(i, j)]
         closed.add(key)
 
     closed = sorted(closed)

@@ -2,7 +2,7 @@
 
 import json
 
-from .poset import CHAIN_TAME, ONE_PARAMETER, classify, decompose
+from .poset import CHAIN_TAME, ONE_PARAMETER, WILD, NotTame, decompose
 
 DISCRETE = "Discrete"
 CONTINUOUS = "Continuous"
@@ -28,13 +28,13 @@ class SingularDenominator(SpectrumError):
 
 
 class Character:
-    """Strictly positive weights on poset elements."""
+    """Strictly positive, finite weights on poset elements."""
 
     def __init__(self, weights):
         self.weights = {g: float(w) for g, w in dict(weights).items()}
         for g, w in self.weights.items():
-            if not w > 0:
-                raise SpectrumError("weight for %r must be positive, got %r" % (g, w))
+            if not 0 < w < float("inf"):
+                raise SpectrumError("weight for %r must be positive and finite, got %r" % (g, w))
         self.total = sum(self.weights.values())
 
     def __getitem__(self, g):
@@ -88,13 +88,18 @@ class DeltaSet:
 
 def delta_of(p, chi, tol=DEFAULT_TOL):
     """Spectral constraint set for sum(alpha_g P_g) over the poset p."""
-    kind = classify(p)
+    try:
+        dec = decompose(p)
+        kind = dec.kind
+    except NotTame:
+        kind = WILD
     if kind not in (ONE_PARAMETER, CHAIN_TAME):
         raise NotOneParameter("poset is %s; need OneParameter or ChainTame" % kind)
+    if not p.elements:
+        raise NotOneParameter("the empty poset has no spectrum")
     for g in p.elements:
         if g not in chi:
             raise SpectrumError("character missing weight for %r" % (g,))
-    dec = decompose(p)
     blocks = dec.blocks
 
     def bw(b):

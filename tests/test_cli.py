@@ -1,6 +1,7 @@
 """End-to-end tests for the orthoposet command line."""
 
 import json
+import time
 
 import pytest
 
@@ -231,3 +232,53 @@ def test_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", "--poset", poset,
                                 "--character", short, "--split", "g1,g2"])
     assert code == EXIT_VALIDATION and "missing weight" in err
+
+
+def test_solve_rejects_infinite_weight(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = tmp_path / "c.json"
+    character.write_text('{"weights": {"g1": Infinity, "g2": 0.6, "g3": 0.6, "g4": 0.6}}')
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", str(character), "--split", "g1,g2"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"elements": [["g1"], "g2"], "relations": []},
+    {"elements": [1, 2], "relations": []},
+    {"elements": ["a", "b"], "relations": [["a", ["b"]]]},
+    {"elements": "ab", "relations": []},
+])
+def test_classify_rejects_non_string_elements(tmp_path, capsys, doc):
+    poset = write_json(tmp_path, "p.json", doc)
+    code, out, err = run(capsys, ["classify", "--poset", poset])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "strings" in err
+
+
+def test_classify_empty_poset(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", {"elements": [], "relations": []})
+    code, out, _ = run(capsys, ["classify", "--poset", poset])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"] == "ChainTame"
+    assert report["width"] == 0
+    assert report["decomposition"]["blocks"] == []
+
+
+def test_classify_wide_poset_returns_promptly(tmp_path, capsys):
+    # 25 elements in five interleaved chains: width 5, so wild
+    names = ["x%d" % i for i in range(25)]
+    rels = [[names[i], names[i + 5]] for i in range(20)]
+    poset = write_json(tmp_path, "p.json", {"elements": names, "relations": rels})
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["classify", "--poset", poset])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"] == "Wild"
+    assert report["width"] == 5
+    assert report["decomposition"] is None

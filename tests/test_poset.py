@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, seed, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 
 from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
                               TWO_WIDTH_TAME, WILD, BadSplit, NotTame, Poset,
-                              PosetError, classify, contains_one_two,
-                              decompose, dual, essential_catalog_match,
+                              PosetError, classify, decompose, dual,
+                              essential_catalog_match,
                               generate_posets, is_isomorphic,
                               split_two_one_parameter, width)
 
@@ -22,6 +24,99 @@ def random_dag(names, picks):
     pairs = list(itertools.combinations(names, 2))
     rels = [pairs[i % len(pairs)] for i in picks] if pairs else []
     return Poset(names, rels)
+
+
+# Brute-force references: they share no code with the bitmask core.
+
+def ref_closure(elements, relations):
+    "fixpoint transitive closure, and the cover pairs by definition"
+    rel = set(relations)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
+            if b == c and (a, d) not in rel:
+                rel.add((a, d))
+                changed = True
+    hasse = {(g, h) for g, h in rel
+             if not any((g, m) in rel and (m, h) in rel for m in elements)}
+    return frozenset(rel), frozenset(hasse)
+
+
+def ref_comparable(p, g, h):
+    return g == h or (g, h) in p.relations or (h, g) in p.relations
+
+
+def ref_width(p):
+    "largest antichain, over all 2^n subsets"
+    best = 1 if p.elements else 0
+    for bits in range(1, 1 << len(p.elements)):
+        members = [g for i, g in enumerate(p.elements) if bits >> i & 1]
+        if len(members) > best and all(not ref_comparable(p, g, h)
+                                       for g, h in itertools.combinations(members, 2)):
+            best = len(members)
+    return best
+
+
+def ref_up_sets(p):
+    "up-closed subsets in 0/1 product-scan order"
+    result = []
+    for bits in itertools.product((0, 1), repeat=len(p.elements)):
+        take = frozenset(g for g, b in zip(p.elements, bits) if b)
+        if all(h in take for g, h in p.relations if g in take):
+            result.append(take)
+    return result
+
+
+def contains_one_two(p):
+    "true iff some element is incomparable to both members of a 2-chain"
+    return any(a not in (b, c) and not ref_comparable(p, a, b) and not ref_comparable(p, a, c)
+               for b, c in p.relations for a in p.elements)
+
+
+def ref_classify(p):
+    if ref_width(p) >= 3 or contains_one_two(p):
+        return WILD
+    if ref_width(p) <= 1:
+        return CHAIN_TAME
+    pairs = sum(1 for g, h in itertools.combinations(p.elements, 2)
+                if not ref_comparable(p, g, h))
+    return ONE_PARAMETER if pairs == 1 else TWO_WIDTH_TAME
+
+
+def shuffled_dags(count, max_elements, rng):
+    "random DAGs whose element order is shuffled away from the label order"
+    for _ in range(count):
+        n = rng.randint(1, max_elements)
+        names = ["e%d" % i for i in range(n)]
+        rels = [(g, h) for g, h in itertools.combinations(names, 2) if rng.random() < 0.3]
+        order = names[:]
+        rng.shuffle(order)
+        yield order, rels
+
+
+def assert_core_matches_reference(elements, rels):
+    p = Poset(elements, rels)
+    relations, hasse = ref_closure(elements, rels)
+    assert p.relations == relations
+    assert p.hasse == hasse
+    for g in elements:
+        assert p.up_set(g) == frozenset(h for a, h in relations if a == g)
+        assert p.down_set(g) == frozenset(a for a, h in relations if h == g)
+        for h in elements:
+            assert p.less(g, h) == ((g, h) in relations)
+            assert p.comparable(g, h) == ref_comparable(p, g, h)
+    assert p.up_sets() == ref_up_sets(p)
+    assert width(p) == ref_width(p)
+    assert classify(p) == ref_classify(p)
+    try:
+        blocks = decompose(p).blocks
+    except NotTame:
+        assert ref_classify(p) == WILD
+        return
+    assert sorted(g for b in blocks for g in b) == sorted(elements)
+    for lower, upper in zip(blocks, blocks[1:]):
+        assert all((g, h) in relations for g in lower for h in upper)
 
 
 def test_transitive_closure():
@@ -199,3 +294,33 @@ def test_closure_is_transitive(picks, n):
     for (a, b), (c, d) in itertools.product(p.relations, repeat=2):
         if b == c:
             assert (a, d) in p.relations
+
+
+def test_core_matches_reference_on_all_small_classes():
+    for n in range(1, 7):
+        for p in generate_posets(n):
+            assert_core_matches_reference(p.elements, sorted(p.hasse))
+
+
+def test_core_matches_reference_on_shuffled_random_dags():
+    rng = random.Random(14)
+    for elements, rels in shuffled_dags(300, 9, rng):
+        assert_core_matches_reference(elements, rels)
+
+
+def test_empty_poset_is_a_chain():
+    empty = Poset([])
+    assert classify(empty) == CHAIN_TAME
+    assert width(empty) == 0
+    assert decompose(empty).blocks == []
+    assert empty.up_sets() == [frozenset()]
+
+
+def test_classify_long_chain_is_fast():
+    names = ["c%d" % i for i in range(18)]
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assert classify(Poset(names, list(zip(names, names[1:])))) == CHAIN_TAME
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01

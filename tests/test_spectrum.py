@@ -40,6 +40,17 @@ def test_character_rejects_nonpositive_weights():
         Character({"x": -0.1})
 
 
+def test_character_rejects_non_finite_weights():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(SpectrumError):
+            Character({"x": 0.6, "y": bad})
+
+
+def test_delta_of_rejects_empty_poset():
+    with pytest.raises(NotOneParameter):
+        delta_of(Poset([]), Character({}))
+
+
 def test_character_total_restrict_json():
     chi = Character({"x": 0.25, "y": 0.5, "z": 0.75})
     assert abs(chi.total - 1.5) < EXACT
