@@ -230,13 +230,20 @@ def build_quadruple(chain, alphas, tol=DEFAULT_TOL):
     return build_from_chain(chain, tol)
 
 
-def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL):
+def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
+                               parts=(("g1", "g2"), ("g3", "g4"))):
     """Two-dimensional family of the zero-step continuous series.
 
     The sum of the four weights must be two; c is the common offset of the
     two layer spectra from their centers, gamma the relative phase on the
-    second layer.
+    second layer. parts names the two incomparable pairs, in the order of
+    alphas.
     """
+    parts = tuple(tuple(part) for part in parts)
+    if [len(part) for part in parts] != [2, 2]:
+        raise BuilderError("the continuous series needs two pairs, got parts %r"
+                           % ([list(part) for part in parts],))
+    names = parts[0] + parts[1]
     a1, a2, a3, a4 = [float(a) for a in alphas]
     if abs(a1 + a2 + a3 + a4 - 2.0) > tol:
         raise SumNotTwo("weights sum to %r, need 2" % (a1 + a2 + a3 + a4,))
@@ -260,14 +267,10 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL):
         return np.array([[(1 + l) / 2.0, off], [np.conj(off), (1 - l) / 2.0]], dtype=dtype)
 
     # the second layer flips its diagonal so the two layer sums add to I
-    projections = {"g1": mat(lams[0], offs[0]),
-                   "g2": mat(lams[1], -offs[1]),
-                   "g3": mat(-lams[2], phase * offs[2]),
-                   "g4": mat(-lams[3], -phase * offs[3])}
-    poset = Poset(["g1", "g2", "g3", "g4"], [])
-    character = Character(dict(zip(["g1", "g2", "g3", "g4"], alphas)))
-    return ProjectionFamily(poset, character, projections,
-                            split=(("g1", "g2"), ("g3", "g4")))
+    matrices = [mat(lams[0], offs[0]), mat(lams[1], -offs[1]),
+                mat(-lams[2], phase * offs[2]), mat(-lams[3], -phase * offs[3])]
+    return ProjectionFamily(Poset(names, []), Character(dict(zip(names, alphas))),
+                            dict(zip(names, matrices)), split=parts)
 
 
 def _top_singleton_weights(part, chi):

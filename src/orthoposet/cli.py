@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from .builder import (BuilderError, ProjectionFamily, build_from_chain,
-                      build_quadruple_continuous, disjoint_union)
+                      build_quadruple_continuous)
 from .chain import (DISCRETE_IN_DELTA2, ChainEngineError, EigenChain,
                     NoRepresentation, enumerate_irreducibles,
                     lambda_zero_case, make_context, run_degeneracy_filter)
@@ -78,17 +78,6 @@ def _split_parts(p, chi, split_spec):
             part2, chi.restrict(part2.elements))
 
 
-def _remap_family(fam, part1, part2, chi):
-    # continuous-series builder emits fixed names g1..g4; rename to ours
-    actual = list(part1.elements) + list(part2.elements)
-    names = dict(zip(("g1", "g2", "g3", "g4"), actual))
-    projections = {names[g]: m for g, m in fam.projections.items()}
-    return ProjectionFamily(disjoint_union(part1, part2),
-                            chi.restrict(actual), projections,
-                            split=(part1.elements, part2.elements),
-                            block_params=fam.block_params)
-
-
 def _family_record(fam, tol):
     report = check_all(fam, tol)
     return {"family": json.loads(fam.to_json()),
@@ -130,10 +119,10 @@ def cmd_solve(poset_path, character_path, split_spec, config,
         chains += two_point.two_dim
         if c is not None:
             alphas = ctx.delta1.pair_weights + ctx.delta2.pair_weights
-            fam = build_quadruple_continuous(alphas, c, gamma or 1.0,
-                                             config.tolerance)
-            rec, ok = _family_record(_remap_family(fam, part1, part2, chi),
-                                     verify_tol)
+            fam = build_quadruple_continuous(
+                alphas, c, gamma or 1.0, config.tolerance,
+                parts=(part1.elements, part2.elements))
+            rec, ok = _family_record(fam, verify_tol)
             all_passed = all_passed and ok
             families.append(rec)
     else:

@@ -1,6 +1,5 @@
 """Numerical existence oracle independent of the constructive route."""
 
-import itertools
 import json
 
 import numpy as np
@@ -16,8 +15,6 @@ PROFILE_SLACK = 1e-6
 STALL_WINDOW = 50
 STALL_FACTOR = 0.7
 ANDERSON_MEMORY = 5
-GRADIENT_STEPS = 25
-GRADIENT_RATE = 0.05
 
 
 class OracleError(ValueError):
@@ -70,18 +67,33 @@ def rank_profiles(p, chi, dimension):
 
     trace(sum alpha_g P_g) = dimension holds exactly for any family, so
     sum alpha_g rank(P_g) must equal the dimension up to verifier noise;
-    everything else cannot carry a representation and is pruned.
+    everything else cannot carry a representation and is pruned. Rank
+    prefixes grow one element at a time and are dropped as soon as they
+    break monotonicity or can no longer reach the trace.
     """
     els = p.elements
     k = len(els)
-    idx = {g: i for i, g in enumerate(els)}
-    axes = [np.arange(dimension + 1)] * k
-    grid = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
-                    axis=1)
-    slack = np.abs(grid @ np.array([chi[g] for g in els]) - dimension)
+    w = np.array([chi[g] for g in els])
+    # reach[j]: the most that elements j, j + 1, ... can still add
+    reach = dimension * np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    values = np.arange(dimension + 1, dtype=np.min_scalar_type(dimension))
+    grid = np.zeros((1, 0), dtype=values.dtype)
+    partial = np.zeros(1)
+    for j, g in enumerate(els):
+        rows = len(grid)
+        grid = np.hstack([np.repeat(grid, dimension + 1, axis=0),
+                          np.tile(values, rows)[:, None]])
+        partial = np.repeat(partial, dimension + 1) + w[j] * grid[:, j]
+        keep = ((partial <= dimension + 2 * PROFILE_SLACK)
+                & (partial + reach[j + 1] >= dimension - 2 * PROFILE_SLACK))
+        for i in range(j):
+            if p.less(els[i], g):
+                keep &= grid[:, i] <= grid[:, j]
+            elif p.less(g, els[i]):
+                keep &= grid[:, j] <= grid[:, i]
+        grid, partial = grid[keep], partial[keep]
+    slack = np.abs(grid @ w - dimension)
     keep = slack <= PROFILE_SLACK
-    for g, h in p.relations:
-        keep &= grid[:, idx[g]] <= grid[:, idx[h]]
     grid, slack = grid[keep], slack[keep]
     order = np.lexsort(tuple(grid[:, i] for i in range(k - 1, -1, -1))
                        + (slack,))
@@ -109,96 +121,62 @@ def _round_rank(m, rank):
     return v @ v.conj().T
 
 
-def _residual(p, alpha, proj, eye):
-    r = _max_abs(sum(alpha[g] * proj[g] for g in p.elements) - eye)
-    for g in p.elements:
-        r = max(r, _max_abs(proj[g] @ proj[g] - proj[g]))
-    for g, h in p.relations:
-        r = max(r, _max_abs(proj[g] @ proj[h] - proj[g]))
-    return r
-
-
 def _max_abs(m):
     return float(np.max(np.abs(m)))
 
 
-def _flatten(els, proj):
-    return np.concatenate([proj[g].ravel() for g in els]).view(float)
-
-
-def _unflatten(els, vec, n):
-    cells = vec.view(complex)
-    out = {}
-    for i, g in enumerate(els):
-        m = cells[i * n * n:(i + 1) * n * n].reshape(n, n)
-        out[g] = (m + m.conj().T) / 2.0
-    return out
-
-
-def _gradient_burst(p, alpha, proj, eye):
-    # penalized descent on the summed squared residuals; used to leave stalls
-    for _ in range(GRADIENT_STEPS):
-        resid = sum(alpha[g] * proj[g] for g in p.elements) - eye
-        grad = {}
-        for g in p.elements:
-            x = proj[g]
-            e = x @ x - x
-            grad[g] = 2.0 * alpha[g] * resid + 2.0 * (x @ e + e @ x - e)
-        for g, h in p.relations:
-            o = proj[g] @ proj[h] - proj[g]
-            shift = proj[h] - eye
-            grad[g] += shift @ o.conj().T + o @ shift
-            grad[h] += o.conj().T @ proj[g] + proj[g] @ o
-        for g in p.elements:
-            step = proj[g] - GRADIENT_RATE * grad[g]
-            proj[g] = (step + step.conj().T) / 2.0
-
-
 def _search_once(p, chi, ranks, rng, cfg):
+    """One run of alternating projections from a random start.
+
+    The state is one complex array of shape (|G|, n, n) in element order;
+    Anderson mixing works on its flat real view.
+    """
     els = p.elements
     n = cfg.dimension
-    alpha = {g: chi[g] for g in els}
-    denom = sum(a * a for a in alpha.values())
+    index = {g: i for i, g in enumerate(els)}
+    alpha = np.array([chi[g] for g in els])
+    scale = (alpha / sum(a * a for a in alpha))[:, None, None]
+    alpha = alpha[:, None, None]
     eye = np.eye(n, dtype=complex)
-    parents = {g: sorted(h for gg, h in p.hasse if gg == g) for g in els}
+    parents = [[index[h] for h in sorted(h for gg, h in p.hasse if gg == g)]
+               for g in els]
     # maximal elements first so children are squeezed into settled parents
-    order = sorted(els, key=lambda g: -len(p.up_set(g)))
+    order = sorted(range(len(els)), key=lambda i: -len(p.up_set(els[i])))
+    # P_g P_h - P_g over g = h (idempotence) and every relation g < h
+    lo, hi = np.array([(i, i) for i in range(len(els))]
+                      + [(index[g], index[h]) for g, h in p.relations]).T
 
-    def sweep(proj):
-        correction = sum(alpha[g] * proj[g] for g in els) - eye
-        out = {g: proj[g] - (alpha[g] / denom) * correction for g in els}
-        for g in order:
-            m = out[g]
-            for h in parents[g]:
+    def sweep(x):
+        """Projections after one pass from the flat state x, and their residual."""
+        m = x.view(complex).reshape(len(els), n, n)
+        proj = (m + m.conj().transpose(0, 2, 1)) / 2.0
+        out = proj - scale * ((alpha * proj).sum(axis=0) - eye)
+        for i in order:
+            m = out[i]
+            for h in parents[i]:
                 m = out[h] @ m @ out[h]
-            out[g] = _round_rank(m, ranks[g])
-        return out
+            out[i] = _round_rank(m, ranks[i])
+        res = max(_max_abs((alpha * out).sum(axis=0) - eye),
+                  _max_abs(out[lo] @ out[hi] - out[lo]))
+        return out, res
 
-    x = _flatten(els, {g: _random_projection(rng, n, ranks[g]) for g in els})
+    x = np.stack([_random_projection(rng, n, r) for r in ranks]).ravel().view(float)
     steps_x, steps_f, x_prev, f_prev = [], [], None, None
-    burst_used = False
     prev_window = np.inf
-    swept = None
+    kept = None
     for it in range(cfg.max_iterations):
-        swept = sweep(_unflatten(els, x, n))
-        res = _residual(p, alpha, swept, eye)
+        swept, res = kept if kept is not None else sweep(x)
+        kept = None
         if res <= ACCEPT_TOL:
             break
-        image = _flatten(els, swept)
+        image = swept.ravel().view(float)
         f = image - x
         if _max_abs(f) < cfg.step_tol:
             break
         if (it + 1) % STALL_WINDOW == 0:
             if res > STALL_FACTOR * prev_window:
                 # plateau: projections are cycling around an infeasible profile
-                if burst_used:
-                    return None
-                _gradient_burst(p, alpha, swept, eye)
-                x = _flatten(els, swept)
-                steps_x, steps_f, x_prev, f_prev = [], [], None, None
-                burst_used = True
-                prev_window = np.inf
-                continue
+                return None
             prev_window = res
         if f_prev is not None:
             steps_x.append(x - x_prev)
@@ -212,15 +190,15 @@ def _search_once(p, chi, ranks, rng, cfg):
             basis = np.stack(steps_f, axis=1)
             gamma = np.linalg.lstsq(basis, f, rcond=None)[0]
             candidate = image - (np.stack(steps_x, axis=1) + basis) @ gamma
-            trial = sweep(_unflatten(els, candidate, n))
-            if _residual(p, alpha, trial, eye) < res:
-                x = candidate
+            trial = sweep(candidate)
+            if trial[1] < res:
+                x, kept = candidate, trial
                 continue
             steps_x, steps_f, x_prev, f_prev = [], [], None, None
         x = image
-    if swept is None or _residual(p, alpha, swept, eye) > ACCEPT_TOL:
+    if res > ACCEPT_TOL:
         return None
-    return ProjectionFamily(p, chi, dict(swept))
+    return ProjectionFamily(p, chi, dict(zip(els, swept)))
 
 
 def search_numeric(p, chi, cfg, require_irreducible=False):
@@ -235,7 +213,7 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
     for restart in range(cfg.restarts):
         for pidx, ranks in enumerate(profiles):
             rng = np.random.default_rng([cfg.seed, pidx, restart])
-            fam = _search_once(p, chi, dict(zip(p.elements, ranks)), rng, cfg)
+            fam = _search_once(p, chi, ranks, rng, cfg)
             if fam is None:
                 continue
             report = check_all(fam, ACCEPT_TOL)

@@ -1,5 +1,6 @@
 """Finite posets: validation, classification, chain-block decomposition."""
 
+import functools
 import itertools
 import json
 
@@ -29,19 +30,36 @@ def _bits(mask):
         mask ^= low
 
 
-def _close(up):
-    """Transitive closure (Warshall) of per-element successor bitmasks.
+def _close(up, names):
+    """Transitive closure of per-element successor bitmasks.
 
-    A cycle through i shows up as bit i set in row i.
+    Depth-first: a row is closed as the OR of its successors' closed rows,
+    so the work is one OR per given relation. Raises PosetError when an
+    element is reached again from below itself.
     """
-    up = list(up)
-    for k, row in enumerate(up):
-        if row:
-            bit = 1 << k
-            for i, mask in enumerate(up):
-                if mask & bit:
-                    up[i] = mask | row
-    return up
+    closed, entered = [None] * len(up), [False] * len(up)
+    stack = [(root, root) for root in range(len(up))]  # last first
+    while stack:
+        i, via = stack.pop()  # via: the element that put i on the stack
+        if closed[i] is not None:
+            continue
+        row, todo = up[i], []
+        for j in _bits(up[i]):
+            if closed[j] is None:
+                todo.append(j)
+            else:
+                row |= closed[j]
+        if not todo:
+            closed[i] = row
+        elif entered[i]:
+            # i is open, so it lies below via, and via < i: a cycle
+            raise PosetError("cycle through %r and %r" % (names[i], names[via]))
+        else:
+            # look at i again once the successors in todo are closed
+            entered[i] = True
+            stack.append((i, via))
+            stack.extend((j, i) for j in todo)
+    return closed
 
 
 class Poset:
@@ -50,7 +68,7 @@ class Poset:
     The order is held as closed up/down bitmasks per element, bit j of
     _up[i] meaning elements[i] < elements[j]; the element list fixes matrix
     row ordering downstream. relations (the closure) and hasse (the cover
-    pairs) are frozensets of element pairs.
+    pairs) are frozensets of element pairs, built on first use.
     """
 
     def __init__(self, elements, relations=()):
@@ -58,26 +76,29 @@ class Poset:
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise PosetError("duplicate elements")
-        up = [0] * len(self.elements)
+        up, down = [0] * len(self.elements), [0] * len(self.elements)
         for g, h in relations:
             if g not in self._index or h not in self._index:
                 raise PosetError("relation (%r, %r) mentions an unknown element" % (g, h))
             if g == h:
                 raise PosetError("reflexive relation on %r" % (g,))
-            up[self._index[g]] |= 1 << self._index[h]
-        self._up = _close(up)
-        self._down = [0] * len(up)
-        for i, mask in enumerate(self._up):
-            if mask >> i & 1:
-                j = next(j for j in _bits(mask) if j != i and self._up[j] >> i & 1)
-                raise PosetError("cycle through %r and %r" % (self.elements[i], self.elements[j]))
-            for j in _bits(mask):
-                self._down[j] |= 1 << i
+            i, j = self._index[g], self._index[h]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        self._up = _close(up, self.elements)
+        self._down = _close(down, self.elements)
+
+    @functools.cached_property
+    def relations(self):
         els = self.elements
-        pairs = [(i, j) for i, mask in enumerate(self._up) for j in _bits(mask)]
-        self.relations = frozenset((els[i], els[j]) for i, j in pairs)
-        self.hasse = frozenset((els[i], els[j]) for i, j in pairs
-                               if not self._up[i] & self._down[j])
+        return frozenset((els[i], els[j]) for i, mask in enumerate(self._up)
+                         for j in _bits(mask))
+
+    @functools.cached_property
+    def hasse(self):
+        els = self.elements
+        return frozenset((els[i], els[j]) for i, mask in enumerate(self._up)
+                         for j in _bits(mask) if not mask & self._down[j])
 
     def _names(self, mask):
         return frozenset(self.elements[i] for i in _bits(mask))
@@ -287,6 +308,7 @@ def generate_posets(n):
 
     if n == 0:
         return [Poset([])]
+    names = ["e%d" % i for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bit_of = {ij: b for b, ij in enumerate(pairs)}
     closed = set()
@@ -296,7 +318,7 @@ def generate_posets(n):
             if mask >> b & 1:
                 up[i] |= 1 << j
         key = 0
-        for i, row in enumerate(_close(up)):
+        for i, row in enumerate(_close(up, names)):
             for j in _bits(row):
                 key |= 1 << bit_of[(i, j)]
         closed.add(key)
@@ -318,7 +340,6 @@ def generate_posets(n):
     reps = {}
     for row, key in enumerate(closed):
         reps.setdefault(int(canon[row]), key)
-    names = ["e%d" % i for i in range(n)]
     out = []
     for key in sorted(reps.values()):
         rel = [(names[i], names[j]) for b, (i, j) in enumerate(pairs) if key >> b & 1]

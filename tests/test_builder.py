@@ -96,6 +96,21 @@ def test_continuous_series_validation():
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.5), 0.55, 1.0)
     with pytest.raises(BuilderError):
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.5), 0.25, 2.0)
+    with pytest.raises(BuilderError):
+        build_quadruple_continuous((0.5,) * 4, 0.25, 1.0,
+                                   parts=(("z", "a", "b"), ("d", "e")))
+
+
+def test_continuous_series_names_its_pairs():
+    fam = build_quadruple_continuous((0.5,) * 4, 0.25, 1.0,
+                                     parts=(("b", "a"), ("d", "c")))
+    assert list(fam.projections) == ["b", "a", "d", "c"]
+    assert fam.poset.elements == ("b", "a", "d", "c")
+    assert fam.split == (("b", "a"), ("d", "c"))
+    default = build_quadruple_continuous((0.5,) * 4, 0.25, 1.0)
+    for g, h in zip(fam.poset.elements, default.poset.elements):
+        assert np.array_equal(fam.projections[g], default.projections[h])
+    assert check_all(fam).passed
 
 
 def test_continuous_series_phase_changes_geometry():

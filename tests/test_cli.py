@@ -159,6 +159,34 @@ def test_solve_rejects_non_unimodular_gamma(tmp_path, capsys):
     assert "unimodular" in err
 
 
+def test_solve_continuous_family_takes_the_pair_names(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", {"elements": ["y", "x", "v", "u"],
+                                            "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": {
+        "x": 0.5, "y": 0.5, "u": 0.5, "v": 0.5}})
+    code, out, _ = run(capsys, ["solve", "--poset", poset,
+                                "--character", character, "--split", "y,x",
+                                "--c", "0.25"])
+    assert code == EXIT_OK
+    family = json.loads(out)["families"][0]
+    assert list(family["family"]["projections"]) == ["y", "x", "v", "u"]
+    assert family["verification"]["passed"]
+
+
+def test_solve_continuous_family_needs_two_pairs(tmp_path, capsys):
+    # the first part is a pair above z, not a bare pair
+    poset = write_json(tmp_path, "p.json", {"elements": ["z", "a", "b", "d", "e"],
+                                            "relations": [["z", "a"], ["z", "b"]]})
+    character = write_json(tmp_path, "c.json", {"weights": {
+        "z": 0.3, "a": 0.5, "b": 0.5, "d": 0.5, "e": 0.5}})
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", character, "--split", "z,a,b",
+                                  "--c", "0.25"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "two pairs" in err
+
+
 def test_verify_round_trip(tmp_path, capsys):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)

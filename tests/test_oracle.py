@@ -1,11 +1,15 @@
 import json
+import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from orthoposet.oracle import (OracleError, SearchConfig, cross_validate,
-                               enumerate_dim1, rank_profiles, search_numeric)
-from orthoposet.poset import Poset
+from orthoposet.oracle import (PROFILE_SLACK, OracleError, SearchConfig,
+                               cross_validate, enumerate_dim1, rank_profiles,
+                               search_numeric)
+from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, commutant_dim
 
@@ -51,6 +55,75 @@ def test_rank_profiles_are_monotone():
     assert rank_profiles(CHAIN2, Character({"x": 0.5, "y": 0.5}), 2) == [(2, 2)]
     chi = Character({"x": 0.31415926, "y": 0.2718281828})
     assert rank_profiles(CHAIN2, chi, 2) == []
+
+
+def grid_rank_profiles(p, chi, dimension):
+    "reference: filter and sort the whole (dimension + 1)^k rank grid"
+    els = p.elements
+    k = len(els)
+    idx = {g: i for i, g in enumerate(els)}
+    axes = [np.arange(dimension + 1)] * k
+    grid = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+    slack = np.abs(grid @ np.array([chi[g] for g in els]) - dimension)
+    keep = slack <= PROFILE_SLACK
+    for g, h in p.relations:
+        keep &= grid[:, idx[g]] <= grid[:, idx[h]]
+    grid, slack = grid[keep], slack[keep]
+    order = np.lexsort(tuple(grid[:, i] for i in range(k - 1, -1, -1))
+                       + (slack,))
+    return [tuple(int(r) for r in row) for row in grid[order]]
+
+
+def _weights(rng, els, dimension, mode):
+    exact = [0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]
+    if mode == "exact":
+        return {g: rng.choice(exact) for g in els}
+    if mode == "mixed":
+        return {g: rng.choice(exact) if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+                for g in els}
+    # random weights, the last one solved so that some rank tuple hits the trace
+    w = {g: rng.uniform(0.05, 1.0) for g in els}
+    ranks = [rng.randint(0, dimension) for _ in els]
+    last = els[-1]
+    ranks[-1] = ranks[-1] or 1
+    rest = dimension - sum(w[g] * r for g, r in zip(els[:-1], ranks))
+    if rest > 0:
+        w[last] = rest / ranks[-1]
+    return w
+
+
+def test_rank_profiles_match_the_full_grid():
+    rng = random.Random(7)
+    for k in range(1, 6):
+        for q in generate_posets(k):
+            names = list(q.elements)
+            rng.shuffle(names)
+            p = Poset(names, q.relations)
+            for dimension in range(1, 7):
+                for mode in ("exact", "mixed", "solved"):
+                    chi = Character(_weights(rng, names, dimension, mode))
+                    assert (rank_profiles(p, chi, dimension)
+                            == grid_rank_profiles(p, chi, dimension)), (p, chi, dimension)
+
+
+def test_rank_profiles_stay_small_on_eight_elements():
+    # two chains with a pair at the bottom; the full 9^8 grid is 43M rows
+    els = ["x%d" % i for i in range(8)]
+    p = Poset(els, [("x0", "x4"), ("x1", "x4"), ("x4", "x6"),
+                    ("x2", "x5"), ("x3", "x5"), ("x5", "x7")])
+    chi = Character(dict(zip(els, (.31, .43, .37, .29, .21, .17, .13, .11))))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        profiles = rank_profiles(p, chi, 8)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profiles) == 1043
+    assert seconds < 1.0
+    assert peak < 100e6
 
 
 def test_search_finds_the_three_point_family():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -324,3 +325,17 @@ def test_classify_long_chain_is_fast():
         assert classify(Poset(names, list(zip(names, names[1:])))) == CHAIN_TAME
         best = min(best, time.perf_counter() - t0)
     assert best < 0.01
+
+
+def test_long_chain_is_built_and_classified_in_little_memory():
+    # the closure of a 2,000-element chain has about two million pairs
+    names = ["c%d" % i for i in range(2000)]
+    tracemalloc.start()
+    try:
+        p = Poset(names, list(zip(names, names[1:])))
+        assert classify(p) == CHAIN_TAME
+        assert width(p) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
