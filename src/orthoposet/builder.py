@@ -1,5 +1,6 @@
 """Explicit projection families for eigenvalue chains and the continuous series."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -44,13 +45,14 @@ class SumNotExceedingOne(BuilderError):
     pass
 
 
+@dataclasses.dataclass(frozen=True)
 class BasicPairParams:
+    tau: float
+    sign: str = PLUS
 
-    def __init__(self, tau, sign=PLUS):
-        if sign not in (PLUS, MINUS):
+    def __post_init__(self):
+        if self.sign not in (PLUS, MINUS):
             raise BuilderError("sign must be %r or %r" % (PLUS, MINUS))
-        self.tau = tau
-        self.sign = sign
 
 
 def basic_pair(params):
@@ -93,22 +95,44 @@ class ProjectionFamily:
             total = total + self.character[g] * self.projections[g]
         return total
 
+    def to_dict(self):
+        return {"dimension": int(self.dimension),
+                "projections": {g: [[[float(np.real(x)), float(np.imag(x))] for x in row]
+                                    for row in np.asarray(m, dtype=complex)]
+                                for g, m in self.projections.items()},
+                "character": self.character.to_dict()}
+
     def to_json(self):
-        doc = {"dimension": int(self.dimension),
-               "projections": {g: [[[float(np.real(x)), float(np.imag(x))] for x in row]
-                                   for row in np.asarray(m, dtype=complex)]
-                               for g, m in self.projections.items()},
-               "character": {"weights": self.character.weights}}
-        return json.dumps(doc)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text, poset, split=None):
+        """Read a to_json document. It must give a weight and one square
+        matrix of a common size for each element of poset, and no matrix
+        for anything else."""
         doc = json.loads(text)
-        projections = {}
-        for g, rows in doc["projections"].items():
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-            projections[g] = m.real if np.all(m.imag == 0) else m
-        return cls(poset, Character(doc["character"]["weights"]), projections, split)
+        try:
+            weights = doc["character"]["weights"]
+            projections = {g: np.array([[complex(re, im) for re, im in row] for row in rows])
+                           for g, rows in doc["projections"].items()}
+        except (TypeError, KeyError, ValueError) as exc:
+            raise BuilderError("family document needs 'character' weights and "
+                               "'projections' with [re, im] entries") from exc
+        character = Character(weights)
+        if set(projections) != set(poset.elements) or not projections:
+            raise BuilderError("family projections %r do not match the poset elements %r"
+                               % (sorted(projections), list(poset.elements)))
+        missing = [g for g in poset.elements if g not in character]
+        if missing:
+            raise BuilderError("family character misses weights for %r" % (missing,))
+        shapes = {m.shape for m in projections.values()}
+        shape = next(iter(shapes))
+        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
+            raise BuilderError("projections must be square matrices of one size, got %r"
+                               % (sorted(shapes),))
+        projections = {g: m.real if np.all(m.imag == 0) else m
+                       for g, m in projections.items()}
+        return cls(poset, character, projections, split)
 
 
 def _layout(values, delta, tol):
@@ -252,7 +276,7 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
     if not lo + tol < c < hi - tol:
         raise COutOfRange("c = %r is outside (%r, %r)" % (c, lo, hi))
     gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > tol:
+    if not abs(abs(gamma) - 1.0) <= tol:  # also rejects nan
         raise BuilderError("gamma = %r is not unimodular" % (gamma,))
 
     lams = [(a1 * a1 - a2 * a2 + 4 * c * c) / (4 * c * a1),

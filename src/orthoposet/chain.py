@@ -1,6 +1,6 @@
 """Interleaved lambda/mu eigenvalue chains: existence and dimension of irreducibles."""
 
-import json
+import dataclasses
 import math
 
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
@@ -56,31 +56,25 @@ def make_context(p1, chi1, p2, chi2, tol=DEFAULT_TOL):
     return ChainContext(p1, chi1, p2, chi2, tol)
 
 
+@dataclasses.dataclass(eq=False)
 class EigenChain:
     """Alternating eigenvalue lists with equal lengths and a termination tag."""
 
-    def __init__(self, lambdas, mus, termination, start_point, context=None,
-                 boundary_ambiguous=False):
-        self.lambdas = list(lambdas)
-        self.mus = list(mus)
-        self.termination = termination
-        self.start_point = start_point
-        self.context = context
-        self.boundary_ambiguous = boundary_ambiguous
+    lambdas: list
+    mus: list
+    termination: str
+    start_point: float
+    context: ChainContext = dataclasses.field(default=None, repr=False)
+    boundary_ambiguous: bool = False
 
     @property
     def dimension(self):
         return len(self.lambdas)
 
-    def __repr__(self):
-        return "EigenChain(%r, %r, %s)" % (self.lambdas, self.mus, self.termination)
-
-    def to_json(self):
-        return json.dumps({"lambda0": self.start_point,
-                           "lambdas": self.lambdas,
-                           "mus": self.mus,
-                           "termination": self.termination,
-                           "dimension": self.dimension})
+    def to_dict(self):
+        return {"lambda0": self.start_point, "lambdas": self.lambdas,
+                "mus": self.mus, "termination": self.termination,
+                "dimension": self.dimension}
 
 
 def run_degeneracy_filter(chi, tol=DEFAULT_TOL):
@@ -142,6 +136,7 @@ def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
     raise StepLimit("no termination within %d steps" % (max_steps,))
 
 
+@dataclasses.dataclass(eq=False)
 class TwoPointFamily:
     """Description of the lambda_cap = 0 representations.
 
@@ -151,19 +146,18 @@ class TwoPointFamily:
     continuous two-dimensional series (None when absent).
     """
 
-    def __init__(self, sigma1, sigma2, one_dim, two_dim, c_interval, context):
-        self.sigma1 = sigma1
-        self.sigma2 = sigma2
-        self.one_dim = list(one_dim)
-        self.two_dim = list(two_dim)
-        self.c_interval = c_interval
-        self.context = context
+    sigma1: float
+    sigma2: float
+    one_dim: list
+    two_dim: list
+    c_interval: tuple
+    context: ChainContext = dataclasses.field(repr=False)
 
-    def to_json(self):
-        return json.dumps({"sigma1": self.sigma1, "sigma2": self.sigma2,
-                           "one_dim": self.one_dim,
-                           "two_dim": [json.loads(ch.to_json()) for ch in self.two_dim],
-                           "c_interval": list(self.c_interval) if self.c_interval else None})
+    def to_dict(self):
+        return {"sigma1": self.sigma1, "sigma2": self.sigma2,
+                "one_dim": self.one_dim,
+                "two_dim": [ch.to_dict() for ch in self.two_dim],
+                "c_interval": list(self.c_interval) if self.c_interval else None}
 
 
 def lambda_zero_case(ctx):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,40 +24,19 @@ EXIT_NO_REPRESENTATION = 3
 EXIT_VERIFICATION = 4
 
 
-class RunConfig:
-
-    def __init__(self, tolerance=1e-9, seed=0, fmt="json", max_dimension=8):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.tolerance = tolerance
-        self.seed = seed
-        self.fmt = fmt
-        self.max_dimension = max_dimension
-
-
-def _read(path):
+def _load(path, from_json, *args):
+    "from_json(text of the file at path, *args); a syntax error names the file"
     with open(path) as fh:
-        return fh.read()
-
-
-def _load_poset(path):
+        text = fh.read()
     try:
-        return Poset.from_json(_read(path))
+        return from_json(text, *args)
     except json.JSONDecodeError as exc:
-        raise PosetError("%s: parse error at line %d column %d: %s"
+        raise ValueError("%s: parse error at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
 
 
-def _load_character(path):
-    try:
-        return Character.from_json(_read(path))
-    except json.JSONDecodeError as exc:
-        raise SpectrumError("%s: parse error at line %d column %d: %s"
-                            % (path, exc.lineno, exc.colno, exc.msg))
-
-
-def cmd_classify(poset_path, config):
-    p = _load_poset(poset_path)
+def cmd_classify(poset_path):
+    p = _load(poset_path, Poset.from_json)
     try:
         blocks = {"blocks": [list(b) for b in decompose(p).blocks]}
     except NotTame:
@@ -65,10 +45,10 @@ def cmd_classify(poset_path, config):
             "decomposition": blocks, "catalog": essential_catalog_match(p)}
 
 
-def cmd_spectrum(poset_path, character_path, config):
-    p = _load_poset(poset_path)
-    chi = _load_character(character_path)
-    return json.loads(delta_of(p, chi, config.tolerance).to_json())
+def cmd_spectrum(poset_path, character_path, tol):
+    p = _load(poset_path, Poset.from_json)
+    chi = _load(character_path, Character.from_json)
+    return delta_of(p, chi, tol).to_dict()
 
 
 def _split_parts(p, chi, split_spec):
@@ -80,21 +60,21 @@ def _split_parts(p, chi, split_spec):
 
 def _family_record(fam, tol):
     report = check_all(fam, tol)
-    return {"family": json.loads(fam.to_json()),
-            "verification": json.loads(report.to_json())}, report.passed
+    return {"family": fam.to_dict(),
+            "verification": report.to_dict()}, report.passed
 
 
-def cmd_solve(poset_path, character_path, split_spec, config,
+def cmd_solve(poset_path, character_path, split_spec, tol, max_dimension,
               c=None, gamma=None):
-    p = _load_poset(poset_path)
-    chi = _load_character(character_path)
+    p = _load(poset_path, Poset.from_json)
+    chi = _load(character_path, Character.from_json)
     for g in p.elements:
         if g not in chi:
             raise SpectrumError("missing weight for %r" % (g,))
-    forced, _ = run_degeneracy_filter(chi, config.tolerance)
+    forced, _ = run_degeneracy_filter(chi, tol)
     report = {"filter": {"forced": [list(f) for f in forced],
                          "total": chi.total}}
-    verify_tol = min(config.tolerance, 1e-10)
+    verify_tol = min(tol, 1e-10)
     all_passed = True
     if forced and all(v == "I" for _, v in forced):
         # total weight is exactly one: the identity family is the only one
@@ -108,19 +88,19 @@ def cmd_solve(poset_path, character_path, split_spec, config,
     reduced = p.induced(keep)
     part1, chi1, part2, chi2 = _split_parts(
         reduced, chi, ",".join(g for g in split_spec.split(",") if g in keep))
-    ctx = make_context(part1, chi1, part2, chi2, config.tolerance)
+    ctx = make_context(part1, chi1, part2, chi2, tol)
     families = []
-    if abs(ctx.lambda_cap) <= config.tolerance:
+    if abs(ctx.lambda_cap) <= tol:
         two_point = lambda_zero_case(ctx)
         report["mode"] = "two-point"
-        report["two_point"] = json.loads(two_point.to_json())
+        report["two_point"] = two_point.to_dict()
         chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, v, ctx)
                   for v in two_point.one_dim]
         chains += two_point.two_dim
         if c is not None:
             alphas = ctx.delta1.pair_weights + ctx.delta2.pair_weights
             fam = build_quadruple_continuous(
-                alphas, c, gamma or 1.0, config.tolerance,
+                alphas, c, gamma or 1.0, tol,
                 parts=(part1.elements, part2.elements))
             rec, ok = _family_record(fam, verify_tol)
             all_passed = all_passed and ok
@@ -128,13 +108,13 @@ def cmd_solve(poset_path, character_path, split_spec, config,
     else:
         report["mode"] = "chains"
         chains = [ch for ch in enumerate_irreducibles(ctx)
-                  if ch.dimension <= config.max_dimension]
-    report["chains"] = [json.loads(ch.to_json()) for ch in chains]
+                  if ch.dimension <= max_dimension]
+    report["chains"] = [ch.to_dict() for ch in chains]
     for ch in chains:
         try:
-            built = build_from_chain(ch, config.tolerance)
+            built = build_from_chain(ch, tol)
         except BuilderError as exc:
-            families.append({"chain": json.loads(ch.to_json()),
+            families.append({"chain": ch.to_dict(),
                              "error": str(exc)})
             all_passed = False
             continue
@@ -148,34 +128,33 @@ def cmd_solve(poset_path, character_path, split_spec, config,
     return report, EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
-def cmd_oracle(poset_path, character_path, split_spec, dims, config,
+def cmd_oracle(poset_path, character_path, split_spec, dims, tol, seed,
                restarts=None, iterations=None):
-    p = _load_poset(poset_path)
-    chi = _load_character(character_path)
+    p = _load(poset_path, Poset.from_json)
+    chi = _load(character_path, Character.from_json)
     part1, chi1, part2, chi2 = _split_parts(p, chi, split_spec)
-    cfg = SearchConfig(dimension=dims[0], seed=config.seed)
-    if restarts is not None:
-        cfg = cfg.replace(restarts=restarts)
-    if iterations is not None:
-        cfg = cfg.replace(max_iterations=iterations)
-    cv = cross_validate(part1, chi1, part2, chi2, dims, cfg,
-                        tol=config.tolerance)
-    return json.loads(cv.to_json())
+    given = {"restarts": restarts, "max_iterations": iterations}
+    cfg = SearchConfig(dims[0], seed=seed,
+                       **{k: v for k, v in given.items() if v is not None})
+    return cross_validate(part1, chi1, part2, chi2, dims, cfg, tol=tol).to_dict()
 
 
-def cmd_verify(family_path, poset_path, config):
-    p = _load_poset(poset_path)
-    fam = ProjectionFamily.from_json(_read(family_path), p)
-    report = check_all(fam, min(config.tolerance, 1e-10))
-    return json.loads(report.to_json()), (EXIT_OK if report.passed
-                                          else EXIT_VERIFICATION)
+def cmd_verify(family_path, poset_path, tol):
+    p = _load(poset_path, Poset.from_json)
+    fam = _load(family_path, ProjectionFamily.from_json, p)
+    report = check_all(fam, min(tol, 1e-10))
+    return report.to_dict(), EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 def _parse_dims(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in text.split(","))
+        dims = tuple(range(int(lo), int(hi) + 1))
+    else:
+        dims = tuple(int(x) for x in text.split(","))
+    if not dims:
+        raise argparse.ArgumentTypeError("%r names no dimension" % (text,))
+    return dims
 
 
 def _parse_gamma(text):
@@ -251,21 +230,24 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     code = EXIT_OK
     try:
-        config = RunConfig(tolerance=args.tol, seed=args.seed, fmt=args.format,
-                           max_dimension=args.max_dim)
+        if not 0 < args.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite, got %r"
+                             % (args.tol,))
         if args.command == "classify":
-            report = cmd_classify(args.poset, config)
+            report = cmd_classify(args.poset)
         elif args.command == "spectrum":
-            report = cmd_spectrum(args.poset, args.character, config)
+            report = cmd_spectrum(args.poset, args.character, args.tol)
         elif args.command == "solve":
             report, code = cmd_solve(args.poset, args.character, args.split,
-                                     config, c=args.c, gamma=args.gamma)
+                                     args.tol, args.max_dim, c=args.c,
+                                     gamma=args.gamma)
         elif args.command == "oracle":
             report = cmd_oracle(args.poset, args.character, args.split,
-                                args.dims, config, restarts=args.restarts,
+                                args.dims, args.tol, args.seed,
+                                restarts=args.restarts,
                                 iterations=args.iterations)
         else:
-            report, code = cmd_verify(args.family, args.poset, config)
+            report, code = cmd_verify(args.family, args.poset, args.tol)
     except NoRepresentation as exc:
         print("no representation: %s" % exc, file=sys.stderr)
         return EXIT_NO_REPRESENTATION
@@ -273,7 +255,7 @@ def main(argv=None):
             VerifierError, OracleError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    _print(report, config.fmt)
+    _print(report, args.format)
     return code
 
 

@@ -1,5 +1,6 @@
 """Numerical existence oracle independent of the constructive route."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,36 +22,20 @@ class OracleError(ValueError):
     pass
 
 
+@dataclasses.dataclass(frozen=True)
 class SearchConfig:
+    dimension: int
+    restarts: int = 64
+    max_iterations: int = 5000
+    step_tol: float = 1e-13
+    seed: int = 0
+    rank_profile: tuple = None
 
-    def __init__(self, dimension, restarts=64, max_iterations=5000,
-                 step_tol=1e-13, seed=0, rank_profile=None):
-        if dimension < 1:
+    def __post_init__(self):
+        if self.dimension < 1:
             raise OracleError("dimension must be positive")
-        if restarts < 1 or max_iterations < 1:
+        if self.restarts < 1 or self.max_iterations < 1:
             raise OracleError("restarts and max_iterations must be positive")
-        self.dimension = int(dimension)
-        self.restarts = int(restarts)
-        self.max_iterations = int(max_iterations)
-        self.step_tol = float(step_tol)
-        self.seed = int(seed)
-        self.rank_profile = None if rank_profile is None else tuple(rank_profile)
-
-    def replace(self, **kwargs):
-        fields = {"dimension": self.dimension, "restarts": self.restarts,
-                  "max_iterations": self.max_iterations,
-                  "step_tol": self.step_tol, "seed": self.seed,
-                  "rank_profile": self.rank_profile}
-        fields.update(kwargs)
-        return SearchConfig(**fields)
-
-    def to_json(self):
-        return json.dumps({"dimension": self.dimension,
-                           "restarts": self.restarts,
-                           "max_iterations": self.max_iterations,
-                           "step_tol": self.step_tol,
-                           "seed": self.seed,
-                           "rank_profile": self.rank_profile})
 
 
 def enumerate_dim1(p, chi, tol=DEFAULT_TOL):
@@ -225,17 +210,20 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
     return None
 
 
+@dataclasses.dataclass
 class CrossValidation:
+    rows: list
+    config: SearchConfig
+    agree: bool = dataclasses.field(init=False)
 
-    def __init__(self, rows, config):
-        self.rows = list(rows)
-        self.config = config
+    def __post_init__(self):
         self.agree = all(r["agree"] for r in self.rows)
 
+    def to_dict(self):
+        return dataclasses.asdict(self)
+
     def to_json(self):
-        return json.dumps({"rows": self.rows,
-                           "config": json.loads(self.config.to_json()),
-                           "agree": self.agree})
+        return json.dumps(self.to_dict())
 
 
 def _theory_spectra(ctx, tol):
@@ -291,7 +279,7 @@ def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
     for d in dims:
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = search_numeric(union, union_chi, cfg.replace(dimension=d),
+        fam = search_numeric(union, union_chi, dataclasses.replace(cfg, dimension=d),
                              require_irreducible=True)
         found = fam is not None
         matched = None

@@ -167,9 +167,12 @@ class Poset:
             raise PosetError("elements and relation entries must be strings")
         return cls(elements, relations)
 
+    def to_dict(self):
+        return {"elements": list(self.elements),
+                "relations": [list(p) for p in sorted(self.relations)]}
+
     def to_json(self):
-        return json.dumps({"elements": list(self.elements),
-                           "relations": [list(p) for p in sorted(self.relations)]})
+        return json.dumps(self.to_dict())
 
 
 class ChainDecomposition:
@@ -186,16 +189,26 @@ class ChainDecomposition:
 def width(p):
     """Maximum antichain size: by Dilworth's theorem the fewest chains covering
     p, which is n minus a maximum matching of the strict order read as a
-    bipartite graph (Fulkerson 1956), grown here by augmenting paths.
+    bipartite graph (Fulkerson 1956), grown here by augmenting paths. An
+    unmatched successor is taken before any path is followed, so a chain
+    costs linear time in either element order.
     """
     owner = {}  # j -> the i matched to it, i < j
+    matched = 0  # the keys of owner, as a bitmask
 
     def augment(i, seen):
+        nonlocal matched
         # seen[0]: bitmask of the j already reached in this search
         free = p._up[i] & ~seen[0]
         seen[0] |= free
+        unmatched = free & ~matched
+        if unmatched:
+            j = (unmatched & -unmatched).bit_length() - 1
+            owner[j] = i
+            matched |= 1 << j
+            return True
         for j in _bits(free):
-            if j not in owner or augment(owner[j], seen):
+            if augment(owner[j], seen):
                 owner[j] = i
                 return True
         return False

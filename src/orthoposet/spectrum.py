@@ -1,5 +1,6 @@
 """Admissible spectra of weighted projection sums over one-parameter posets."""
 
+import dataclasses
 import json
 
 from .poset import CHAIN_TAME, ONE_PARAMETER, WILD, NotTame, decompose
@@ -57,10 +58,14 @@ class Character:
         except (TypeError, KeyError) as exc:
             raise SpectrumError("character document needs 'weights'") from exc
 
+    def to_dict(self):
+        return {"weights": self.weights}
+
     def to_json(self):
-        return json.dumps({"weights": self.weights})
+        return json.dumps(self.to_dict())
 
 
+@dataclasses.dataclass(frozen=True)
 class DeltaSet:
     """Discrete ladder plus two open intervals; sigma is the symmetry center doubled.
 
@@ -69,21 +74,16 @@ class DeltaSet:
     part is empty and the ladder holds every partial sum.
     """
 
-    def __init__(self, discrete, continuous, sigma, pair_weights, upper_tail):
-        self.discrete = tuple(discrete)
-        self.continuous = tuple(tuple(iv) for iv in continuous)
-        self.sigma = sigma
-        self.pair_weights = tuple(pair_weights)
-        self.upper_tail = upper_tail
+    discrete: tuple
+    continuous: tuple  # of (lo, hi) pairs
+    sigma: float
+    pair_weights: tuple
+    upper_tail: float
 
-    def __repr__(self):
-        return "DeltaSet(discrete=%r, continuous=%r, sigma=%r)" % (
-            self.discrete, self.continuous, self.sigma)
-
-    def to_json(self):
-        return json.dumps({"discrete": list(self.discrete),
-                           "intervals": [list(iv) for iv in self.continuous],
-                           "sigma": self.sigma})
+    def to_dict(self):
+        return {"discrete": list(self.discrete),
+                "intervals": [list(iv) for iv in self.continuous],
+                "sigma": self.sigma}
 
 
 def delta_of(p, chi, tol=DEFAULT_TOL):
@@ -129,10 +129,10 @@ def delta_of(p, chi, tol=DEFAULT_TOL):
             discrete.append(x)
 
     lo, hi = min(a1, a2), max(a1, a2)
-    continuous = [iv for iv in ((upper, upper + lo), (upper + hi, upper + a1 + a2))
-                  if iv[1] - iv[0] > tol]
+    continuous = tuple(iv for iv in ((upper, upper + lo), (upper + hi, upper + a1 + a2))
+                       if iv[1] - iv[0] > tol)
     sigma = a1 + a2 + 2.0 * upper
-    return DeltaSet(discrete, continuous, sigma, (a1, a2), upper)
+    return DeltaSet(tuple(discrete), continuous, sigma, (a1, a2), upper)
 
 
 def membership(d, x, tol=DEFAULT_TOL):

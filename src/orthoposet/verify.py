@@ -1,6 +1,6 @@
 """Numerical certification: axioms, irreducibility, essentiality, spectra."""
 
-import json
+import dataclasses
 
 import numpy as np
 
@@ -15,33 +15,26 @@ class DimensionMismatch(VerifierError):
     pass
 
 
+@dataclasses.dataclass
 class VerificationReport:
+    """Axiom residuals and structural verdicts, fields in document order."""
 
-    def __init__(self, residuals, commutant_dim, essential, forced_elements, tol):
-        self.residuals = dict(residuals)
-        self.commutant_dim = commutant_dim
-        self.irreducible = commutant_dim == 1
-        self.essential = essential
-        self.forced_elements = list(forced_elements)
-        self.tol = tol
+    residuals: dict
+    max_residual: float = dataclasses.field(init=False)
+    commutant_dim: int
+    irreducible: bool = dataclasses.field(init=False)
+    essential: bool
+    forced_elements: list
+    tol: float
+    passed: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
         self.max_residual = max(self.residuals.values())
-        self.passed = self.max_residual <= tol
+        self.irreducible = self.commutant_dim == 1
+        self.passed = self.max_residual <= self.tol
 
-    def __repr__(self):
-        return ("VerificationReport(max_residual=%.3e, commutant_dim=%d, "
-                "irreducible=%r, essential=%r, passed=%r)"
-                % (self.max_residual, self.commutant_dim, self.irreducible,
-                   self.essential, self.passed))
-
-    def to_json(self):
-        return json.dumps({"residuals": self.residuals,
-                           "max_residual": self.max_residual,
-                           "commutant_dim": self.commutant_dim,
-                           "irreducible": self.irreducible,
-                           "essential": self.essential,
-                           "forced_elements": self.forced_elements,
-                           "tol": self.tol,
-                           "passed": self.passed})
+    def to_dict(self):
+        return dataclasses.asdict(self)
 
 
 def _entry_norm(m):

@@ -145,8 +145,7 @@ def test_dimension_bound_values():
 
 def test_chain_json():
     ch = run_chain(quad(0.6, 0.6, 0.6, 0.6), 0.0)
-    import json
-    doc = json.loads(ch.to_json())
+    doc = ch.to_dict()
     assert doc["dimension"] == 3
     assert doc["termination"] == DISCRETE_IN_DELTA2
 

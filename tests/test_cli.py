@@ -1,7 +1,11 @@
 """End-to-end tests for the orthoposet command line."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,12 +236,56 @@ def test_oracle_agreement(tmp_path, capsys):
 @pytest.mark.parametrize("argv_tail", [
     ["--tol", "-1"],
     ["--tol", "0"],
+    ["--tol", "inf"],
+    ["--tol", "nan"],
 ])
 def test_bad_tolerance(tmp_path, capsys, argv_tail):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     code, _, err = run(capsys, ["classify", "--poset", poset] + argv_tail)
     assert code == EXIT_VALIDATION
     assert "tolerance" in err
+
+
+def test_solve_rejects_nan_gamma(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_HALVES)
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", character, "--split", "g1,g2",
+                                  "--c", "0.25", "--gamma", "nan,0"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "unimodular" in err
+
+
+def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--poset", poset, "--character", character,
+              "--split", "g1,g2", "--dims", "5..3"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "names no dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("projections"),
+    lambda doc: doc.update(projections={}),
+    lambda doc: doc["projections"].pop("g2"),
+    lambda doc: doc["character"]["weights"].pop("g2"),
+], ids=["no-projections", "empty-projections", "missing-element",
+        "missing-weight"])
+def test_verify_rejects_malformed_family(tmp_path, capsys, edit):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    _, out, _ = run(capsys, ["solve", "--poset", poset,
+                             "--character", character, "--split", "g1,g2"])
+    doc = json.loads(out)["families"][0]["family"]
+    edit(doc)
+    family = write_json(tmp_path, "f.json", doc)
+    code, out, err = run(capsys, ["verify", family, "--poset", poset])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "family" in err
 
 
 def test_validation_errors(tmp_path, capsys):
@@ -310,3 +358,79 @@ def test_classify_wide_poset_returns_promptly(tmp_path, capsys):
     assert report["class"] == "Wild"
     assert report["width"] == 5
     assert report["decomposition"] is None
+
+
+# The README's quickstart inputs, plus the family file written from solve.
+README_INPUTS = {
+    "quad.json": ANTICHAIN4,
+    "pair.json": {"elements": ["g1", "g2"], "relations": []},
+    "chi.json": ALL_SIX_TENTHS,
+    "half.json": ALL_HALVES,
+}
+README_COMMANDS = {
+    "classify": ["classify", "--poset", "quad.json"],
+    "spectrum": ["spectrum", "--poset", "pair.json", "--character", "chi.json"],
+    "solve": ["solve", "--poset", "quad.json", "--character", "chi.json",
+              "--split", "g1,g2"],
+    "solve --c": ["solve", "--poset", "quad.json", "--character", "half.json",
+                  "--split", "g1,g2", "--c", "0.25"],
+    "oracle": ["oracle", "--poset", "quad.json", "--character", "chi.json",
+               "--split", "g1,g2", "--dims", "1..3"],
+    "verify": ["verify", "family.json", "--poset", "quad.json"],
+}
+SCHEMA = Path(__file__).with_name("cli_schema.json")
+
+
+def shape(value):
+    """The JSON type tree of value, without its numbers.
+
+    Objects keep their key order; arrays list the distinct shapes of their
+    items in order of first appearance.
+    """
+    if isinstance(value, dict):
+        return {"object": [[key, shape(v)] for key, v in value.items()]}
+    if isinstance(value, list):
+        items = []
+        for v in value:
+            if shape(v) not in items:
+                items.append(shape(v))
+        return {"array": items}
+    return {bool: "bool", int: "int", float: "float", str: "str",
+            type(None): "null"}[type(value)]
+
+
+def cli_shapes(directory):
+    """{command: {"json": shape of the reply, "text": its line keys}}."""
+    directory = Path(directory)
+    for name, doc in README_INPUTS.items():
+        (directory / name).write_text(json.dumps(doc))
+    shapes = {}
+    for label, argv in README_COMMANDS.items():
+        argv = [str(directory / a) if a.endswith(".json") else a for a in argv]
+        replies = []
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv + ["--format", fmt])
+            assert code == EXIT_OK, (label, fmt, code)
+            replies.append(out.getvalue())
+        report = json.loads(replies[0])
+        if label == "solve":
+            family = report["families"][0]["family"]
+            (directory / "family.json").write_text(json.dumps(family))
+        shapes[label] = {"json": shape(report),
+                         "text": [line.split(": ", 1)[0]
+                                  for line in replies[1].splitlines()]}
+    return shapes
+
+
+def test_cli_schema(tmp_path):
+    # key order and value types of every README command's reply; the
+    # numbers themselves differ across numpy and BLAS builds
+    assert cli_shapes(tmp_path) == json.loads(SCHEMA.read_text())
+
+
+if __name__ == "__main__":
+    # rewrite the pinned schema: python tests/test_cli.py (with src importable)
+    with tempfile.TemporaryDirectory() as work:
+        SCHEMA.write_text(json.dumps(cli_shapes(work), indent=1) + "\n")

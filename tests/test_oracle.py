@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -25,10 +26,10 @@ def test_search_config_validation():
         SearchConfig(dimension=0)
     with pytest.raises(OracleError):
         SearchConfig(dimension=2, restarts=0)
-    cfg = QUICK.replace(dimension=3, rank_profile=(1, 1, 1, 1))
+    cfg = dataclasses.replace(QUICK, dimension=3, rank_profile=(1, 1, 1, 1))
     assert cfg.dimension == 3 and cfg.rank_profile == (1, 1, 1, 1)
     assert QUICK.rank_profile is None  # replace does not mutate
-    doc = json.loads(cfg.to_json())
+    doc = dataclasses.asdict(cfg)
     assert doc["restarts"] == 4 and doc["seed"] == 0
 
 
@@ -127,7 +128,7 @@ def test_rank_profiles_stay_small_on_eight_elements():
 
 
 def test_search_finds_the_three_point_family():
-    fam = search_numeric(QUAD, POINT_SIX, QUICK.replace(dimension=3))
+    fam = search_numeric(QUAD, POINT_SIX, dataclasses.replace(QUICK, dimension=3))
     assert fam is not None
     report = check_all(fam)
     assert report.passed and report.irreducible
@@ -136,14 +137,14 @@ def test_search_finds_the_three_point_family():
 
 
 def test_search_is_deterministic():
-    cfg = QUICK.replace(dimension=3)
+    cfg = dataclasses.replace(QUICK, dimension=3)
     first = search_numeric(QUAD, POINT_SIX, cfg)
     second = search_numeric(QUAD, POINT_SIX, cfg)
     assert first.to_json() == second.to_json()
 
 
 def test_search_reports_absence():
-    assert search_numeric(QUAD, POINT_SIX, QUICK.replace(dimension=2)) is None
+    assert search_numeric(QUAD, POINT_SIX, dataclasses.replace(QUICK, dimension=2)) is None
 
 
 def test_search_rejects_incomplete_character():
@@ -153,7 +154,7 @@ def test_search_rejects_incomplete_character():
 
 def test_search_finds_continuous_series_member():
     half = Character({g: 0.5 for g in QUAD.elements})
-    fam = search_numeric(QUAD, half, QUICK.replace(dimension=2),
+    fam = search_numeric(QUAD, half, dataclasses.replace(QUICK, dimension=2),
                          require_irreducible=True)
     assert fam is not None
     assert commutant_dim(fam) == 1

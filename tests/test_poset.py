@@ -339,3 +339,13 @@ def test_long_chain_is_built_and_classified_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_width_of_a_top_first_chain_is_fast():
+    # listed top first, every element's successors are all matched already
+    # unless width takes an unmatched one before following a path
+    names = ["c%d" % i for i in range(2000)]
+    p = Poset(names[::-1], list(zip(names, names[1:])))
+    t0 = time.perf_counter()
+    assert width(p) == 1
+    assert time.perf_counter() - t0 < 0.1

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ def test_check_all_reports_every_axiom():
     keys = set(report.residuals)
     assert "orthoscalar" in keys
     assert "hermitian[g1]" in keys and "idempotent[g4]" in keys
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     assert doc["passed"] is True
 
 
