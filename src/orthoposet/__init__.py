@@ -9,11 +9,12 @@ from .spectrum import (CONTINUOUS, DISCRETE, OUTSIDE, Character, DeltaSet,
                        NotOneParameter, OutsideContinuum, SingularDenominator,
                        SpectrumError, delta_of, membership, near_boundary,
                        restore_epsilon)
-from .chain import (CONTINUOUS_FAMILY, DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
-                    ESCAPED, ChainContext, ChainEngineError, EigenChain,
-                    NoRepresentation, StepLimit, TwoPointFamily, ZeroLambdaCap,
-                    dimension_bound, enumerate_irreducibles, lambda_zero_case,
-                    make_context, run_chain, run_degeneracy_filter)
+from .chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED,
+                    ChainContext, ChainEngineError, EigenChain,
+                    NoRepresentation, Prediction, StepLimit, TwoPointFamily,
+                    ZeroLambdaCap, dimension_bound, enumerate_dim1,
+                    enumerate_irreducibles, lambda_zero_case, make_context,
+                    predict, run_chain, run_degeneracy_filter)
 from .builder import (BasicPairParams, BuilderError, ChainShapeMismatch,
                       COutOfRange, DeltaUnsolvable, ProjectionFamily,
                       SumNotExceedingOne, SumNotTwo, TauOutOfRange, basic_pair,
@@ -23,7 +24,6 @@ from .builder import (BasicPairParams, BuilderError, ChainShapeMismatch,
 from .verify import (DimensionMismatch, VerificationReport, VerifierError,
                      check_all, check_essential, commutant_dim, spectrum_match)
 from .oracle import (CrossValidation, OracleError, SearchConfig,
-                     cross_validate, enumerate_dim1, rank_profiles,
-                     search_numeric)
+                     cross_validate, rank_profiles, search_numeric)
 
 __version__ = "1.0.0"

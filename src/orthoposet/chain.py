@@ -3,13 +3,13 @@
 import dataclasses
 import math
 
+from .poset import split_two_one_parameter
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
-                       delta_of, membership, near_boundary)
+                       SpectrumError, delta_of, membership, near_boundary)
 
 DISCRETE_IN_DELTA1 = "DiscreteInDelta1"
 DISCRETE_IN_DELTA2 = "DiscreteInDelta2"
 ESCAPED = "Escaped"
-CONTINUOUS_FAMILY = "ContinuousFamily"
 
 DEFAULT_MAX_STEPS = 10000
 
@@ -235,3 +235,70 @@ def dimension_bound(ctx):
             return None
         cap = -cap / (ctx.total - 1.0)
     return int(math.floor(1.0 / cap + 1.0 + 1e-9))
+
+
+def enumerate_dim1(p, chi, tol=DEFAULT_TOL):
+    """All 0/1 solutions: indicator vectors of up-sets with unit weight.
+
+    An up-set holding an element of weight one or more holds nothing else,
+    so such elements, and all below them, are listed only as singletons.
+    """
+    heavy = [g for g in p.elements if chi[g] >= 1.0 - tol]
+    below = set(heavy).union(*(p.down_set(g) for g in heavy))
+    ups = p.induced(g for g in p.elements if g not in below).up_sets()
+    ups += [frozenset([g]) for g in heavy if not p.up_set(g)]
+    return sorted(tuple(1 if g in u else 0 for g in p.elements) for u in ups
+                  if abs(sum(chi[g] for g in u) - 1.0) <= tol)
+
+
+@dataclasses.dataclass(eq=False)
+class Prediction:
+    """What the theory predicts for a poset split into two parts.
+
+    If the weight screen forced anything, scalar holds the 0/1 solutions and
+    chains start at dimension 2. In "scalar" mode no chain can exist, and
+    context and two_point are None.
+    """
+
+    forced: list
+    mode: str
+    scalar: list
+    chains: list
+    context: ChainContext = dataclasses.field(default=None, repr=False)
+    two_point: TwoPointFamily = None
+
+
+def predict(p, chi, split, tol=DEFAULT_TOL):
+    """Screen the weights, split p into its two parts and run the chains.
+
+    A weight of one or more pins its projection, and each one below it, to
+    0 above dimension 1 (P_g <= P_h), so the parts lose those elements. If
+    a part is left empty, as at total weight one, the mode is "scalar" and
+    the split is checked on p as given.
+    """
+    for g in p.elements:
+        if g not in chi:
+            raise SpectrumError("missing weight for %r" % (g,))
+    forced, _ = run_degeneracy_filter(chi, tol)
+    # at total weight one every element is forced, so both parts empty
+    pinned = {g for h, _ in forced if h in p.elements for g in p.down_set(h) | {h}}
+    keep = [g for g in p.elements if g not in pinned]
+    first = [g for g in split if g not in pinned]
+    if not first or set(first) >= set(keep):
+        split_two_one_parameter(p, split)
+        return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [])
+    part1, part2 = split_two_one_parameter(p.induced(keep), first)
+    ctx = ChainContext(part1, chi.restrict(part1.elements),
+                       part2, chi.restrict(part2.elements), tol)
+    two_point = None
+    if abs(ctx.lambda_cap) <= tol:
+        mode, two_point = "two-point", lambda_zero_case(ctx)
+        chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, v, ctx)
+                  for v in two_point.one_dim] + two_point.two_dim
+    else:
+        mode, chains = "chains", enumerate_irreducibles(ctx)
+    if forced:
+        # the 0/1 solutions give dimension 1, pinned elements included
+        chains = [ch for ch in chains if ch.dimension >= 2]
+    scalar = enumerate_dim1(p, chi, tol) if forced else []
+    return Prediction(forced, mode, scalar, chains, ctx, two_point)

@@ -9,9 +9,7 @@ import numpy as np
 
 from .builder import (BuilderError, ProjectionFamily, build_from_chain,
                       build_quadruple_continuous)
-from .chain import (DISCRETE_IN_DELTA2, ChainEngineError, EigenChain,
-                    NoRepresentation, enumerate_irreducibles,
-                    lambda_zero_case, make_context, run_degeneracy_filter)
+from .chain import ChainEngineError, NoRepresentation, predict
 from .oracle import OracleError, SearchConfig, cross_validate
 from .poset import (NotTame, Poset, PosetError, classify, decompose,
                     essential_catalog_match, split_two_one_parameter, width)
@@ -51,13 +49,6 @@ def cmd_spectrum(poset_path, character_path, tol):
     return delta_of(p, chi, tol).to_dict()
 
 
-def _split_parts(p, chi, split_spec):
-    names = [s for s in split_spec.split(",") if s]
-    part1, part2 = split_two_one_parameter(p, names)
-    return (part1, chi.restrict(part1.elements),
-            part2, chi.restrict(part2.elements))
-
-
 def _family_record(fam, tol):
     report = check_all(fam, tol)
     return {"family": fam.to_dict(),
@@ -68,75 +59,50 @@ def cmd_solve(poset_path, character_path, split_spec, tol, max_dimension,
               c=None, gamma=None):
     p = _load(poset_path, Poset.from_json)
     chi = _load(character_path, Character.from_json)
-    for g in p.elements:
-        if g not in chi:
-            raise SpectrumError("missing weight for %r" % (g,))
-    forced, _ = run_degeneracy_filter(chi, tol)
-    report = {"filter": {"forced": [list(f) for f in forced],
-                         "total": chi.total}}
+    pred = predict(p, chi, split_spec.split(","), tol)
+    if (c is not None or gamma is not None) and (c is None or pred.two_point is None):
+        raise ValueError("--gamma needs --c, and --c needs two-point mode (here: %s)"
+                         % pred.mode)
+    report = {"filter": {"forced": [list(f) for f in pred.forced],
+                         "total": chi.total},
+              "mode": pred.mode}
     verify_tol = min(tol, 1e-10)
-    all_passed = True
-    if forced and all(v == "I" for _, v in forced):
-        # total weight is exactly one: the identity family is the only one
-        eye = {g: np.eye(1) for g in p.elements}
-        rec, ok = _family_record(ProjectionFamily(p, chi, eye), verify_tol)
-        report["mode"] = "scalar"
-        report["families"] = [rec]
-        return report, EXIT_OK if ok else EXIT_VERIFICATION
-    drop = {g for g, _ in forced}  # weight >= 1 pins those projections to 0
-    keep = [g for g in p.elements if g not in drop]
-    reduced = p.induced(keep)
-    part1, chi1, part2, chi2 = _split_parts(
-        reduced, chi, ",".join(g for g in split_spec.split(",") if g in keep))
-    ctx = make_context(part1, chi1, part2, chi2, tol)
-    families = []
-    if abs(ctx.lambda_cap) <= tol:
-        two_point = lambda_zero_case(ctx)
-        report["mode"] = "two-point"
-        report["two_point"] = two_point.to_dict()
-        chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, v, ctx)
-                  for v in two_point.one_dim]
-        chains += two_point.two_dim
+    records = [_family_record(ProjectionFamily(
+        p, chi, {g: np.eye(1) * b for g, b in zip(p.elements, bits)}), verify_tol)
+        for bits in pred.scalar]
+    if pred.two_point is not None:
+        report["two_point"] = pred.two_point.to_dict()
         if c is not None:
-            alphas = ctx.delta1.pair_weights + ctx.delta2.pair_weights
-            fam = build_quadruple_continuous(
-                alphas, c, gamma or 1.0, tol,
-                parts=(part1.elements, part2.elements))
-            rec, ok = _family_record(fam, verify_tol)
-            all_passed = all_passed and ok
-            families.append(rec)
-    else:
-        report["mode"] = "chains"
-        chains = [ch for ch in enumerate_irreducibles(ctx)
-                  if ch.dimension <= max_dimension]
-    report["chains"] = [ch.to_dict() for ch in chains]
+            ctx = pred.context
+            records.append(_family_record(build_quadruple_continuous(
+                ctx.delta1.pair_weights + ctx.delta2.pair_weights, c,
+                gamma or 1.0, tol, parts=(ctx.part1.elements, ctx.part2.elements)),
+                verify_tol))
+    chains = [ch for ch in pred.chains if ch.dimension <= max_dimension]
+    if pred.mode != "scalar":
+        report["chains"] = [ch.to_dict() for ch in chains]
     for ch in chains:
         try:
             built = build_from_chain(ch, tol)
         except BuilderError as exc:
-            families.append({"chain": ch.to_dict(),
-                             "error": str(exc)})
-            all_passed = False
+            records.append(({"chain": ch.to_dict(), "error": str(exc)}, False))
             continue
-        for fam in built:
-            rec, ok = _family_record(fam, verify_tol)
-            all_passed = all_passed and ok
-            families.append(rec)
-    report["families"] = families
-    if not families:
+        records += [_family_record(fam, verify_tol) for fam in built]
+    report["families"] = [rec for rec, _ in records]
+    if not records:
         return report, EXIT_NO_REPRESENTATION
-    return report, EXIT_OK if all_passed else EXIT_VERIFICATION
+    return report, EXIT_OK if all(ok for _, ok in records) else EXIT_VERIFICATION
 
 
 def cmd_oracle(poset_path, character_path, split_spec, dims, tol, seed,
                restarts=None, iterations=None):
     p = _load(poset_path, Poset.from_json)
     chi = _load(character_path, Character.from_json)
-    part1, chi1, part2, chi2 = _split_parts(p, chi, split_spec)
+    part1, part2 = split_two_one_parameter(p, split_spec.split(","))
     given = {"restarts": restarts, "max_iterations": iterations}
     cfg = SearchConfig(dims[0], seed=seed,
                        **{k: v for k, v in given.items() if v is not None})
-    return cross_validate(part1, chi1, part2, chi2, dims, cfg, tol=tol).to_dict()
+    return cross_validate(part1, chi, part2, chi, dims, cfg, tol=tol).to_dict()
 
 
 def cmd_verify(family_path, poset_path, tol):
@@ -178,9 +144,7 @@ def _print(report, fmt, out=None):
 
 def _add_common(sub):
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--max-dim", type=int, default=8)
 
 
 def build_parser():
@@ -208,6 +172,7 @@ def build_parser():
                      help="center offset for the continuous series")
     sub.add_argument("--gamma", type=_parse_gamma, default=None,
                      help="unimodular phase RE,IM for the continuous series")
+    sub.add_argument("--max-dim", type=int, default=8)
     _add_common(sub)
 
     sub = subs.add_parser("oracle", help="cross-validate chains against search")
@@ -217,6 +182,7 @@ def build_parser():
     sub.add_argument("--dims", type=_parse_dims, default=(1, 2, 3, 4))
     sub.add_argument("--restarts", type=int, default=None)
     sub.add_argument("--iterations", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
     _add_common(sub)
 
     sub = subs.add_parser("verify", help="re-verify an emitted family file")

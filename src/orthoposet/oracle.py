@@ -6,8 +6,8 @@ import json
 import numpy as np
 
 from .builder import ProjectionFamily, disjoint_union
-from .chain import (NoRepresentation, enumerate_irreducibles, lambda_zero_case,
-                    make_context, run_degeneracy_filter)
+# enumerate_dim1 lives in chain and is re-exported here
+from .chain import NoRepresentation, enumerate_dim1, predict
 from .spectrum import CONTINUOUS, DEFAULT_TOL, Character, membership
 from .verify import check_all
 
@@ -36,15 +36,6 @@ class SearchConfig:
             raise OracleError("dimension must be positive")
         if self.restarts < 1 or self.max_iterations < 1:
             raise OracleError("restarts and max_iterations must be positive")
-
-
-def enumerate_dim1(p, chi, tol=DEFAULT_TOL):
-    """All 0/1 solutions: indicator vectors of up-sets with unit weight."""
-    out = []
-    for u in p.up_sets():
-        if abs(sum(chi[g] for g in u) - 1.0) <= tol:
-            out.append(tuple(1 if g in u else 0 for g in p.elements))
-    return sorted(out)
 
 
 def rank_profiles(p, chi, dimension):
@@ -226,29 +217,13 @@ class CrossValidation:
         return json.dumps(self.to_dict())
 
 
-def _theory_spectra(ctx, tol):
-    # dimension -> list of sorted layer-one spectra predicted by the chains;
-    # a key present with an empty list marks the purely continuous series
-    spectra = {}
-    if abs(ctx.lambda_cap) <= tol:
-        fam = lambda_zero_case(ctx)
-        if fam.one_dim:
-            spectra[1] = [[v] for v in fam.one_dim]
-        two = [sorted(ch.lambdas) for ch in fam.two_dim]
-        if fam.c_interval is not None or two:
-            spectra[2] = two
-    else:
-        for ch in enumerate_irreducibles(ctx):
-            spectra.setdefault(ch.dimension, []).append(sorted(ch.lambdas))
-    return spectra
-
-
-def _spectrum_matched(ctx, eigs, predicted, tol):
+def _spectrum_matched(pred, eigs, predicted, tol):
     for spec in predicted:
         if np.allclose(eigs, spec, atol=tol, rtol=0.0):
             return True
-    if len(eigs) == 2 and abs(ctx.lambda_cap) <= ctx.tol:
+    if len(eigs) == 2 and pred.two_point is not None:
         # continuous two-parameter series: a reflection pair inside Delta_1
+        ctx = pred.context
         if abs(eigs[0] + eigs[1] - ctx.sigma1) > tol:
             return False
         return all(membership(ctx.delta1, v, ctx.tol) == CONTINUOUS
@@ -263,18 +238,22 @@ def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
     weights = {g: chi1[g] for g in p1.elements}
     weights.update({g: chi2[g] for g in p2.elements})
     union_chi = Character(weights)
+    # dimension -> sorted layer-one spectra of the predicted families; a key
+    # present with an empty list marks the purely continuous series
+    spectra = {}
     try:
-        forced, _ = run_degeneracy_filter(union_chi, tol)
+        pred = predict(union, union_chi, p1.elements, tol)
     except NoRepresentation:
-        ctx, spectra = None, {}
+        pred = None
     else:
-        if forced:
-            # degenerate weights pin projections; only scalar solutions remain
-            ctx = None
-            spectra = {1: []} if enumerate_dim1(union, union_chi, tol) else {}
-        else:
-            ctx = make_context(p1, chi1, p2, chi2, tol)
-            spectra = _theory_spectra(ctx, tol)
+        for bits in pred.scalar:
+            # bits follow union.elements, which list p1 first
+            spectra.setdefault(1, []).append(
+                [sum(chi1[g] * b for g, b in zip(p1.elements, bits))])
+        for ch in pred.chains:
+            spectra.setdefault(ch.dimension, []).append(sorted(ch.lambdas))
+        if pred.two_point is not None and pred.two_point.c_interval is not None:
+            spectra.setdefault(2, [])
     rows = []
     for d in dims:
         predicted = spectra.get(d, [])
@@ -283,9 +262,9 @@ def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
                              require_irreducible=True)
         found = fam is not None
         matched = None
-        if found and ctx is not None:
+        if found and pred is not None:
             eigs = np.sort(np.linalg.eigvalsh(fam.weighted_sum(p1.elements)))
-            matched = _spectrum_matched(ctx, eigs, predicted, spectrum_tol)
+            matched = _spectrum_matched(pred, eigs, predicted, spectrum_tol)
         rows.append({"dimension": d, "theory": theory, "oracle": found,
                      "agree": theory == found, "spectrum_matched": matched})
     return CrossValidation(rows, cfg)

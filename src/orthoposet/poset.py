@@ -248,8 +248,8 @@ def classify(p):
 def split_two_one_parameter(p, s1_elements):
     """Return the induced subposets on s1_elements and its complement.
 
-    Each part must be one-parameter or a chain; relations between the
-    parts stay in p and are checked only on built matrices.
+    Each part must be one-parameter or a chain, and no relation of p may
+    join the two parts.
     """
     s1 = set(s1_elements)
     if not s1 <= set(p.elements):
@@ -257,8 +257,10 @@ def split_two_one_parameter(p, s1_elements):
     s2 = [g for g in p.elements if g not in s1]
     if not s2 or not s1:
         raise BadSplit("both parts must be nonempty")
-    parts = (p.induced(s1_elements if isinstance(s1_elements, (list, tuple)) else sorted(s1)),
-             p.induced(s2))
+    crossing = sorted((g, h) for g, h in p.hasse if (g in s1) != (h in s1))
+    if crossing:
+        raise BadSplit("relation %r < %r joins the two parts" % crossing[0])
+    parts = (p.induced(s1), p.induced(s2))
     for part in parts:
         if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
             raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))

@@ -7,8 +7,8 @@ from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED,
                               ChainEngineError, NoRepresentation,
                               NonzeroLambdaCap, StepLimit, ZeroLambdaCap,
                               dimension_bound, enumerate_irreducibles,
-                              lambda_zero_case, make_context, run_chain,
-                              run_degeneracy_filter)
+                              lambda_zero_case, make_context, predict,
+                              run_chain, run_degeneracy_filter)
 from orthoposet.oracle import SearchConfig, search_numeric
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
@@ -133,6 +133,36 @@ def test_enumerate_all_point_six():
     chains = enumerate_irreducibles(quad(0.6, 0.6, 0.6, 0.6))
     assert [ch.dimension for ch in chains] == [3, 3]
     assert [ch.start_point for ch in chains] == [0.0, 0.6]
+
+
+QUAD = Poset(["g1", "g2", "g3", "g4"], ())
+
+
+@pytest.mark.parametrize("weights, mode, forced, scalar, dims", [
+    ((0.6, 0.6, 0.6, 0.6), "chains", [], [], [3, 3]),
+    ((0.5, 0.5, 0.5, 0.5), "two-point", [], [], [1, 1, 1]),
+    ((0.25, 0.25, 0.25, 0.25), "scalar",
+     [("g1", "I"), ("g2", "I"), ("g3", "I"), ("g4", "I")], [(1, 1, 1, 1)], []),
+    # g1 is pinned; dimension 1 comes from the 0/1 solutions alone
+    ((1.2, 0.4, 0.3, 0.3), "chains", [("g1", "0")], [(0, 1, 1, 1)], []),
+])
+def test_predict(weights, mode, forced, scalar, dims):
+    pred = predict(QUAD, Character(dict(zip(QUAD.elements, weights))), ["g1", "g2"])
+    assert pred.mode == mode
+    assert pred.forced == forced
+    assert pred.scalar == scalar
+    assert [ch.dimension for ch in pred.chains] == dims
+    assert (pred.context is None) == (mode == "scalar")
+    assert (pred.two_point is not None) == (mode == "two-point")
+
+
+def test_predict_drops_pinned_elements_from_the_parts():
+    chi = Character({"g1": 0.6, "g2": 0.6, "g3": 0.6, "g4": 0.6, "g5": 1.5})
+    p = Poset(["g1", "g2", "g3", "g4", "g5"], [("g5", "g1"), ("g5", "g2")])
+    pred = predict(p, chi, ["g5", "g1", "g2"])
+    assert pred.context.part1.elements == ("g1", "g2")
+    assert pred.context.part2.elements == ("g3", "g4")
+    assert [ch.dimension for ch in pred.chains] == [3, 3]
 
 
 def test_dimension_bound_values():

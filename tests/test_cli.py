@@ -191,6 +191,108 @@ def test_solve_continuous_family_needs_two_pairs(tmp_path, capsys):
     assert "two pairs" in err
 
 
+FIVE = ["g1", "g2", "g3", "g4", "g5"]
+# g5 below the pair g1, g2 ("low"), or above it ("a2"); g3, g4 loose
+DEGENERATE = {"low": ([["g5", "g1"], ["g5", "g2"]], "g5,g1,g2"),
+              "a2": ([["g1", "g5"], ["g2", "g5"]], "g1,g2,g5")}
+
+
+@pytest.mark.parametrize("shape, g5, code, count, dims", [
+    ("a2", 1.5, EXIT_NO_REPRESENTATION, 0, []),
+    ("a2", 1.0, EXIT_OK, 1, [1]),
+    ("low", 1.5, EXIT_OK, 4, [3]),
+    ("low", 1.0, EXIT_OK, 4, [3]),
+])
+def test_solve_and_oracle_agree_on_pinned_elements(tmp_path, capsys, shape, g5,
+                                                   code, count, dims):
+    # a weight of one or more pins P_g5, and everything below it, to 0
+    relations, split = DEGENERATE[shape]
+    poset = write_json(tmp_path, "p.json", {"elements": FIVE, "relations": relations})
+    character = write_json(tmp_path, "c.json", {"weights": dict(
+        ALL_SIX_TENTHS["weights"], g5=g5)})
+    got, out, _ = run(capsys, ["solve", "--poset", poset, "--character", character,
+                               "--split", split])
+    assert got == code
+    records = json.loads(out)["families"]
+    assert len(records) == count
+    assert all(r["verification"]["passed"] for r in records)
+    assert sorted({r["family"]["dimension"] for r in records}) == dims
+    if shape == "a2" and g5 == 1.0:
+        projections = records[0]["family"]["projections"]
+        assert projections == {g: [[[1.0 if g == "g5" else 0.0, 0.0]]] for g in FIVE}
+    got, out, _ = run(capsys, ["oracle", "--poset", poset, "--character", character,
+                               "--split", split, "--dims", "1..4",
+                               "--restarts", "4", "--iterations", "2000"])
+    assert got == EXIT_OK
+    report = json.loads(out)
+    assert report["agree"]
+    assert [r["dimension"] for r in report["rows"] if r["theory"]] == dims
+    assert [r["dimension"] for r in report["rows"] if r["oracle"]] == dims
+    assert all(r["spectrum_matched"] for r in report["rows"] if r["oracle"])
+
+
+def test_solve_with_many_pinned_elements_returns_promptly(tmp_path, capsys):
+    # the 0/1 solutions are listed without the up-sets of the pinned elements
+    heavy = ["h%d" % i for i in range(24)]
+    poset = write_json(tmp_path, "p.json", {"elements": ANTICHAIN4["elements"] + heavy,
+                                            "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": dict(
+        ALL_SIX_TENTHS["weights"], **{h: 1.5 for h in heavy})})
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["solve", "--poset", poset, "--character", character,
+                                "--split", ",".join(["g1", "g2"] + heavy[:12])])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_OK
+    assert [r["family"]["dimension"] for r in json.loads(out)["families"]] == [3] * 4
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("relations, split, message", [
+    ([["g1", "g3"]], "g1,g2", "joins the two parts"),
+    ([], "g1,g2,bogus", "outside the poset"),
+], ids=["cross-part-relation", "unknown-name"])
+def test_bad_split_is_rejected(tmp_path, capsys, command, relations, split, message):
+    poset = write_json(tmp_path, "p.json", {"elements": ANTICHAIN4["elements"],
+                                            "relations": relations})
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    code, out, err = run(capsys, [command, "--poset", poset,
+                                  "--character", character, "--split", split])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("weights, flags", [
+    (ALL_SIX_TENTHS, ["--c", "0.25", "--gamma", "5,0"]),
+    (ALL_SIX_TENTHS, ["--c", "0.25"]),
+    (ALL_HALVES, ["--gamma", "0,1"]),
+], ids=["chains-c-gamma", "chains-c", "two-point-gamma-alone"])
+def test_solve_rejects_continuous_flags_outside_two_point(tmp_path, capsys,
+                                                          weights, flags):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", weights)
+    code, out, err = run(capsys, ["solve", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2"] + flags)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "two-point" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--seed", "1"],
+    ["spectrum", "--character", "c.json", "--max-dim", "3"],
+    ["solve", "--character", "c.json", "--split", "g1,g2", "--seed", "1"],
+    ["oracle", "--character", "c.json", "--split", "g1,g2", "--max-dim", "3"],
+    ["verify", "f.json", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_subcommands_reject_options_they_ignore(tmp_path, capsys, argv):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--poset", poset])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_round_trip(tmp_path, capsys):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)

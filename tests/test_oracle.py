@@ -45,6 +45,20 @@ def test_enumerate_dim1_respects_order():
     assert enumerate_dim1(CHAIN2, Character({"x": 0.4, "y": 1.0})) == [(0, 1)]
 
 
+def test_enumerate_dim1_matches_the_up_set_scan():
+    # reference: every up-set of unit weight, heavy elements included
+    rng = random.Random(5)
+    for k in range(1, 6):
+        for p in generate_posets(k):
+            for _ in range(3):
+                chi = Character({g: rng.choice([0.25, 0.5, 1.0, 1.5, rng.uniform(0.05, 1.2)])
+                                 for g in p.elements})
+                want = sorted(tuple(1 if g in u else 0 for g in p.elements)
+                              for u in p.up_sets()
+                              if abs(sum(chi[g] for g in u) - 1.0) <= 1e-9)
+                assert enumerate_dim1(p, chi) == want, (p, chi)
+
+
 def test_rank_profiles_keep_exact_trace():
     profiles = rank_profiles(QUAD, Character({g: 0.5 for g in QUAD.elements}), 2)
     assert len(profiles) == 19
