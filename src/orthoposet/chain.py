@@ -257,13 +257,15 @@ class Prediction:
 
     If the weight screen forced anything, scalar holds the 0/1 solutions and
     chains start at dimension 2. In "scalar" mode no chain can exist, and
-    context and two_point are None.
+    context and two_point are None. character holds the weights of p's
+    elements, in the input's order; the screen saw only these.
     """
 
     forced: list
     mode: str
     scalar: list
     chains: list
+    character: Character
     context: ChainContext = dataclasses.field(default=None, repr=False)
     two_point: TwoPointFamily = None
 
@@ -274,19 +276,21 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     A weight of one or more pins its projection, and each one below it, to
     0 above dimension 1 (P_g <= P_h), so the parts lose those elements. If
     a part is left empty, as at total weight one, the mode is "scalar" and
-    the split is checked on p as given.
+    the split is checked on p as given. Weights on other names are ignored.
     """
     for g in p.elements:
         if g not in chi:
             raise SpectrumError("missing weight for %r" % (g,))
+    names = set(p.elements)
+    chi = chi.restrict(g for g in chi.weights if g in names)
     forced, _ = run_degeneracy_filter(chi, tol)
     # at total weight one every element is forced, so both parts empty
-    pinned = {g for h, _ in forced if h in p.elements for g in p.down_set(h) | {h}}
+    pinned = {g for h, _ in forced for g in p.down_set(h) | {h}}
     keep = [g for g in p.elements if g not in pinned]
     first = [g for g in split if g not in pinned]
     if not first or set(first) >= set(keep):
         split_two_one_parameter(p, split)
-        return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [])
+        return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [], chi)
     part1, part2 = split_two_one_parameter(p.induced(keep), first)
     ctx = ChainContext(part1, chi.restrict(part1.elements),
                        part2, chi.restrict(part2.elements), tol)
@@ -301,4 +305,4 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
         # the 0/1 solutions give dimension 1, pinned elements included
         chains = [ch for ch in chains if ch.dimension >= 2]
     scalar = enumerate_dim1(p, chi, tol) if forced else []
-    return Prediction(forced, mode, scalar, chains, ctx, two_point)
+    return Prediction(forced, mode, scalar, chains, chi, ctx, two_point)

@@ -1,6 +1,7 @@
 """Command-line front end: classify, spectrum, solve, oracle, verify."""
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,6 +61,7 @@ def cmd_solve(poset_path, character_path, split_spec, tol, max_dimension,
     p = _load(poset_path, Poset.from_json)
     chi = _load(character_path, Character.from_json)
     pred = predict(p, chi, split_spec.split(","), tol)
+    chi = pred.character
     if (c is not None or gamma is not None) and (c is None or pred.two_point is None):
         raise ValueError("--gamma needs --c, and --c needs two-point mode (here: %s)"
                          % pred.mode)
@@ -79,6 +81,10 @@ def cmd_solve(poset_path, character_path, split_spec, tol, max_dimension,
                 gamma or 1.0, tol, parts=(ctx.part1.elements, ctx.part2.elements)),
                 verify_tol))
     chains = [ch for ch in pred.chains if ch.dimension <= max_dimension]
+    dropped = [ch.dimension for ch in pred.chains if ch.dimension > max_dimension]
+    if dropped:
+        print("note: --max-dim %d leaves out chains of dimension %s"
+              % (max_dimension, ", ".join(map(str, dropped))), file=sys.stderr)
     if pred.mode != "scalar":
         report["chains"] = [ch.to_dict() for ch in chains]
     for ch in chains:
@@ -147,6 +153,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orthoposet",
@@ -172,7 +179,7 @@ def build_parser():
                      help="center offset for the continuous series")
     sub.add_argument("--gamma", type=_parse_gamma, default=None,
                      help="unimodular phase RE,IM for the continuous series")
-    sub.add_argument("--max-dim", type=int, default=8)
+    sub.add_argument("--max-dim", type=int, default=64)
     _add_common(sub)
 
     sub = subs.add_parser("oracle", help="cross-validate chains against search")

@@ -234,6 +234,10 @@ def _spectrum_matched(pred, eigs, predicted, tol):
 def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
                    spectrum_tol=1e-6):
     """Compare chain predictions with blind numerical search, per dimension."""
+    for part, chi in ((p1, chi1), (p2, chi2)):
+        for g in part.elements:
+            if g not in chi:
+                raise OracleError("missing weight for %r" % (g,))
     union = disjoint_union(p1, p2)
     weights = {g: chi1[g] for g in p1.elements}
     weights.update({g: chi2[g] for g in p2.elements})

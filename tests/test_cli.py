@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from orthoposet.cli import (EXIT_NO_REPRESENTATION, EXIT_OK, EXIT_VALIDATION,
-                            EXIT_VERIFICATION, main)
+                            EXIT_VERIFICATION, build_parser, main)
 
 ANTICHAIN4 = {"elements": ["g1", "g2", "g3", "g4"], "relations": []}
 ALL_SIX_TENTHS = {"weights": {"g1": 0.6, "g2": 0.6, "g3": 0.6, "g4": 0.6}}
@@ -115,6 +115,62 @@ def test_solve_below_unit_weight(tmp_path, capsys):
                                 "--character", character, "--split", "g1,g2"])
     assert code == EXIT_NO_REPRESENTATION
     assert "no representation" in err
+
+
+@pytest.mark.parametrize("weight, code", [(0.2, EXIT_NO_REPRESENTATION),
+                                          (0.6, EXIT_OK)])
+def test_solve_ignores_weights_outside_the_poset(tmp_path, capsys, weight, code):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    replies = []
+    for extra in ({}, {"zz": 5.0}):
+        character = write_json(tmp_path, "c.json", {"weights": dict(
+            {g: weight for g in ANTICHAIN4["elements"]}, **extra)})
+        replies.append(run(capsys, ["solve", "--poset", poset, "--character",
+                                    character, "--split", "g1,g2"]))
+    assert replies[0] == replies[1]
+    assert replies[0][0] == code
+
+
+def test_solve_builds_long_chains_by_default(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: 0.504 for g in ANTICHAIN4["elements"]}})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", character, "--split", "g1,g2"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert [ch["dimension"] for ch in report["chains"]] == [63, 63]
+    assert len(report["families"]) == 4
+    for record in report["families"]:
+        assert record["family"]["dimension"] == 63
+        assert record["verification"]["passed"]
+        assert record["verification"]["irreducible"]
+
+
+@pytest.mark.parametrize("weight, flags, note", [
+    (0.504, ["--max-dim", "8"], "--max-dim 8 leaves out chains of dimension 63, 63"),
+    (0.502, [], "--max-dim 64 leaves out chains of dimension 251"),
+])
+def test_solve_names_the_chains_max_dim_leaves_out(tmp_path, capsys, weight,
+                                                   flags, note):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: weight for g in ANTICHAIN4["elements"]}})
+    code, out, err = run(capsys, ["solve", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2"] + flags)
+    assert code == EXIT_NO_REPRESENTATION
+    report = json.loads(out)
+    assert report["chains"] == [] and report["families"] == []
+    assert err == "note: %s\n" % note
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert build_parser() is build_parser()
+    argv = ["solve", "--poset", "p.json", "--character", "c.json", "--split", "g1"]
+    capped = build_parser().parse_args(argv + ["--max-dim", "3"])
+    assert (capped.max_dim, build_parser().parse_args(argv).max_dim) == (3, 64)
 
 
 def test_solve_screens_heavy_element(tmp_path, capsys):
@@ -333,6 +389,17 @@ def test_oracle_agreement(tmp_path, capsys):
     assert report["config"]["restarts"] == 2
     rows = [(r["dimension"], r["theory"], r["oracle"]) for r in report["rows"]]
     assert rows == [(1, False, False), (2, False, False)]
+
+
+def test_oracle_rejects_a_missing_weight(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        "g1": 0.6, "g2": 0.6, "g3": 0.6}})
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2", "--dims", "1"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "missing weight for 'g4'" in err
 
 
 @pytest.mark.parametrize("argv_tail", [

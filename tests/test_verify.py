@@ -1,18 +1,80 @@
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
+from orthoposet import verify
 from orthoposet.builder import (BasicPairParams, MINUS, PLUS, ProjectionFamily,
                                 basic_pair, build_from_chain)
-from orthoposet.chain import enumerate_irreducibles, make_context, run_chain
+from orthoposet.chain import enumerate_irreducibles, make_context, predict, run_chain
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
-from orthoposet.verify import (DimensionMismatch, VerifierError, check_all,
-                               check_essential, commutant_dim, spectrum_match)
+from orthoposet.verify import (NULLSPACE_RTOL, DimensionMismatch, VerifierError,
+                               check_all, check_essential, commutant_dim,
+                               spectrum_match)
 
 PAIR = Poset(["x", "y"], [])
 CHAIN2 = Poset(["x", "y"], [("x", "y")])
 QUAD = Poset(["g1", "g2", "g3", "g4"], [])
+
+
+def kronecker_commutant_dim(fam):
+    """Reference: nullity of the stacked kron(I, P) - kron(P^T, I), by SVD."""
+    eye = np.eye(fam.dimension)
+    stacked = np.vstack([np.kron(eye, p) - np.kron(np.transpose(p), eye)
+                         for p in fam.projections.values()])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(s <= NULLSPACE_RTOL * s[0]))
+
+
+@pytest.fixture
+def exact_path(monkeypatch):
+    """Dimensions on which commutant_dim fell back to its exact SVD path."""
+    calls = []
+    exact = verify._kronecker_commutant_dim
+
+    def counted(ps):
+        calls.append(ps.shape[1])
+        # the (|G| n^2) x n^2 stack would not fit in memory at large n
+        assert ps.shape[1] <= 21, "exact path at n = %d" % ps.shape[1]
+        return exact(ps)
+
+    monkeypatch.setattr(verify, "_kronecker_commutant_dim", counted)
+    return calls
+
+
+def quad_families(weight, tol=1e-9):
+    chi = Character({g: weight for g in QUAD.elements})
+    return [fam for ch in predict(QUAD, chi, ["g1", "g2"], tol).chains
+            for fam in build_from_chain(ch, tol)]
+
+
+def direct_sum(families, seed):
+    """The block sum of the families, conjugated by a seeded random unitary."""
+    n = sum(f.dimension for f in families)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    projections = {}
+    for g in families[0].poset.elements:
+        block = np.zeros((n, n), dtype=complex)
+        at = 0
+        for f in families:
+            block[at:at + f.dimension, at:at + f.dimension] = f.projections[g]
+            at += f.dimension
+        projections[g] = u @ block @ u.conj().T
+    return ProjectionFamily(families[0].poset, families[0].character, projections)
+
+
+def diamond_family(eps):
+    """The dim-3 family of the diamond recipe, which varies smoothly with eps."""
+    a = 0.5 + eps
+    ctx = make_context(Poset(["g1", "g2", "g5"], [("g1", "g5"), ("g2", "g5")]),
+                       Character({"g1": a, "g2": a, "g5": 0.5 - 2 * eps}),
+                       Poset(["g3", "g4"], []), Character({"g3": a, "g4": a}))
+    chain, = [ch for ch in enumerate_irreducibles(ctx) if ch.dimension == 3]
+    return build_from_chain(chain)[0]
 
 
 def three_point_family():
@@ -72,7 +134,63 @@ def test_commutant_dimensions():
     assert commutant_dim(split) == 2
     scalar = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
                               {"x": np.eye(3), "y": np.eye(3)})
-    assert commutant_dim(scalar) == 9
+    assert commutant_dim(scalar) == kronecker_commutant_dim(scalar) == 9
+    # not Hermitian: the graph in eigh's basis would join the two vectors
+    skew = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
+                            {"x": np.array([[1.0, 1.0], [0.0, 2.0]]), "y": np.eye(2)})
+    assert commutant_dim(skew) == kronecker_commutant_dim(skew) == 2
+
+
+def test_commutant_matches_the_svd_on_built_families(exact_path):
+    dims = []
+    for k in range(4, 41):
+        for fam in quad_families(0.5 + 1.0 / k):
+            assert commutant_dim(fam) == kronecker_commutant_dim(fam) == 1
+            dims.append(fam.dimension)
+    assert len(dims) == 36 and max(dims) == 21
+    # every built family is certified on the O(n^3) path
+    assert exact_path == []
+
+
+def test_commutant_of_conjugated_direct_sums(exact_path):
+    small = quad_families(0.6) + quad_families(0.625) + quad_families(0.5 + 1.0 / 6)
+    assert [f.dimension for f in small] == [3, 3, 3, 3, 5, 2, 2]
+    pairs = list(itertools.combinations_with_replacement(range(len(small)), 2))
+    for seed, (i, j) in enumerate(pairs):
+        fam = direct_sum([small[i], small[j]], seed)
+        # F (+) F has commutant M_2, of dimension 4; F (+) F' has C (+) C
+        assert commutant_dim(fam) == kronecker_commutant_dim(fam) == (4 if i == j else 2)
+    # only the repeated summands, with their doubled spectrum, need the SVD
+    assert exact_path == [2 * small[i].dimension for i, j in pairs if i == j]
+    fam = direct_sum([small[0], small[0], small[4]], len(pairs))
+    assert commutant_dim(fam) == kronecker_commutant_dim(fam) == 5
+
+
+def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
+    # F (+) F' with F' a nearby, non-isomorphic family, coupled at 1e-10: the
+    # coupling turns A's eigenvectors by about 1e-6, enough for an unguarded
+    # graph to join the summands, but the SVD sees two of them
+    near = direct_sum([diamond_family(0.05), diamond_family(0.05 + 1e-4)], 0)
+    rng = np.random.default_rng(3)
+    for g, p in near.projections.items():
+        e = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        near.projections[g] = p + 1e-10 * (e + e.conj().T)
+    assert commutant_dim(near) == kronecker_commutant_dim(near) == 2
+    assert exact_path == [6]
+
+
+def test_long_chain_families_verify_at_large_dimension(exact_path):
+    fam = quad_families(0.504)[0]
+    assert fam.dimension == 63
+    t0 = time.perf_counter()
+    report = check_all(fam)
+    assert time.perf_counter() - t0 < 1.0
+    assert report.passed and report.irreducible
+    fam = quad_families(0.502)[0]
+    assert fam.dimension == 251
+    report = check_all(fam, 1e-10)
+    assert report.passed and report.irreducible
+    assert exact_path == []
 
 
 def test_forced_elements_and_essentiality():
