@@ -23,7 +23,7 @@ from .builder import (BasicPairParams, BuilderError, ChainShapeMismatch,
                       lift_to_catalog)
 from .verify import (DimensionMismatch, VerificationReport, VerifierError,
                      check_all, check_essential, commutant_dim, spectrum_match)
-from .oracle import (CrossValidation, OracleError, SearchConfig,
-                     cross_validate, rank_profiles, search_numeric)
+from .oracle import (CrossValidation, OracleError, SearchConfig, cross_validate,
+                     cross_validate_split, rank_profiles, search_numeric)
 
 __version__ = "1.0.0"

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 
-from .poset import split_two_one_parameter
+from .poset import check_split, split_two_one_parameter
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
                        SpectrumError, delta_of, membership, near_boundary)
 
@@ -237,16 +237,20 @@ def dimension_bound(ctx):
     return int(math.floor(1.0 / cap + 1.0 + 1e-9))
 
 
+def pinned_set(p, chi, tol=DEFAULT_TOL):
+    "Weight one or more, or below such: P_g = 0 in irreducibles above dimension 1"
+    heavy = [g for g in p.elements if chi[g] >= 1.0 - tol]
+    return set(heavy).union(*(p.down_set(g) for g in heavy))
+
+
 def enumerate_dim1(p, chi, tol=DEFAULT_TOL):
     """All 0/1 solutions: indicator vectors of up-sets with unit weight.
 
-    An up-set holding an element of weight one or more holds nothing else,
-    so such elements, and all below them, are listed only as singletons.
+    Pinned elements are listed only as singletons.
     """
-    heavy = [g for g in p.elements if chi[g] >= 1.0 - tol]
-    below = set(heavy).union(*(p.down_set(g) for g in heavy))
-    ups = p.induced(g for g in p.elements if g not in below).up_sets()
-    ups += [frozenset([g]) for g in heavy if not p.up_set(g)]
+    pinned = pinned_set(p, chi, tol)
+    ups = p.induced(g for g in p.elements if g not in pinned).up_sets()
+    ups += [frozenset([g]) for g in pinned if not p.up_set(g)]
     return sorted(tuple(1 if g in u else 0 for g in p.elements) for u in ups
                   if abs(sum(chi[g] for g in u) - 1.0) <= tol)
 
@@ -271,27 +275,29 @@ class Prediction:
 
 
 def predict(p, chi, split, tol=DEFAULT_TOL):
-    """Screen the weights, split p into its two parts and run the chains.
+    """Check the split on p, screen the weights and run the chains.
 
-    A weight of one or more pins its projection, and each one below it, to
-    0 above dimension 1 (P_g <= P_h), so the parts lose those elements. If
-    a part is left empty, as at total weight one, the mode is "scalar" and
-    the split is checked on p as given. Weights on other names are ignored.
+    check_split runs first, whatever the weights. The parts then lose the
+    pinned_set, and what is left of each must be one-parameter. If a part
+    is left empty, as at total weight one, the mode is "scalar" and that
+    check runs on p as given. Weights on other names are ignored.
     """
     for g in p.elements:
         if g not in chi:
             raise SpectrumError("missing weight for %r" % (g,))
     names = set(p.elements)
     chi = chi.restrict(g for g in chi.weights if g in names)
-    forced, _ = run_degeneracy_filter(chi, tol)
-    # at total weight one every element is forced, so both parts empty
-    pinned = {g for h, _ in forced for g in p.down_set(h) | {h}}
+    check_split(p, split)
+    # at total weight one or below no chain exists: every element is pinned
+    pinned = names if chi.total <= 1.0 + tol else pinned_set(p, chi, tol)
     keep = [g for g in p.elements if g not in pinned]
     first = [g for g in split if g not in pinned]
     if not first or set(first) >= set(keep):
         split_two_one_parameter(p, split)
+        forced, _ = run_degeneracy_filter(chi, tol)
         return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [], chi)
-    part1, part2 = split_two_one_parameter(p.induced(keep), first)
+    part1, part2 = split_two_one_parameter(p.induced(keep) if pinned else p, first)
+    forced, _ = run_degeneracy_filter(chi, tol)
     ctx = ChainContext(part1, chi.restrict(part1.elements),
                        part2, chi.restrict(part2.elements), tol)
     two_point = None

@@ -10,12 +10,12 @@ import numpy as np
 
 from .builder import (BuilderError, ProjectionFamily, build_from_chain,
                       build_quadruple_continuous)
-from .chain import ChainEngineError, NoRepresentation, predict
-from .oracle import OracleError, SearchConfig, cross_validate
-from .poset import (NotTame, Poset, PosetError, classify, decompose,
-                    essential_catalog_match, split_two_one_parameter, width)
-from .spectrum import Character, SpectrumError, delta_of
-from .verify import VerifierError, check_all
+from .chain import NoRepresentation, predict
+from .oracle import SearchConfig, cross_validate_split
+from .poset import (NotTame, Poset, classify, decompose,
+                    essential_catalog_match, width)
+from .spectrum import Character, delta_of
+from .verify import check_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -104,11 +104,11 @@ def cmd_oracle(poset_path, character_path, split_spec, dims, tol, seed,
                restarts=None, iterations=None):
     p = _load(poset_path, Poset.from_json)
     chi = _load(character_path, Character.from_json)
-    part1, part2 = split_two_one_parameter(p, split_spec.split(","))
     given = {"restarts": restarts, "max_iterations": iterations}
     cfg = SearchConfig(dims[0], seed=seed,
                        **{k: v for k, v in given.items() if v is not None})
-    return cross_validate(part1, chi, part2, chi, dims, cfg, tol=tol).to_dict()
+    return cross_validate_split(p, chi, split_spec.split(","), dims, cfg,
+                                tol).to_dict()
 
 
 def cmd_verify(family_path, poset_path, tol):
@@ -224,8 +224,7 @@ def main(argv=None):
     except NoRepresentation as exc:
         print("no representation: %s" % exc, file=sys.stderr)
         return EXIT_NO_REPRESENTATION
-    except (PosetError, SpectrumError, ChainEngineError, BuilderError,
-            VerifierError, OracleError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     _print(report, args.format)

@@ -16,6 +16,7 @@ PROFILE_SLACK = 1e-6
 STALL_WINDOW = 50
 STALL_FACTOR = 0.7
 ANDERSON_MEMORY = 5
+SPECTRUM_TOL = 1e-6
 
 
 class OracleError(ValueError):
@@ -217,43 +218,41 @@ class CrossValidation:
         return json.dumps(self.to_dict())
 
 
-def _spectrum_matched(pred, eigs, predicted, tol):
+def _spectrum_matched(pred, eigs, predicted):
     for spec in predicted:
-        if np.allclose(eigs, spec, atol=tol, rtol=0.0):
+        if np.allclose(eigs, spec, atol=SPECTRUM_TOL, rtol=0.0):
             return True
     if len(eigs) == 2 and pred.two_point is not None:
         # continuous two-parameter series: a reflection pair inside Delta_1
         ctx = pred.context
-        if abs(eigs[0] + eigs[1] - ctx.sigma1) > tol:
+        if abs(eigs[0] + eigs[1] - ctx.sigma1) > SPECTRUM_TOL:
             return False
         return all(membership(ctx.delta1, v, ctx.tol) == CONTINUOUS
                    for v in eigs)
     return False
 
 
-def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
-                   spectrum_tol=1e-6):
-    """Compare chain predictions with blind numerical search, per dimension."""
-    for part, chi in ((p1, chi1), (p2, chi2)):
-        for g in part.elements:
-            if g not in chi:
-                raise OracleError("missing weight for %r" % (g,))
-    union = disjoint_union(p1, p2)
-    weights = {g: chi1[g] for g in p1.elements}
-    weights.update({g: chi2[g] for g in p2.elements})
-    union_chi = Character(weights)
+def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL):
+    """cross_validate_split on the disjoint union of two parts, split between them."""
+    weights = {g: chi[g] for part, chi in ((p1, chi1), (p2, chi2))
+               for g in part.elements if g in chi}
+    return cross_validate_split(disjoint_union(p1, p2), Character(weights),
+                                p1.elements, dims, cfg, tol)
+
+
+def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
+    """Compare chain predictions with blind numerical search on p, per dimension."""
     # dimension -> sorted layer-one spectra of the predicted families; a key
     # present with an empty list marks the purely continuous series
     spectra = {}
     try:
-        pred = predict(union, union_chi, p1.elements, tol)
+        pred = predict(p, chi, split, tol)
     except NoRepresentation:
         pred = None
     else:
         for bits in pred.scalar:
-            # bits follow union.elements, which list p1 first
             spectra.setdefault(1, []).append(
-                [sum(chi1[g] * b for g, b in zip(p1.elements, bits))])
+                [sum(chi[g] * b for g, b in zip(p.elements, bits) if g in split)])
         for ch in pred.chains:
             spectra.setdefault(ch.dimension, []).append(sorted(ch.lambdas))
         if pred.two_point is not None and pred.two_point.c_interval is not None:
@@ -262,13 +261,13 @@ def cross_validate(p1, chi1, p2, chi2, dims, cfg, tol=DEFAULT_TOL,
     for d in dims:
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = search_numeric(union, union_chi, dataclasses.replace(cfg, dimension=d),
+        fam = search_numeric(p, chi, dataclasses.replace(cfg, dimension=d),
                              require_irreducible=True)
         found = fam is not None
         matched = None
         if found and pred is not None:
-            eigs = np.sort(np.linalg.eigvalsh(fam.weighted_sum(p1.elements)))
-            matched = _spectrum_matched(pred, eigs, predicted, spectrum_tol)
+            eigs = np.sort(np.linalg.eigvalsh(fam.weighted_sum(split)))
+            matched = _spectrum_matched(pred, eigs, predicted)
         rows.append({"dimension": d, "theory": theory, "oracle": found,
                      "agree": theory == found, "spectrum_matched": matched})
     return CrossValidation(rows, cfg)

@@ -251,6 +251,15 @@ def split_two_one_parameter(p, s1_elements):
     Each part must be one-parameter or a chain, and no relation of p may
     join the two parts.
     """
+    parts = tuple(map(p.induced, check_split(p, s1_elements)))
+    for part in parts:
+        if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
+            raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))
+    return parts
+
+
+def check_split(p, s1_elements):
+    "The two parts' elements; both nonempty, and no relation of p joins them"
     s1 = set(s1_elements)
     if not s1 <= set(p.elements):
         raise BadSplit("split mentions elements outside the poset")
@@ -260,11 +269,7 @@ def split_two_one_parameter(p, s1_elements):
     crossing = sorted((g, h) for g, h in p.hasse if (g in s1) != (h in s1))
     if crossing:
         raise BadSplit("relation %r < %r joins the two parts" % crossing[0])
-    parts = (p.induced(s1), p.induced(s2))
-    for part in parts:
-        if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
-            raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))
-    return parts
+    return s1, s2
 
 
 def dual(p):

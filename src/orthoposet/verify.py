@@ -7,6 +7,8 @@ import numpy as np
 NULLSPACE_RTOL = 1e-8
 # c_g of commutant_dim's generic element: k times this, mod 1, for k = 1, 2, ...
 GOLDEN_FRACTION = (5 ** 0.5 - 1) / 2
+# the largest Kronecker stack commutant_dim's exact path builds: 256 MB complex
+MAX_STACK_ENTRIES = 2 ** 24
 
 
 class VerifierError(ValueError):
@@ -80,7 +82,8 @@ def commutant_dim(fam):
     exceeds n * tau, and dropping the edges below 100 * tau * ||A|| / gap
     leaves the count unchanged. Couplings below tau turn A's eigenvectors
     by up to tau * ||A|| / gap, so edges in that band cannot be trusted.
-    Otherwise the exact O(n^6) Kronecker SVD decides.
+    Otherwise the exact O(n^6) Kronecker SVD decides, and a stack of more
+    than MAX_STACK_ENTRIES entries raises VerifierError.
     """
     ps = np.array(list(fam.projections.values()))
     n = fam.dimension
@@ -117,7 +120,13 @@ def _components(adjacent):
 
 def _kronecker_commutant_dim(ps):
     """The exact path: nullity of the stacked kron(I, P) - kron(P^T, I)."""
-    eye = np.eye(ps.shape[1])
+    count, n = ps.shape[:2]
+    if count * n ** 4 > MAX_STACK_ENTRIES:
+        raise VerifierError(
+            "the exact commutant of %d projections at n = %d needs a stack of "
+            "%d entries, above the limit of %d" % (count, n, count * n ** 4,
+                                                   MAX_STACK_ENTRIES))
+    eye = np.eye(n)
     rows = [np.kron(eye, p) - np.kron(p.T, eye) for p in ps.astype(complex)]
     s = np.linalg.svd(np.vstack(rows), compute_uv=False)
     return int(np.sum(s <= NULLSPACE_RTOL * s[0]))

@@ -165,6 +165,14 @@ def test_predict_drops_pinned_elements_from_the_parts():
     assert [ch.dimension for ch in pred.chains] == [3, 3]
 
 
+@pytest.mark.xfail(strict=True, reason="chains start only from Delta1's discrete "
+                   "points, so a chain with both ends discrete in Delta2 is missed")
+def test_predict_finds_chains_with_both_ends_in_delta2():
+    # split g3,g4 on the same weights finds both: dimensions 2 and 3
+    chi = Character(dict(zip(QUAD.elements, (0.6, 0.6, 0.8, 0.5))))
+    assert sorted(ch.dimension for ch in predict(QUAD, chi, ["g1", "g2"]).chains) == [2, 3]
+
+
 def test_dimension_bound_values():
     assert dimension_bound(quad(0.6, 0.6, 0.6, 0.6)) == 3
     assert dimension_bound(quad(5 / 9, 5 / 9, 5 / 9, 5 / 9)) == 5

@@ -318,6 +318,39 @@ def test_bad_split_is_rejected(tmp_path, capsys, command, relations, split, mess
     assert message in err
 
 
+FIFTHS = {g: 0.2 for g in ANTICHAIN4["elements"]}
+
+
+# predict checks a split on the input poset before it screens the weights,
+# and the parts only after pinning; solve and oracle both go through it
+@pytest.mark.parametrize("poset_doc, weights, split, solve_code, theory", [
+    (ANTICHAIN4, FIFTHS, "g1", EXIT_VALIDATION, None),
+    (ANTICHAIN4, FIFTHS, "g1,g2,bogus", EXIT_VALIDATION, None),
+    (dict(ANTICHAIN4, relations=[["g1", "g3"]]), FIFTHS, "g1,g2",
+     EXIT_VALIDATION, None),
+    (ANTICHAIN4, FIFTHS, "g1,g2", EXIT_NO_REPRESENTATION, []),
+    ({"elements": FIVE, "relations": []},
+     dict(ALL_SIX_TENTHS["weights"], g1=1.3, g5=0.6), "g1,g2,g3", EXIT_OK, [3]),
+], ids=["one-element-part", "unknown-name", "cross-part-relation",
+        "total-below-one", "pinned-element"])
+def test_solve_and_oracle_share_one_input_gate(tmp_path, capsys, poset_doc,
+                                               weights, split, solve_code, theory):
+    poset = write_json(tmp_path, "p.json", poset_doc)
+    character = write_json(tmp_path, "c.json", {"weights": weights})
+    argv = ["--poset", poset, "--character", character, "--split", split]
+    code, _, _ = run(capsys, ["solve"] + argv)
+    assert code == solve_code
+    code, out, _ = run(capsys, ["oracle"] + argv + [
+        "--dims", "1..3", "--restarts", "4", "--iterations", "2000"])
+    if theory is None:
+        assert (code, out) == (EXIT_VALIDATION, "")
+        return
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["agree"]
+    assert [r["dimension"] for r in report["rows"] if r["theory"]] == theory
+
+
 @pytest.mark.parametrize("weights, flags", [
     (ALL_SIX_TENTHS, ["--c", "0.25", "--gamma", "5,0"]),
     (ALL_SIX_TENTHS, ["--c", "0.25"]),
@@ -455,6 +488,19 @@ def test_verify_rejects_malformed_family(tmp_path, capsys, edit):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "family" in err
+
+
+def test_verify_refuses_an_oversized_exact_commutant(tmp_path, capsys):
+    # two scalar projections: A has one repeated eigenvalue, so the exact
+    # path would need a stack of 2 * 60^4 entries
+    poset = write_json(tmp_path, "p.json", {"elements": ["x", "y"], "relations": []})
+    eye = [[[1.0 if i == j else 0.0, 0.0] for j in range(60)] for i in range(60)]
+    family = write_json(tmp_path, "f.json", {
+        "dimension": 60, "projections": {"x": eye, "y": eye},
+        "character": {"weights": {"x": 0.5, "y": 0.5}}})
+    code, out, err = run(capsys, ["verify", family, "--poset", poset])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "2 projections at n = 60" in err and "limit of 16777216" in err
 
 
 def test_validation_errors(tmp_path, capsys):

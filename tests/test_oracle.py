@@ -190,6 +190,13 @@ def test_cross_validate_three_dimensions():
     assert doc["agree"] is True and len(doc["rows"]) == 3
 
 
+def test_cross_validate_names_a_missing_weight():
+    # a ValueError subclass (exit 2 from the CLI), not a KeyError
+    with pytest.raises(ValueError, match="missing weight for 'g4'"):
+        cross_validate(Poset(["g1", "g2"], []), POINT_SIX.restrict(("g1", "g2")),
+                       Poset(["g3", "g4"], []), Character({"g3": 0.6}), (1,), QUICK)
+
+
 def test_cross_validate_degenerate_character():
     # g1 is screened out (weight above one) yet a scalar family survives
     heavy = Character({"g1": 1.2, "g2": 0.4, "g3": 0.3, "g4": 0.3})

@@ -193,6 +193,24 @@ def test_long_chain_families_verify_at_large_dimension(exact_path):
     assert exact_path == []
 
 
+def test_exact_path_refuses_an_oversized_stack():
+    # F (+) F needs the exact path; at n = 126 its stack would be 16 GB
+    big = quad_families(0.504)[0]
+    fam = direct_sum([big, big], 0)
+    t0 = time.perf_counter()
+    with pytest.raises(VerifierError, match="4 projections at n = 126.*limit of %d"
+                       % verify.MAX_STACK_ENTRIES):
+        commutant_dim(fam)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_exact_path_still_answers_at_n_42():
+    # 4 * 42^4 entries stay under the limit
+    small = quad_families(0.525)[0]
+    assert small.dimension == 21
+    assert commutant_dim(direct_sum([small, small], 1)) == 4
+
+
 def test_forced_elements_and_essentiality():
     fam = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 0.5}),
                            {"x": np.eye(2), "y": np.zeros((2, 2))})
