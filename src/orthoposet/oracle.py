@@ -1,6 +1,7 @@
 """Numerical existence oracle independent of the constructive route."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,9 @@ STALL_WINDOW = 50
 STALL_FACTOR = 0.7
 ANDERSON_MEMORY = 5
 SPECTRUM_TOL = 1e-6
+# rows of the rank-prefix grid; the largest grid the tests and the benchmark
+# build has 314,154 (eight elements at dimension 8)
+MAX_PROFILE_ROWS = 2 ** 22
 
 
 class OracleError(ValueError):
@@ -46,7 +50,8 @@ def rank_profiles(p, chi, dimension):
     sum alpha_g rank(P_g) must equal the dimension up to verifier noise;
     everything else cannot carry a representation and is pruned. Rank
     prefixes grow one element at a time and are dropped as soon as they
-    break monotonicity or can no longer reach the trace.
+    break monotonicity or can no longer reach the trace. A grid that would
+    pass MAX_PROFILE_ROWS raises OracleError before it is allocated.
     """
     els = p.elements
     k = len(els)
@@ -58,6 +63,10 @@ def rank_profiles(p, chi, dimension):
     partial = np.zeros(1)
     for j, g in enumerate(els):
         rows = len(grid)
+        if rows * (dimension + 1) > MAX_PROFILE_ROWS:
+            raise OracleError(
+                "rank profiles of %d elements at dimension %d need more than "
+                "%d grid rows" % (k, dimension, MAX_PROFILE_ROWS))
         grid = np.hstack([np.repeat(grid, dimension + 1, axis=0),
                           np.tile(values, rows)[:, None]])
         partial = np.repeat(partial, dimension + 1) + w[j] * grid[:, j]
@@ -75,6 +84,33 @@ def rank_profiles(p, chi, dimension):
     order = np.lexsort(tuple(grid[:, i] for i in range(k - 1, -1, -1))
                        + (slack,))
     return [tuple(int(r) for r in row) for row in grid[order]]
+
+
+def trace_feasible(p, chi, profiles, dimension):
+    """Mask of the rank profiles that pass the trace identity.
+
+    Multiplying sum_h alpha_h P_h = I by P_g and taking traces gives
+    r_g = sum_h alpha_h tr(P_g P_h). Here tr(P_g P_h) is r_g if g <= h and
+    r_h if h < g, and lies in [max(0, r_g + r_h - n), min(r_g, r_h)] if g
+    and h are incomparable. A profile whose interval misses some r_g
+    carries no family. Only the axioms are used, no chain theory. Each g
+    is one pass over the whole (m, k) profile array, so the working memory
+    is a few times that array, where an (m, k, k) broadcast needs k times.
+    """
+    els = p.elements
+    k = len(els)
+    r = np.asarray(profiles, dtype=float).reshape(-1, k)
+    w = np.array([chi[g] for g in els])
+    less = np.array([[p.less(g, h) for h in els] for g in els], dtype=bool)
+    comparable = less | less.T | np.eye(k, dtype=bool)
+    ok = np.ones(len(r), dtype=bool)
+    for i in range(k):
+        rg = r[:, i:i + 1]
+        fixed = np.where(less[i], rg, r)
+        lo = np.where(comparable[i], fixed, np.maximum(rg + r - dimension, 0.0)) @ w
+        hi = np.where(comparable[i], fixed, np.minimum(rg, r)) @ w
+        ok &= (lo <= r[:, i] + PROFILE_SLACK) & (r[:, i] <= hi + PROFILE_SLACK)
+    return ok
 
 
 def _random_projection(rng, n, rank):
@@ -179,7 +215,12 @@ def _search_once(p, chi, ranks, rng, cfg):
 
 
 def search_numeric(p, chi, cfg, require_irreducible=False):
-    """First family found by rank-profile sweeps of alternating projections."""
+    """First family found by rank-profile sweeps of alternating projections.
+
+    Lanes run in (restart, profile) order with the seed [seed, pidx,
+    restart], pidx indexing the full profile list; profiles that fail
+    trace_feasible are skipped without changing any other lane.
+    """
     for g in p.elements:
         if g not in chi:
             raise OracleError("missing weight for %r" % (g,))
@@ -187,19 +228,26 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
         profiles = [cfg.rank_profile]
     else:
         profiles = rank_profiles(p, chi, cfg.dimension)
-    for restart in range(cfg.restarts):
-        for pidx, ranks in enumerate(profiles):
-            rng = np.random.default_rng([cfg.seed, pidx, restart])
-            fam = _search_once(p, chi, ranks, rng, cfg)
-            if fam is None:
-                continue
-            report = check_all(fam, ACCEPT_TOL)
-            if not report.passed:
-                continue
-            if require_irreducible and not report.irreducible:
-                continue
-            return fam
-    return None
+    feasible = trace_feasible(p, chi, profiles, cfg.dimension)
+    lanes = [(pidx, ranks) for pidx, ranks in enumerate(profiles) if feasible[pidx]]
+    found, runs = None, 0
+    for restart, (pidx, ranks) in itertools.product(range(cfg.restarts), lanes):
+        runs += 1
+        rng = np.random.default_rng([cfg.seed, pidx, restart])
+        fam = _search_once(p, chi, ranks, rng, cfg)
+        if fam is None:
+            continue
+        report = check_all(fam, ACCEPT_TOL)
+        if report.passed and (report.irreducible or not require_irreducible):
+            found = fam
+            break
+    # imported here: at the top it added 6 ms to every CLI call, solve included
+    import logging
+    logging.getLogger("orthoposet.oracle").debug(
+        "search d=%d: %d profiles listed, %d refuted by the trace identity, "
+        "%d lanes run, found=%s", cfg.dimension, len(profiles),
+        len(profiles) - len(lanes), runs, found is not None)
+    return found
 
 
 @dataclasses.dataclass

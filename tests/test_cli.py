@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,24 @@ def test_oracle_rejects_a_missing_weight(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "missing weight for 'g4'" in err
+
+
+def test_oracle_refuses_an_oversized_profile_grid(tmp_path, capsys):
+    # quad 0.6 at dimension 100 has no rank profile, but listing them would
+    # grow a prefix grid of 59M rows (1.28 GB)
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                      character, "--split", "g1,g2",
+                                      "--dims", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "4 elements at dimension 100" in err and "4194304 grid rows" in err
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("argv_tail", [

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import logging
 import random
 import time
 import tracemalloc
@@ -7,9 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from orthoposet.builder import build_from_chain
+from orthoposet.chain import enumerate_irreducibles, make_context, predict
 from orthoposet.oracle import (PROFILE_SLACK, OracleError, SearchConfig,
-                               cross_validate, enumerate_dim1, rank_profiles,
-                               search_numeric)
+                               _search_once, cross_validate, enumerate_dim1,
+                               rank_profiles, search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, commutant_dim
@@ -139,6 +143,125 @@ def test_rank_profiles_stay_small_on_eight_elements():
     assert len(profiles) == 1043
     assert seconds < 1.0
     assert peak < 100e6
+
+
+def test_trace_identity_refutes_profiles():
+    # (0, 0, 2, 3) at n = 3: P_g3 and P_g4 meet in at least 2 + 3 - 3
+    # dimensions, so the identity for g3 needs 2 = 0.6 * (2 + 0 + 0 + 2)
+    assert trace_feasible(QUAD, POINT_SIX, [(0, 0, 2, 3), (1, 1, 1, 2)], 3).tolist() \
+        == [False, True]
+    assert trace_feasible(QUAD, POINT_SIX, [], 3).shape == (0,)
+    profiles = rank_profiles(QUAD, POINT_SIX, 3)
+    assert (len(profiles), int(trace_feasible(QUAD, POINT_SIX, profiles, 3).sum())) \
+        == (40, 16)
+
+
+def _profile(fam):
+    return tuple(int(round(np.trace(fam.projections[g]).real))
+                 for g in fam.poset.elements)
+
+
+def _assert_profile_passes(fam):
+    assert check_all(fam).passed
+    ranks = _profile(fam)
+    assert trace_feasible(fam.poset, fam.character, [ranks], fam.dimension)[0], \
+        (fam.poset, fam.character, ranks)
+
+
+def test_trace_identity_passes_every_built_family():
+    built = 0
+    for k in range(4, 21):
+        chi = Character({g: 0.5 + 1.0 / k for g in QUAD.elements})
+        for chain in predict(QUAD, chi, ("g1", "g2")).chains:
+            for fam in build_from_chain(chain):
+                _assert_profile_passes(fam)
+                built += 1
+    # the criterion-4 recipes: a diamond or an a6 part against a pair or an a4 part
+    eps = 0.0131
+    a = 0.5 + eps
+    diamond = Poset(("g1", "g2", "g5"), (("g1", "g5"), ("g2", "g5")))
+    pair = Poset(("g3", "g4"), ())
+    a4 = Poset(("g3", "g4", "g6"), (("g3", "g6"), ("g4", "g6")))
+    a6 = Poset(("g1", "g2", "g5", "g6"), (("g1", "g5"), ("g2", "g5"), ("g5", "g6")))
+    ends = {"g1": a, "g2": a, "g3": a, "g4": a}
+    cases = [(a6, pair, dict(ends, g5=eps / 2, g6=1 / 3 - 7 * eps / 3))]
+    for m in (1, 2):
+        for a5 in (1 / (2 * m + 1) - 2 * eps,
+                   1 / (4 * m + 2) - (4 * m + 3) * eps / (2 * m + 1),
+                   1 / (4 * m) - 2 * eps - eps / (2 * m), 1 / (2 * m) - 2 * eps):
+            cases.append((diamond, pair, dict(ends, g5=a5)))
+        cases.append((diamond, a4, dict(ends, g5=eps / 2, g6=1 / (2 * m) - 2.5 * eps)))
+    for part1, part2, w in cases:
+        chi = Character(w)
+        ctx = make_context(part1, chi.restrict(part1.elements),
+                           part2, chi.restrict(part2.elements))
+        for chain in enumerate_irreducibles(ctx):
+            for fam in build_from_chain(chain):
+                _assert_profile_passes(fam)
+                built += 1
+    assert built == 32
+
+
+def _planted_character(rng, p, d):
+    """Weights with an exact-trace monotone profile; half give unit up-sets."""
+    ups = p.up_sets()
+    if rng.random() < 0.5:
+        unit = [g for g in p.elements if g in rng.choice([u for u in ups if u])]
+        w = {g: rng.uniform(0.1, 1.5) for g in p.elements}
+        total = sum(w[g] for g in unit)
+        return Character({g: w[g] / total if g in unit else w[g] for g in p.elements})
+    ranks = {g: sum(g in rng.choice(ups) for _ in range(d)) for g in p.elements}
+    if not any(ranks.values()):
+        ranks[p.elements[-1]] = d
+    w = {g: rng.uniform(0.1, 1.0) for g in p.elements}
+    scale = d / sum(w[g] * ranks[g] for g in p.elements)
+    return Character({g: v * scale for g, v in w.items()})
+
+
+def test_trace_identity_passes_every_searched_family():
+    # every lane runs, refuted or not, so an unsound filter cannot hide a family
+    rng = random.Random(11)
+    found = refuted = 0
+    for k in range(1, 5):
+        for p in generate_posets(k) * 2:
+            d = rng.randint(1, 4)
+            chi = _planted_character(rng, p, d)
+            cfg = SearchConfig(dimension=d, restarts=1, max_iterations=500, seed=k)
+            profiles = rank_profiles(p, chi, d)
+            refuted += int((~trace_feasible(p, chi, profiles, d)).sum())
+            for pidx, ranks in enumerate(profiles):
+                fam = _search_once(p, chi, ranks, np.random.default_rng([k, pidx]), cfg)
+                if fam is not None and check_all(fam).passed:
+                    assert _profile(fam) == ranks
+                    _assert_profile_passes(fam)
+                    found += 1
+    assert found >= 20 and refuted >= 10, (found, refuted)
+
+
+def test_search_keeps_the_seed_of_each_surviving_lane():
+    cfg = dataclasses.replace(QUICK, dimension=3)
+    profiles = rank_profiles(QUAD, POINT_SIX, 3)
+    feasible = trace_feasible(QUAD, POINT_SIX, profiles, 3)
+    # the first surviving lane, in (restart, profile) order, that verifies
+    for restart, pidx in itertools.product(range(cfg.restarts),
+                                           np.flatnonzero(feasible)):
+        want = _search_once(QUAD, POINT_SIX, profiles[pidx],
+                            np.random.default_rng([cfg.seed, pidx, restart]), cfg)
+        if want is not None and check_all(want, 1e-10).passed:
+            break
+    assert not feasible[:pidx].all()  # a refuted profile comes before it
+    got = search_numeric(QUAD, POINT_SIX, cfg)
+    for g in QUAD.elements:
+        assert np.array_equal(got.projections[g], want.projections[g])
+
+
+def test_search_logs_one_debug_line(caplog):
+    cfg = dataclasses.replace(QUICK, dimension=3)
+    with caplog.at_level(logging.DEBUG, logger="orthoposet.oracle"):
+        search_numeric(QUAD, POINT_SIX, cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
+        "5 lanes run, found=True"]
 
 
 def test_search_finds_the_three_point_family():
