@@ -5,6 +5,7 @@ import itertools
 import json
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .builder import ProjectionFamily, disjoint_union
 # enumerate_dim1 lives in chain and is re-exported here
@@ -18,6 +19,11 @@ STALL_WINDOW = 50
 STALL_FACTOR = 0.7
 ANDERSON_MEMORY = 5
 SPECTRUM_TOL = 1e-6
+# lanes that run at once in one stacked state
+LANE_POOL = 8
+# restarts x surviving profiles; the largest search the tests and the
+# benchmark run has 1,024 lanes
+MAX_LANES = 4096
 # rows of the rank-prefix grid; the largest grid the tests and the benchmark
 # build has 314,154 (eight elements at dimension 8)
 MAX_PROFILE_ROWS = 2 ** 22
@@ -123,29 +129,36 @@ def _random_projection(rng, n, rank):
     return q @ q.conj().T
 
 
-def _round_rank(m, rank):
-    # nearest projection of the prescribed rank to a Hermitian matrix
-    n = m.shape[0]
-    if rank == 0:
-        return np.zeros((n, n), dtype=complex)
-    if rank == n:
-        return np.eye(n, dtype=complex)
-    v = np.linalg.eigh((m + m.conj().T) / 2.0)[1][:, n - rank:]
-    return v @ v.conj().T
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _max_abs(m):
-    return float(np.max(np.abs(m)))
+def _lstsq(a, b):
+    """np.linalg.lstsq(a, b, rcond=None)[0] over stacks a (..., N, m), b (..., N, 1).
+
+    np.linalg.lstsq takes 2-D operands only. The gufunc it calls broadcasts
+    over stacks and solves each matrix bit for bit as lstsq does, so the
+    lanes of one history depth share one call.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")[0]
 
 
-def _search_once(p, chi, ranks, rng, cfg):
-    """One run of alternating projections from a random start.
+def _run_lanes(p, chi, cfg, lanes):
+    """Alternating projections from random starts, LANE_POOL lanes at a time.
 
-    The state is one complex array of shape (|G|, n, n) in element order;
-    Anderson mixing works on its flat real view.
+    lanes yields (ranks, rng) in scan order. The lanes in the pool share one
+    (lanes, |G|, n, n) state, and Anderson mixing works on its flat real
+    view, one row per lane. A lane leaves the pool on its own exit and the
+    next one enters. Yields (exit, family) for every lane in scan order;
+    exit is "accepted", "step_tol", "stall" or "max_iterations", and family
+    is None unless accepted. Every step is a stack of per-lane, per-matrix
+    operations, so a lane computes the same bits in any pool.
     """
     els = p.elements
-    n = cfg.dimension
+    k, n = len(els), cfg.dimension
     index = {g: i for i, g in enumerate(els)}
     alpha = np.array([chi[g] for g in els])
     scale = (alpha / sum(a * a for a in alpha))[:, None, None]
@@ -153,65 +166,160 @@ def _search_once(p, chi, ranks, rng, cfg):
     eye = np.eye(n, dtype=complex)
     parents = [[index[h] for h in sorted(h for gg, h in p.hasse if gg == g)]
                for g in els]
-    # maximal elements first so children are squeezed into settled parents
-    order = sorted(range(len(els)), key=lambda i: -len(p.up_set(els[i])))
+    # squeeze step j maps each element with more than j parents through its
+    # j-th parent
+    squeezes = []
+    for j in range(max(map(len, parents))):
+        children = [i for i in range(k) if len(parents[i]) > j]
+        squeezes.append((children, [parents[i][j] for i in children]))
     # P_g P_h - P_g over g = h (idempotence) and every relation g < h
-    lo, hi = np.array([(i, i) for i in range(len(els))]
+    lo, hi = np.array([(i, i) for i in range(k)]
                       + [(index[g], index[h]) for g, h in p.relations]).T
 
-    def sweep(x):
-        """Projections after one pass from the flat state x, and their residual."""
-        m = x.view(complex).reshape(len(els), n, n)
-        proj = (m + m.conj().transpose(0, 2, 1)) / 2.0
-        out = proj - scale * ((alpha * proj).sum(axis=0) - eye)
-        for i in order:
-            m = out[i]
-            for h in parents[i]:
-                m = out[h] @ m @ out[h]
-            out[i] = _round_rank(m, ranks[i])
-        res = max(_max_abs((alpha * out).sum(axis=0) - eye),
-                  _max_abs(out[lo] @ out[hi] - out[lo]))
+    def sweep(y, full, mid, groups):
+        """Projections after one pass from the flat states y, and their residuals.
+
+        full and mid index the (lane, element) pairs of rank n and of rank
+        strictly between 0 and n, mid sorted by rank; groups holds (rank,
+        start, stop) for each run of mid.
+        """
+        m = y.view(complex).reshape(len(y), k, n, n)
+        proj = (m + m.conj().transpose(0, 1, 3, 2)) / 2.0
+        free = proj - scale * ((alpha * proj).sum(axis=1)[:, None] - eye)
+        # every element is squeezed by its parents before any is rounded:
+        # a pass from the minimal elements up, children before parents,
+        # finds each parent still unrounded; so all roundings share one eigh
+        squeezed = free.copy() if squeezes else free
+        for children, via in squeezes:
+            h = free[:, via]
+            squeezed[:, children] = h @ squeezed[:, children] @ h
+        out = np.zeros_like(free)
+        flat = out.reshape(-1, n, n)
+        flat[full] = eye
+        if len(mid):
+            # nearest projection of the prescribed rank to each Hermitian part
+            m = squeezed.reshape(-1, n, n)[mid]
+            vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)[1]
+            for rank, start, stop in groups:
+                v = vecs[start:stop, :, n - rank:]
+                m[start:stop] = v @ v.conj().transpose(0, 2, 1)
+            flat[mid] = m
+        res = np.maximum(
+            np.abs((alpha * out).sum(axis=1) - eye).max(axis=(1, 2)),
+            np.abs(out[:, lo] @ out[:, hi] - out[:, lo]).max(axis=(1, 2, 3)))
         return out, res
 
-    x = np.stack([_random_projection(rng, n, r) for r in ranks]).ravel().view(float)
-    steps_x, steps_f, x_prev, f_prev = [], [], None, None
-    prev_window = np.inf
-    kept = None
-    for it in range(cfg.max_iterations):
-        swept, res = kept if kept is not None else sweep(x)
-        kept = None
-        if res <= ACCEPT_TOL:
-            break
-        image = swept.ravel().view(float)
-        f = image - x
-        if _max_abs(f) < cfg.step_tol:
-            break
-        if (it + 1) % STALL_WINDOW == 0:
-            if res > STALL_FACTOR * prev_window:
-                # plateau: projections are cycling around an infeasible profile
-                return None
-            prev_window = res
-        if f_prev is not None:
-            steps_x.append(x - x_prev)
-            steps_f.append(f - f_prev)
-            if len(steps_x) > ANDERSON_MEMORY:
-                steps_x.pop(0)
-                steps_f.pop(0)
-        x_prev, f_prev = x, f
-        if steps_f:
-            # extrapolate through the recent steps, keep only if it helps
-            basis = np.stack(steps_f, axis=1)
-            gamma = np.linalg.lstsq(basis, f, rcond=None)[0]
-            candidate = image - (np.stack(steps_x, axis=1) + basis) @ gamma
-            trial = sweep(candidate)
-            if trial[1] < res:
-                x, kept = candidate, trial
-                continue
-            steps_x, steps_f, x_prev, f_prev = [], [], None, None
-        x = image
-    if res > ACCEPT_TOL:
-        return None
-    return ProjectionFamily(p, chi, dict(zip(els, swept)))
+    size, pool, memory = 2 * k * n * n, LANE_POOL, ANDERSON_MEMORY
+    # per slot; the lanes in the pool hold slots 0 .. active - 1
+    lane = np.zeros(pool, dtype=int)  # scan index
+    ranks = np.zeros((pool, k), dtype=int)
+    # x is the iterate and y the point the next sweep takes: x itself, or
+    # an Anderson trial when trial is set
+    x, y, x_prev, f_prev, image = np.zeros((5, pool, size))
+    # the last `depth` Anderson steps, newest last; depth -1: no previous step
+    steps_x, steps_f = np.zeros((2, pool, memory, size))
+    depth = np.zeros(pool, dtype=int)
+    trial = np.zeros(pool, dtype=bool)
+    res, window = np.zeros(pool), np.zeros(pool)
+    iterations = np.zeros(pool, dtype=int)
+    slots = (lane, ranks, x, y, x_prev, f_prev, image, steps_x, steps_f,
+             depth, trial, res, window, iterations)
+    done = {}  # exits of lanes that the scan has not reached yet
+    source = iter(lanes)
+    active = entered = scanned = 0
+    changed = True
+    while True:
+        while scanned in done:
+            yield done.pop(scanned)
+            scanned += 1
+        while active < pool:
+            nxt = next(source, None)
+            if nxt is None:
+                break
+            s, (lane_ranks, rng) = active, nxt
+            lane[s], ranks[s] = entered, lane_ranks
+            x[s] = y[s] = np.stack([_random_projection(rng, n, r)
+                                    for r in lane_ranks]).ravel().view(float)
+            depth[s], trial[s], window[s], iterations[s] = -1, False, np.inf, 0
+            active, entered, changed = active + 1, entered + 1, True
+        if not active:
+            return
+        if changed:
+            pair_ranks = ranks[:active].ravel()
+            full = np.flatnonzero(pair_ranks == n)
+            mid = np.flatnonzero((pair_ranks > 0) & (pair_ranks < n))
+            mid = mid[np.argsort(pair_ranks[mid], kind="stable")]
+            values, starts = np.unique(pair_ranks[mid], return_index=True)
+            groups = list(zip(values.tolist(), starts.tolist(),
+                              starts[1:].tolist() + [len(mid)]))
+            changed = False
+        swept, r = sweep(y[:active], full, mid, groups)
+        # a trial that does not lower the residual is dropped with the
+        # history, and the image it extrapolated from is swept next
+        worse = trial[:active] & ~(r < res[:active])
+        s = np.flatnonzero(~worse)
+        if len(s) < active:
+            back = np.flatnonzero(worse)
+            x[back] = y[back] = image[back]
+            depth[back], trial[back] = -1, False
+            swept, r = swept[s], r[s]
+        # one iteration for the rest; a kept trial becomes the iterate
+        x[s] = y[s]
+        img = swept.reshape(len(s), k * n * n).view(float)
+        f = img - x[s]
+        iterations[s] += 1
+        accepted = r <= ACCEPT_TOL
+        small = np.abs(f).max(axis=1) < cfg.step_tol
+        check = iterations[s] % STALL_WINDOW == 0
+        # plateau: projections are cycling around an infeasible profile
+        stalled = check & (r > STALL_FACTOR * window[s])
+        window[s[check]] = r[check]
+        maxed = iterations[s] >= cfg.max_iterations
+        ended = accepted | small | stalled | maxed
+        gone = s[ended]
+        if len(gone):
+            for j in np.flatnonzero(ended):
+                reason = ("accepted" if accepted[j] else "step_tol" if small[j]
+                          else "stall" if stalled[j] else "max_iterations")
+                # a copy: a view would keep the whole pool's sweep alive
+                fam = (ProjectionFamily(p, chi, dict(zip(els, swept[j].copy())))
+                       if accepted[j] else None)
+                done[int(lane[s[j]])] = (reason, fam)
+            s, f, img, r = s[~ended], f[~ended], img[~ended], r[~ended]
+        grow = depth[s] >= 0
+        g = s[grow]
+        new_x, new_f = x[g] - x_prev[g], f[grow] - f_prev[g]
+        steps_x[g, :-1], steps_f[g, :-1] = steps_x[g, 1:], steps_f[g, 1:]
+        steps_x[g, -1], steps_f[g, -1] = new_x, new_f
+        depth[s] = np.minimum(depth[s] + 1, memory)
+        x_prev[s], f_prev[s], image[s], res[s] = x[s], f, img, r
+        mixing = depth[s] > 0
+        trial[s] = mixing
+        plain = s[~mixing]
+        x[plain] = y[plain] = img[~mixing]
+        for m in set(depth[s[mixing]].tolist()):
+            # extrapolate through the recent steps, kept only if it helps
+            sel = mixing & (depth[s] == m)
+            g = s[sel]
+            mix = steps_f[g, -m:]
+            gamma = _lstsq(mix.transpose(0, 2, 1), f[sel, :, None])
+            mix += steps_x[g, -m:]
+            # the contiguous copy keeps each product's bits those of one lane
+            y[g] = img[sel] - np.matmul(
+                np.ascontiguousarray(mix.transpose(0, 2, 1)), gamma)[:, :, 0]
+        if len(gone):
+            # the last lanes fill the freed slots
+            for j in gone[::-1]:
+                active -= 1
+                if j != active:
+                    for a in slots:
+                        a[j] = a[active]
+            changed = True
+
+
+def _search_once(p, chi, ranks, rng, cfg):
+    """One lane of _run_lanes: the family its start reaches, or None."""
+    return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
 
 
 def search_numeric(p, chi, cfg, require_irreducible=False):
@@ -219,7 +327,9 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible are skipped without changing any other lane.
+    trace_feasible are skipped without changing any other lane. The scan
+    takes the first lane whose family passes check_all. A search of more
+    than MAX_LANES lanes raises OracleError before any lane runs.
     """
     for g in p.elements:
         if g not in chi:
@@ -230,11 +340,18 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
         profiles = rank_profiles(p, chi, cfg.dimension)
     feasible = trace_feasible(p, chi, profiles, cfg.dimension)
     lanes = [(pidx, ranks) for pidx, ranks in enumerate(profiles) if feasible[pidx]]
+    if cfg.restarts * len(lanes) > MAX_LANES:
+        raise OracleError(
+            "search at dimension %d needs %d lanes (%d restarts x %d rank "
+            "profiles left by the trace identity), more than the limit of %d"
+            % (cfg.dimension, cfg.restarts * len(lanes), cfg.restarts,
+               len(lanes), MAX_LANES))
+    starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
+              for restart, (pidx, ranks)
+              in itertools.product(range(cfg.restarts), lanes))
     found, runs = None, 0
-    for restart, (pidx, ranks) in itertools.product(range(cfg.restarts), lanes):
+    for _, fam in _run_lanes(p, chi, cfg, starts):
         runs += 1
-        rng = np.random.default_rng([cfg.seed, pidx, restart])
-        fam = _search_once(p, chi, ranks, rng, cfg)
         if fam is None:
             continue
         report = check_all(fam, ACCEPT_TOL)

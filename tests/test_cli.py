@@ -454,6 +454,26 @@ def test_oracle_refuses_an_oversized_profile_grid(tmp_path, capsys):
     assert peak < 100e6
 
 
+def test_oracle_refuses_a_search_over_the_lane_budget(tmp_path, capsys):
+    # two 6-element chains at weights 1/4: 495 of 116,532 rank profiles at
+    # dimension 8 pass the trace identity, 31,680 lanes at 64 restarts
+    chains = [["%s%d" % (c, i) for i in range(6)] for c in "ab"]
+    poset = write_json(tmp_path, "p.json", {
+        "elements": chains[0] + chains[1],
+        "relations": [[c[i], c[i + 1]] for c in chains for i in range(5)]})
+    character = write_json(tmp_path, "c.json", {
+        "weights": {g: 0.25 for c in chains for g in c}})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", ",".join(chains[0]),
+                                  "--dims", "8"])
+    seconds = time.perf_counter() - t0
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert ("31680 lanes (64 restarts x 495 rank profiles" in err
+            and "limit of 4096" in err)
+    assert seconds < 10.0
+
+
 @pytest.mark.parametrize("argv_tail", [
     ["--tol", "-1"],
     ["--tol", "0"],

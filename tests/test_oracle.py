@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -11,9 +12,12 @@ import pytest
 
 from orthoposet.builder import build_from_chain
 from orthoposet.chain import enumerate_irreducibles, make_context, predict
-from orthoposet.oracle import (PROFILE_SLACK, OracleError, SearchConfig,
-                               _search_once, cross_validate, enumerate_dim1,
-                               rank_profiles, search_numeric, trace_feasible)
+from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
+                               PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
+                               OracleError, SearchConfig, _lstsq,
+                               _random_projection, _run_lanes, _search_once,
+                               cross_validate, enumerate_dim1, rank_profiles,
+                               search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, commutant_dim
@@ -253,6 +257,187 @@ def test_search_keeps_the_seed_of_each_surviving_lane():
     got = search_numeric(QUAD, POINT_SIX, cfg)
     for g in QUAD.elements:
         assert np.array_equal(got.projections[g], want.projections[g])
+
+
+EPS = 0.0131
+A4_TWO_SIDED = Poset(["g1", "g2", "g5", "g3", "g4", "g6"],
+                     [("g1", "g5"), ("g2", "g5"), ("g3", "g6"), ("g4", "g6")])
+A6_FOUR_CHAIN = Poset(["g1", "g2", "g5", "g6", "g3", "g4"],
+                      [("g1", "g5"), ("g2", "g5"), ("g5", "g6")])
+ENDS = {g: 0.5 + EPS for g in ("g1", "g2", "g3", "g4")}
+# (poset, character, dimension), mostly the searches of the oracle workloads
+POOL_CASES = {
+    "quad-d3": (QUAD, POINT_SIX, 3),
+    "quad-d4": (QUAD, POINT_SIX, 4),
+    "zero-cap-d5": (QUAD, Character({"g1": 0.3719, "g2": 1 - 0.3719,
+                                     "g3": 0.6143, "g4": 1 - 0.6143}), 5),
+    "a4-two-sided-d5": (A4_TWO_SIDED, Character(
+        dict(ENDS, g5=EPS / 2, g6=0.5 - 2.5 * EPS)), 5),
+    "a6-four-chain-d4": (A6_FOUR_CHAIN, Character(
+        dict(ENDS, g5=EPS / 2, g6=1 / 3 - 7 * EPS / 3)), 4),
+    # the first irreducible family comes after more than LANE_POOL lanes
+    "quad-half-d2": (QUAD, Character({g: 0.5 for g in QUAD.elements}), 2),
+    # g1 is squeezed by g2, then by g3, which g4 squeezes first
+    "fork-d3": (Poset(["g1", "g2", "g3", "g4", "g5"],
+                      [("g1", "g2"), ("g1", "g3"), ("g3", "g4")]),
+                Character({"g1": 0.1, "g2": 0.1, "g3": 0.2, "g4": 0.6,
+                           "g5": 0.3}), 3),
+}
+
+
+def _reference_lane(p, chi, ranks, rng, cfg):
+    """One lane by the one-lane loop that the pooled engine replaced.
+
+    Returns (exit, projections or None). Elements are rounded one by one,
+    minimal elements first, so each is squeezed by still unrounded parents.
+    """
+    els = p.elements
+    n = cfg.dimension
+    index = {g: i for i, g in enumerate(els)}
+    alpha = np.array([chi[g] for g in els])
+    scale = (alpha / sum(a * a for a in alpha))[:, None, None]
+    alpha = alpha[:, None, None]
+    eye = np.eye(n, dtype=complex)
+    parents = [[index[h] for h in sorted(h for gg, h in p.hasse if gg == g)]
+               for g in els]
+    order = sorted(range(len(els)), key=lambda i: -len(p.up_set(els[i])))
+    lo, hi = np.array([(i, i) for i in range(len(els))]
+                      + [(index[g], index[h]) for g, h in p.relations]).T
+
+    def round_rank(m, rank):
+        if rank == 0:
+            return np.zeros((n, n), dtype=complex)
+        if rank == n:
+            return eye
+        v = np.linalg.eigh((m + m.conj().T) / 2.0)[1][:, n - rank:]
+        return v @ v.conj().T
+
+    def sweep(x):
+        m = x.view(complex).reshape(len(els), n, n)
+        proj = (m + m.conj().transpose(0, 2, 1)) / 2.0
+        out = proj - scale * ((alpha * proj).sum(axis=0) - eye)
+        for i in order:
+            m = out[i]
+            for h in parents[i]:
+                m = out[h] @ m @ out[h]
+            out[i] = round_rank(m, ranks[i])
+        return out, max(np.abs((alpha * out).sum(axis=0) - eye).max(),
+                        np.abs(out[lo] @ out[hi] - out[lo]).max())
+
+    x = np.stack([_random_projection(rng, n, r) for r in ranks]).ravel().view(float)
+    steps_x, steps_f, x_prev, f_prev = [], [], None, None
+    prev_window = np.inf
+    kept = None
+    for it in range(cfg.max_iterations):
+        swept, res = kept if kept is not None else sweep(x)
+        kept = None
+        if res <= ACCEPT_TOL:
+            return "accepted", swept
+        image = swept.ravel().view(float)
+        f = image - x
+        if np.abs(f).max() < cfg.step_tol:
+            return "step_tol", None
+        if (it + 1) % STALL_WINDOW == 0:
+            if res > STALL_FACTOR * prev_window:
+                return "stall", None
+            prev_window = res
+        if f_prev is not None:
+            steps_x.append(x - x_prev)
+            steps_f.append(f - f_prev)
+            if len(steps_x) > ANDERSON_MEMORY:
+                steps_x.pop(0)
+                steps_f.pop(0)
+        x_prev, f_prev = x, f
+        if steps_f:
+            basis = np.stack(steps_f, axis=1)
+            gamma = np.linalg.lstsq(basis, f, rcond=None)[0]
+            candidate = image - (np.stack(steps_x, axis=1) + basis) @ gamma
+            trial = sweep(candidate)
+            if trial[1] < res:
+                x, kept = candidate, trial
+                continue
+            steps_x, steps_f, x_prev, f_prev = [], [], None, None
+        x = image
+    return "max_iterations", None
+
+
+def _lanes(p, chi, cfg):
+    """(ranks, rng) of every lane search_numeric runs, in scan order."""
+    profiles = rank_profiles(p, chi, cfg.dimension)
+    feasible = np.flatnonzero(trace_feasible(p, chi, profiles, cfg.dimension))
+    return [(profiles[pidx], np.random.default_rng([cfg.seed, pidx, restart]))
+            for restart, pidx in itertools.product(range(cfg.restarts), feasible)]
+
+
+def test_pooled_lanes_match_the_one_lane_loop():
+    exits = collections.Counter()
+    longest = 0
+    for p, chi, d in POOL_CASES.values():
+        for iterations in (2000, 60):
+            cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
+            pooled = list(_run_lanes(p, chi, cfg, _lanes(p, chi, cfg)))
+            lanes = _lanes(p, chi, cfg)
+            assert len(pooled) == len(lanes)
+            for (exit, fam), (ranks, rng) in zip(pooled, lanes):
+                want_exit, want = _reference_lane(p, chi, ranks, rng, cfg)
+                assert exit == want_exit
+                assert (fam is None) == (want is None)
+                for i, g in enumerate(p.elements if fam else ()):
+                    assert np.array_equal(fam.projections[g], want[i])
+                exits[exit] += 1
+            longest = max(longest, len(pooled))
+    assert set(exits) == {"accepted", "step_tol", "stall", "max_iterations"}
+    assert longest > LANE_POOL
+
+
+def _serial_search(p, chi, cfg, require_irreducible):
+    """(family, lanes scanned) by _search_once on each lane, then check_all."""
+    scanned = 0
+    for ranks, rng in _lanes(p, chi, cfg):
+        scanned += 1
+        fam = _search_once(p, chi, ranks, rng, cfg)
+        if fam is not None:
+            report = check_all(fam, ACCEPT_TOL)
+            if report.passed and (report.irreducible or not require_irreducible):
+                return fam, scanned
+    return None, scanned
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_search_matches_a_serial_scan(case):
+    p, chi, d = POOL_CASES[case]
+    for require, iterations in itertools.product((False, True), (2000, 60)):
+        cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
+        want, _ = _serial_search(p, chi, cfg, require)
+        got = search_numeric(p, chi, cfg, require_irreducible=require)
+        assert (got is None) == (want is None), (require, iterations)
+        for g in p.elements if got else ():
+            assert np.array_equal(got.projections[g], want.projections[g])
+
+
+def test_search_takes_a_winner_past_a_full_pool():
+    p, chi, d = POOL_CASES["quad-half-d2"]
+    cfg = SearchConfig(dimension=d, restarts=2)
+    want, scanned = _serial_search(p, chi, cfg, True)
+    assert scanned > LANE_POOL and commutant_dim(want) == 1
+    got = search_numeric(p, chi, cfg, require_irreducible=True)
+    for g in p.elements:
+        assert np.array_equal(got.projections[g], want.projections[g])
+
+
+def test_lstsq_helper_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for m in range(1, ANDERSON_MEMORY + 1):
+        # stored as the engine keeps its history: steps along the middle axis
+        steps = rng.standard_normal((6, m, 96))
+        steps[0, -1] = steps[0, 0]  # rank deficient (for m = 1, a repeat)
+        f = rng.standard_normal((6, 96))
+        got = _lstsq(steps.transpose(0, 2, 1), f[:, :, None])
+        assert got.shape == (6, m, 1)
+        for i in range(6):
+            want = np.linalg.lstsq(np.stack(list(steps[i]), axis=1), f[i],
+                                   rcond=None)[0]
+            assert np.array_equal(got[i, :, 0], want)
 
 
 def test_search_logs_one_debug_line(caplog):
