@@ -96,10 +96,10 @@ class ProjectionFamily:
         return total
 
     def to_dict(self):
+        cs = {g: np.asarray(m, dtype=complex) for g, m in self.projections.items()}
         return {"dimension": int(self.dimension),
-                "projections": {g: [[[float(np.real(x)), float(np.imag(x))] for x in row]
-                                    for row in np.asarray(m, dtype=complex)]
-                                for g, m in self.projections.items()},
+                "projections": {g: np.stack([c.real, c.imag], axis=-1).tolist()
+                                for g, c in cs.items()},
                 "character": self.character.to_dict()}
 
     def to_json(self):
@@ -283,16 +283,15 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
             (a2 * a2 - a1 * a1 + 4 * c * c) / (4 * c * a2),
             (a3 * a3 - a4 * a4 + 4 * c * c) / (4 * c * a3),
             (a4 * a4 - a3 * a3 + 4 * c * c) / (4 * c * a4)]
-    offs = [math.sqrt(1.0 - l * l) / 2.0 for l in lams]
-    dtype = float if gamma.imag == 0 else complex
-    phase = gamma if dtype is complex else gamma.real
-
-    def mat(l, off):
-        return np.array([[(1 + l) / 2.0, off], [np.conj(off), (1 - l) / 2.0]], dtype=dtype)
-
-    # the second layer flips its diagonal so the two layer sums add to I
-    matrices = [mat(lams[0], offs[0]), mat(lams[1], -offs[1]),
-                mat(-lams[2], phase * offs[2]), mat(-lams[3], -phase * offs[3])]
+    phase = gamma if gamma.imag else gamma.real  # real gamma, real matrices
+    # the second layer flips its diagonal so the two layer sums add to I;
+    # its off-diagonal carries the phase, and the minus sign with it
+    matrices = [basic_pair(BasicPairParams(tau, sign)).astype(type(phase))
+                for tau, sign in ((lams[0], PLUS), (lams[1], MINUS),
+                                  (-lams[2], PLUS), (-lams[3], PLUS))]
+    for m, factor in zip(matrices[2:], (phase, -phase)):
+        m[0, 1] *= factor
+        m[1, 0] = np.conj(m[0, 1])
     return ProjectionFamily(Poset(names, []), Character(dict(zip(names, alphas))),
                             dict(zip(names, matrices)), split=parts)
 

@@ -196,13 +196,13 @@ def lambda_zero_case(ctx):
     return TwoPointFamily(ctx.sigma1, ctx.sigma2, one_dim, two_dim, c_interval, ctx)
 
 
-def enumerate_irreducibles(ctx, max_steps=DEFAULT_MAX_STEPS):
+def enumerate_irreducibles(ctx):
     """All terminating chains from discrete starting points, reversals merged."""
     if abs(ctx.lambda_cap) <= ctx.tol:
         raise ZeroLambdaCap("use lambda_zero_case")
     kept = []
     for lam0 in ctx.delta1.discrete:
-        chain = run_chain(ctx, lam0, max_steps)
+        chain = run_chain(ctx, lam0)
         if chain.termination == ESCAPED:
             continue
         if any(_is_reversal(chain, other, ctx.tol) for other in kept):

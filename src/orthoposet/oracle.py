@@ -11,9 +11,8 @@ from .builder import ProjectionFamily, disjoint_union
 # enumerate_dim1 lives in chain and is re-exported here
 from .chain import NoRepresentation, enumerate_dim1, predict
 from .spectrum import CONTINUOUS, DEFAULT_TOL, Character, membership
-from .verify import check_all
+from .verify import VERIFY_TOL as ACCEPT_TOL, check_all
 
-ACCEPT_TOL = 1e-10
 PROFILE_SLACK = 1e-6
 STALL_WINDOW = 50
 STALL_FACTOR = 0.7
@@ -322,15 +321,9 @@ def _search_once(p, chi, ranks, rng, cfg):
     return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
 
 
-def search_numeric(p, chi, cfg, require_irreducible=False):
-    """First family found by rank-profile sweeps of alternating projections.
-
-    Lanes run in (restart, profile) order with the seed [seed, pidx,
-    restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible are skipped without changing any other lane. The scan
-    takes the first lane whose family passes check_all. A search of more
-    than MAX_LANES lanes raises OracleError before any lane runs.
-    """
+def _lanes(p, chi, cfg):
+    """(profiles listed, [(pidx, ranks)] that pass trace_feasible); raises
+    OracleError on a missing weight or a search over MAX_LANES lanes."""
     for g in p.elements:
         if g not in chi:
             raise OracleError("missing weight for %r" % (g,))
@@ -346,6 +339,19 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
             "profiles left by the trace identity), more than the limit of %d"
             % (cfg.dimension, cfg.restarts * len(lanes), cfg.restarts,
                len(lanes), MAX_LANES))
+    return len(profiles), lanes
+
+
+def search_numeric(p, chi, cfg, require_irreducible=False):
+    """First family found by rank-profile sweeps of alternating projections.
+
+    Lanes run in (restart, profile) order with the seed [seed, pidx,
+    restart], pidx indexing the full profile list; profiles that fail
+    trace_feasible are skipped without changing any other lane. The scan
+    takes the first lane whose family passes check_all. A search of more
+    than MAX_LANES lanes raises OracleError before any lane runs.
+    """
+    listed, lanes = _lanes(p, chi, cfg)
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
               for restart, (pidx, ranks)
               in itertools.product(range(cfg.restarts), lanes))
@@ -362,8 +368,8 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d lanes run, found=%s", cfg.dimension, len(profiles),
-        len(profiles) - len(lanes), runs, found is not None)
+        "%d lanes run, found=%s", cfg.dimension, listed,
+        listed - len(lanes), runs, found is not None)
     return found
 
 
@@ -422,6 +428,9 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
             spectra.setdefault(ch.dimension, []).append(sorted(ch.lambdas))
         if pred.two_point is not None and pred.two_point.c_interval is not None:
             spectra.setdefault(2, [])
+    # the lane budget of every later dimension, before the first search
+    for d in dims[1:]:
+        _lanes(p, chi, dataclasses.replace(cfg, dimension=d))
     rows = []
     for d in dims:
         predicted = spectra.get(d, [])

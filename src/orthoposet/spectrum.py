@@ -140,7 +140,7 @@ def membership(d, x, tol=DEFAULT_TOL):
     if any(abs(x - p) <= tol for p in d.discrete):
         return DISCRETE
     for lo, hi in d.continuous:
-        if lo + tol < x < hi - tol and all(abs(x - p) > tol for p in d.discrete):
+        if lo + tol < x < hi - tol:
             return CONTINUOUS
     return OUTSIDE
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 
+# the residual every axiom must meet; the CLI never checks more loosely
+VERIFY_TOL = 1e-10
 NULLSPACE_RTOL = 1e-8
 # c_g of commutant_dim's generic element: k times this, mod 1, for k = 1, 2, ...
 GOLDEN_FRACTION = (5 ** 0.5 - 1) / 2
@@ -45,7 +47,14 @@ def _entry_norm(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def check_all(fam, tol=1e-10):
+def _forced(fam, tol):
+    "elements whose projection is within tol of 0 or of I"
+    eye = np.eye(fam.dimension)
+    return [g for g, p in fam.projections.items()
+            if _entry_norm(p) <= tol or _entry_norm(p - eye) <= tol]
+
+
+def check_all(fam, tol=VERIFY_TOL):
     """Residuals of every axiom plus the structural verdicts in one report."""
     n = fam.dimension
     for g, p in fam.projections.items():
@@ -60,11 +69,8 @@ def check_all(fam, tol=1e-10):
         residuals["order[%s<%s]" % (g, h)] = _entry_norm(
             fam.projections[g] @ fam.projections[h] - fam.projections[g])
     residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(n))
-    eye = np.eye(n)
-    forced = [g for g, p in fam.projections.items()
-              if _entry_norm(p) <= tol or _entry_norm(p - eye) <= tol]
     return VerificationReport(residuals, commutant_dim(fam),
-                              check_essential(fam, tol), forced, tol)
+                              check_essential(fam, tol), _forced(fam, tol), tol)
 
 
 def commutant_dim(fam):
@@ -132,19 +138,14 @@ def _kronecker_commutant_dim(ps):
     return int(np.sum(s <= NULLSPACE_RTOL * s[0]))
 
 
-def check_essential(fam, tol=1e-10):
+def check_essential(fam, tol=VERIFY_TOL):
     """No projection near 0 or I, no comparable pair of equal projections."""
-    eye = np.eye(fam.dimension)
-    for p in fam.projections.values():
-        if _entry_norm(p) <= tol or _entry_norm(p - eye) <= tol:
-            return False
-    for g, h in fam.poset.relations:
-        if _entry_norm(fam.projections[g] - fam.projections[h]) <= tol:
-            return False
-    return True
+    return not _forced(fam, tol) and not any(
+        _entry_norm(fam.projections[g] - fam.projections[h]) <= tol
+        for g, h in fam.poset.relations)
 
 
-def spectrum_match(fam, chain, tol=1e-10):
+def spectrum_match(fam, chain, tol=VERIFY_TOL):
     """Do the two layer spectra reproduce the chain's eigenvalue lists?"""
     if fam.split is None:
         raise VerifierError("family carries no split; cannot form the layer sums")

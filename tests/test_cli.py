@@ -474,6 +474,45 @@ def test_oracle_refuses_a_search_over_the_lane_budget(tmp_path, capsys):
     assert seconds < 10.0
 
 
+def test_oracle_checks_the_lane_budget_of_every_dimension_first(tmp_path, capsys):
+    # the same input at --dims 1..4: dimension 4 needs 4,480 lanes, so the
+    # command must refuse before it searches dimensions 1 to 3
+    chains = [["%s%d" % (c, i) for i in range(6)] for c in "ab"]
+    poset = write_json(tmp_path, "p.json", {
+        "elements": chains[0] + chains[1],
+        "relations": [[c[i], c[i + 1]] for c in chains for i in range(5)]})
+    character = write_json(tmp_path, "c.json", {
+        "weights": {g: 0.25 for c in chains for g in c}})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", ",".join(chains[0]),
+                                  "--dims", "1..4"])
+    seconds = time.perf_counter() - t0
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "dimension 4 needs 4480 lanes" in err
+    assert seconds < 2.0
+
+
+@pytest.mark.parametrize("tol, shift, code, reported", [
+    ("1e-6", 1e-8, EXIT_VERIFICATION, 1e-10),
+    ("1e-9", 1e-8, EXIT_VERIFICATION, 1e-10),
+    ("1e-12", 0.0, EXIT_OK, 1e-12),
+])
+def test_verify_never_checks_looser_than_the_verifier(tmp_path, capsys, tol,
+                                                       shift, code, reported):
+    # a --tol above the verifier's 1e-10 is clamped to it; a tighter one holds
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    _, out, _ = run(capsys, ["solve", "--poset", poset,
+                             "--character", character, "--split", "g1,g2"])
+    doc = json.loads(out)["families"][0]["family"]
+    doc["projections"]["g1"][0][1][0] += shift
+    family = write_json(tmp_path, "f.json", doc)
+    got, out, _ = run(capsys, ["verify", family, "--poset", poset, "--tol", tol])
+    assert got == code
+    assert json.loads(out)["tol"] == reported
+
+
 @pytest.mark.parametrize("argv_tail", [
     ["--tol", "-1"],
     ["--tol", "0"],
