@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .chain import ESCAPED
+from .chain import ESCAPED, c_range
 from .poset import CATALOG, Poset, decompose, is_isomorphic
 from .poset import dual as dual_poset
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, Character,
@@ -271,8 +271,7 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
     a1, a2, a3, a4 = [float(a) for a in alphas]
     if abs(a1 + a2 + a3 + a4 - 2.0) > tol:
         raise SumNotTwo("weights sum to %r, need 2" % (a1 + a2 + a3 + a4,))
-    lo = max(abs(a1 - a2), abs(a3 - a4)) / 2.0
-    hi = min(a1 + a2, a3 + a4) / 2.0
+    lo, hi = c_range(a1, a2, a3, a4)
     if not lo + tol < c < hi - tol:
         raise COutOfRange("c = %r is outside (%r, %r)" % (c, lo, hi))
     gamma = complex(gamma)

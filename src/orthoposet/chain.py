@@ -160,6 +160,12 @@ class TwoPointFamily:
                 "c_interval": list(self.c_interval) if self.c_interval else None}
 
 
+def c_range(a1, a2, a3, a4):
+    """(lo, hi), the open range of the continuous series' center offset c
+    for the pair weights (a1, a2) and (a3, a4)."""
+    return max(abs(a1 - a2), abs(a3 - a4)) / 2.0, min(a1 + a2, a3 + a4) / 2.0
+
+
 def lambda_zero_case(ctx):
     """Describe the two-point spectrum families when lambda_cap = 0."""
     tol = ctx.tol
@@ -189,8 +195,7 @@ def lambda_zero_case(ctx):
     a1, a2 = ctx.delta1.pair_weights
     a3, a4 = ctx.delta2.pair_weights
     if a2 > 0 and a4 > 0:
-        lo = max(abs(a1 - a2), abs(a3 - a4)) / 2.0
-        hi = min(a1 + a2, a3 + a4) / 2.0
+        lo, hi = c_range(a1, a2, a3, a4)
         if hi - lo > tol:
             c_interval = (lo, hi)
     return TwoPointFamily(ctx.sigma1, ctx.sigma2, one_dim, two_dim, c_interval, ctx)

@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import sys
+# the escaping json.dumps applies to every str, keys included
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -137,9 +139,84 @@ def _parse_gamma(text):
     return complex(float(text), 0.0)
 
 
+def _pad(level):
+    return "\n" + "  " * level
+
+
+def _matrix(m, level):
+    """m as json.dumps(indent=2) writes it `level` deep, if m is a list of
+    nonempty rows of [re, im] pairs of finite floats; else None."""
+    p1, p2, p3 = _pad(level + 1), _pad(level + 2), _pad(level + 3)
+    pair = "[" + p3 + "%r," + p3 + "%r" + p2 + "]"
+    rows = []
+    for row in m:
+        if type(row) is not list or not row:
+            return None
+        for entry in row:
+            if (type(entry) is not list or len(entry) != 2
+                    or type(entry[0]) is not float or type(entry[1]) is not float):
+                return None
+        rows.append("[" + p2 + ("," + p2).join([pair % (x, y) for x, y in row])
+                    + p1 + "]")
+    text = "[" + p1 + ("," + p1).join(rows) + _pad(level) + "]"
+    # a finite float's repr has no "n"; nan and inf are json.dumps's to write
+    return None if "n" in text else text
+
+
+def _write(obj, level, put):
+    """put the pieces of json.dumps(obj, indent=2) as it reads `level` deep.
+
+    CPython runs its pure-Python encoder whenever indent is set, and a solve
+    reply is almost all matrices of [re, im] floats (a family's
+    projections). So lists and dicts with str keys are walked, each such
+    matrix is written in one piece, and strings, finite floats, ints, bools
+    and None are written as json writes them. json.dumps writes the rest:
+    NaN and infinities, empty containers, and containers of other types or
+    with other keys.
+    """
+    if type(obj) is list and obj:
+        text = _matrix(obj, level)
+        if text is not None:
+            put(text)
+            return
+        put("[")
+        for i, value in enumerate(obj):
+            put(("," if i else "") + _pad(level + 1))
+            _write(value, level + 1, put)
+        put(_pad(level) + "]")
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        put("{")
+        for i, (key, value) in enumerate(obj.items()):
+            put(("," if i else "") + _pad(level + 1) + encode_basestring_ascii(key)
+                + ": ")
+            _write(value, level + 1, put)
+        put(_pad(level) + "}")
+    elif type(obj) is str:
+        put(encode_basestring_ascii(obj))
+    elif type(obj) is float and math.isfinite(obj):
+        put(float.__repr__(obj))
+    elif type(obj) is int:
+        put(int.__repr__(obj))
+    elif obj is None or type(obj) is bool:
+        put("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (list, tuple, dict)) and obj:
+        # a line break in json.dumps's text is always structure, never in a string
+        put(json.dumps(obj, indent=2).replace("\n", _pad(level)))
+    else:
+        # a scalar or an empty container reads the same without indent
+        put(json.dumps(obj))
+
+
+def _dumps(obj):
+    "json.dumps(obj, indent=2), byte for byte"
+    pieces = []
+    _write(obj, 0, pieces.append)
+    return "".join(pieces)
+
+
 def _print(report, fmt):
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
         return
     for key, value in report.items():
         if isinstance(value, (list, dict)):

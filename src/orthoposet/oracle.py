@@ -351,7 +351,12 @@ def search_numeric(p, chi, cfg, require_irreducible=False):
     takes the first lane whose family passes check_all. A search of more
     than MAX_LANES lanes raises OracleError before any lane runs.
     """
-    listed, lanes = _lanes(p, chi, cfg)
+    return _search(p, chi, cfg, _lanes(p, chi, cfg), require_irreducible)
+
+
+def _search(p, chi, cfg, listing, require_irreducible):
+    "search_numeric over listing, the result of _lanes(p, chi, cfg)"
+    listed, lanes = listing
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
               for restart, (pidx, ranks)
               in itertools.product(range(cfg.restarts), lanes))
@@ -428,15 +433,15 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
             spectra.setdefault(ch.dimension, []).append(sorted(ch.lambdas))
         if pred.two_point is not None and pred.two_point.c_interval is not None:
             spectra.setdefault(2, [])
-    # the lane budget of every later dimension, before the first search
-    for d in dims[1:]:
-        _lanes(p, chi, dataclasses.replace(cfg, dimension=d))
+    # every dimension's lanes, listed once before the first search, so the
+    # lane budget of the whole range is checked up front
+    configs = [dataclasses.replace(cfg, dimension=d) for d in dims]
+    listings = [_lanes(p, chi, c) for c in configs]
     rows = []
-    for d in dims:
+    for d, c, listing in zip(dims, configs, listings):
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = search_numeric(p, chi, dataclasses.replace(cfg, dimension=d),
-                             require_irreducible=True)
+        fam = _search(p, chi, c, listing, require_irreducible=True)
         found = fam is not None
         matched = None
         if found and pred is not None:

@@ -1,8 +1,11 @@
 """End-to-end tests for the orthoposet command line."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
+import random
 import tempfile
 import time
 import tracemalloc
@@ -10,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from orthoposet import oracle
 from orthoposet.cli import (EXIT_NO_REPRESENTATION, EXIT_OK, EXIT_VALIDATION,
-                            EXIT_VERIFICATION, build_parser, main)
+                            EXIT_VERIFICATION, _dumps, _matrix, build_parser,
+                            cmd_solve, main)
+from orthoposet.poset import Poset
+from orthoposet.spectrum import Character
 
 ANTICHAIN4 = {"elements": ["g1", "g2", "g3", "g4"], "relations": []}
 ALL_SIX_TENTHS = {"weights": {"g1": 0.6, "g2": 0.6, "g3": 0.6, "g4": 0.6}}
@@ -651,6 +658,132 @@ def test_classify_wide_poset_returns_promptly(tmp_path, capsys):
     assert report["class"] == "Wild"
     assert report["width"] == 5
     assert report["decomposition"] is None
+
+
+def test_oracle_lists_each_dimension_once(tmp_path, capsys, monkeypatch):
+    # the lane budget and the search share one listing per dimension
+    calls = []
+    listed = oracle.rank_profiles
+
+    def counted(p, chi, dimension):
+        calls.append(dimension)
+        return listed(p, chi, dimension)
+
+    monkeypatch.setattr(oracle, "rank_profiles", counted)
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    code, out, _ = run(capsys, ["oracle", "--poset", poset, "--character",
+                                character, "--split", "g1,g2", "--dims", "1..3",
+                                "--restarts", "4"])
+    assert code == EXIT_OK
+    assert calls == [1, 2, 3]
+    monkeypatch.undo()
+    cfg = oracle.SearchConfig(1, restarts=4)
+    quad = Poset(ANTICHAIN4["elements"], [])
+    found = [oracle.search_numeric(quad, Character(ALL_SIX_TENTHS["weights"]),
+                                   dataclasses.replace(cfg, dimension=d),
+                                   require_irreducible=True) is not None
+             for d in (1, 2, 3)]
+    assert [row["oracle"] for row in json.loads(out)["rows"]] == found == [
+        False, False, True]
+
+
+# floats that json writes in every form: signed zero, subnormal, huge,
+# long reprs, and the non-finite ones it spells NaN and Infinity
+FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e16, -1e16, 1.5e-7, 5e-324,
+          2.2250738585072014e-308, 1.7976931348623157e308, 123456789.12345678,
+          math.nan, math.inf, -math.inf]
+KEYS = ["plain", "", 'say "hi"', "back\\slash", "tab\there", "nul\x00",
+        "bell\x07", "line\nbreak", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600",
+        "\u2028"]
+SCALARS = [True, False, None, 0, -7, 2 ** 70, "text", "\u00e9\x1f\"", 1.0]
+
+
+def random_float(rng):
+    if rng.random() < 0.3:
+        return rng.choice(FLOATS)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+
+
+def random_matrix(rng):
+    """Rows of [re, im] pairs of finite floats, ragged at times, and at
+    times spoiled by one entry that is not such a pair."""
+    width = rng.randint(1, 4)
+    m = [[[random_float(rng), random_float(rng)]
+          for _ in range(width if rng.random() < 0.8 else rng.randint(1, 4))]
+         for _ in range(rng.randint(1, 4))]
+    for row in m:
+        for entry in row:
+            entry[:] = [x if math.isfinite(x) else 0.5 for x in entry]
+    if rng.random() < 0.5:
+        row = rng.choice(m)
+        i = rng.randrange(len(row))
+        row[i] = rng.choice([
+            [math.nan, 0.0], [1.0, math.inf], [1, 0.0], [0.0, True],
+            [0.0, 1.0, 2.0], [0.0], (0.0, 1.0), [0.0, "x"], [[0.0, 1.0], 0.0]])
+    return m
+
+
+def random_document(rng, depth=0):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        return random_float(rng) if rng.random() < 0.5 else rng.choice(SCALARS)
+    if roll < 0.45:
+        return random_matrix(rng)
+    if roll < 0.5:
+        return rng.choice([[], {}, (), [[]], [{}], {"k": []}])
+    size = rng.randint(1, 4)
+    if roll < 0.7:
+        items = [random_document(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.1 else items
+    if roll < 0.75:
+        # keys json.dumps turns into strings itself
+        keys = [1, 2.5, True, None, "s"]
+    else:
+        keys = KEYS
+    return {rng.choice(keys): random_document(rng, depth + 1)
+            for _ in range(size)}
+
+
+def test_writer_matches_json_dumps_byte_for_byte():
+    rng = random.Random(11)
+    docs = [random_document(rng) for _ in range(3000)]
+    docs += [FLOATS, KEYS, SCALARS, {k: k for k in KEYS}, [[[0.5, -0.0]]],
+             {"projections": {"g1": [[[1.0, 0.0], [0.0, 0.0]],
+                                     [[0.0, 0.0], [1.0, 0.0]]]}}]
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("m, direct", [
+    ([[[0.5, -0.0]]], True),
+    ([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]], True),  # ragged rows
+    ([[[1.0, 2.0], [3.0, math.nan]]], False),
+    ([[[1.0, 2.0], [-math.inf, 0.0]]], False),
+    ([[[1.0, 2.0], [3, 4.0]]], False),
+    ([[[1.0, 2.0], [3.0, 4.0, 5.0]]], False),
+    ([[[1.0, 2.0]], []], False),
+    ([[(1.0, 2.0)]], False),
+    ([[[True, 2.0]]], False),
+])
+def test_writer_writes_only_finite_float_matrices_itself(m, direct):
+    # everything else, whatever the shape, goes to json.dumps
+    assert (_matrix(m, 2) is not None) == direct
+    assert _dumps({"m": m}) == json.dumps({"m": m}, indent=2)
+
+
+@pytest.mark.parametrize("weight, dimension", [(0.6, 3), (0.504, 63)])
+def test_solve_prints_json_dumps_of_its_report(tmp_path, capsys, weight,
+                                               dimension):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: weight for g in ANTICHAIN4["elements"]}})
+    argv = ["solve", "--poset", poset, "--character", character, "--split",
+            "g1,g2"]
+    report, code = cmd_solve(build_parser().parse_args(argv))
+    assert [rec["family"]["dimension"] for rec in report["families"]] == [
+        dimension] * 4
+    assert run(capsys, argv) == (code, json.dumps(report, indent=2) + "\n", "")
 
 
 # The README's quickstart inputs, plus the family file written from solve.
