@@ -78,7 +78,7 @@ class EigenChain:
 
 
 def run_degeneracy_filter(chi, tol=DEFAULT_TOL):
-    """Apply the scalar-sum screens; returns (forced assignments, reduced character).
+    """Apply the scalar-sum screens; returns the forced assignments.
 
     Forced values: "I" (weight sum exactly one), "0" (weight above one),
     "0|I" (weight exactly one: the projection is scalar in any irreducible).
@@ -86,17 +86,14 @@ def run_degeneracy_filter(chi, tol=DEFAULT_TOL):
     if chi.total < 1.0 - tol:
         raise NoRepresentation("total weight %r is below one" % (chi.total,))
     if abs(chi.total - 1.0) <= tol:
-        return [(g, "I") for g in chi.weights], Character({})
+        return [(g, "I") for g in chi.weights]
     forced = []
-    remaining = {}
     for g, w in chi.weights.items():
         if w > 1.0 + tol:
             forced.append((g, "0"))
         elif abs(w - 1.0) <= tol:
             forced.append((g, "0|I"))
-        else:
-            remaining[g] = w
-    return forced, Character(remaining)
+    return forced
 
 
 def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
@@ -299,10 +296,10 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     first = [g for g in split if g not in pinned]
     if not first or set(first) >= set(keep):
         split_two_one_parameter(p, split)
-        forced, _ = run_degeneracy_filter(chi, tol)
+        forced = run_degeneracy_filter(chi, tol)
         return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [], chi)
     part1, part2 = split_two_one_parameter(p.induced(keep) if pinned else p, first)
-    forced, _ = run_degeneracy_filter(chi, tol)
+    forced = run_degeneracy_filter(chi, tol)
     ctx = ChainContext(part1, chi.restrict(part1.elements),
                        part2, chi.restrict(part2.elements), tol)
     two_point = None

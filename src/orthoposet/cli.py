@@ -88,9 +88,6 @@ def cmd_solve(args):
                 tol))
     chains = [ch for ch in pred.chains if ch.dimension <= args.max_dim]
     dropped = [ch.dimension for ch in pred.chains if ch.dimension > args.max_dim]
-    if dropped:
-        print("note: --max-dim %d leaves out chains of dimension %s"
-              % (args.max_dim, ", ".join(map(str, dropped))), file=sys.stderr)
     if pred.mode != "scalar":
         report["chains"] = [ch.to_dict() for ch in chains]
     for ch in chains:
@@ -101,6 +98,13 @@ def cmd_solve(args):
             continue
         records += [_family_record(fam, tol) for fam in built]
     report["families"] = [rec for rec, _ in records]
+    if dropped:
+        note = "note: --max-dim %d leaves out chains of dimension %s" % (
+            args.max_dim, ", ".join(map(str, dropped)))
+        if not records:
+            note += ("; the cap, not the theory, leaves the reply empty: rerun "
+                     "with --max-dim %d to build them" % max(dropped))
+        print(note, file=sys.stderr)
     if not records:
         return report, EXIT_NO_REPRESENTATION
     return report, EXIT_OK if all(ok for _, ok in records) else EXIT_VERIFICATION

@@ -9,7 +9,7 @@ VERIFY_TOL = 1e-10
 NULLSPACE_RTOL = 1e-8
 # c_g of commutant_dim's generic element: k times this, mod 1, for k = 1, 2, ...
 GOLDEN_FRACTION = (5 ** 0.5 - 1) / 2
-# the largest Kronecker stack commutant_dim's exact path builds: 256 MB complex
+# the largest stacked system commutant_dim solves: 256 MB complex
 MAX_STACK_ENTRIES = 2 ** 24
 
 
@@ -57,12 +57,11 @@ def _forced(fam, tol):
 def check_all(fam, tol=VERIFY_TOL):
     """Residuals of every axiom plus the structural verdicts in one report."""
     n = fam.dimension
+    residuals = {}
     for g, p in fam.projections.items():
         if p.shape != (n, n):
             raise DimensionMismatch("projection for %r has shape %r, expected %r"
                                     % (g, p.shape, (n, n)))
-    residuals = {}
-    for g, p in fam.projections.items():
         residuals["hermitian[%s]" % g] = _entry_norm(p - p.conj().T)
         residuals["idempotent[%s]" % g] = _entry_norm(p @ p - p)
     for g, h in sorted(fam.poset.relations):
@@ -76,20 +75,17 @@ def check_all(fam, tol=VERIFY_TOL):
 def commutant_dim(fam):
     """Dimension over the complex field of {X : X P_g = P_g X for all g}.
 
-    Each such X commutes with A = sum_g c_g P_g, c_g fixed and generic. When
-    A has a simple spectrum, X is diagonal in A's eigenbasis V, and diag(x)
-    commutes with every B_g = V* P_g V exactly when x_i = x_j wherever some
-    B_g[i, j] is nonzero. The dimension is then the number of connected
-    components of that coupling graph (Murota, Kanno, Kojima and Kojima,
-    Japan J. Indust. Appl. Math. 27 (2010)), at O(|G| n^3) cost.
-
-    The graph's answer is used only when it is certified: the P_g are
-    Hermitian within tau = NULLSPACE_RTOL * ||A||, A's smallest eigen-gap
-    exceeds n * tau, and dropping the edges below 100 * tau * ||A|| / gap
-    leaves the count unchanged. Couplings below tau turn A's eigenvectors
-    by up to tau * ||A|| / gap, so edges in that band cannot be trusted.
-    Otherwise the exact O(n^6) Kronecker SVD decides, and a stack of more
-    than MAX_STACK_ENTRIES entries raises VerifierError.
+    Such an X commutes with A = sum_g c_g P_g, c_g fixed and generic, so in A's
+    eigenbasis V it is block-diagonal on clusters of A's eigenvalues, and the
+    dimension is the nullity of X -> ([X, B_g])_g on those X, B_g = V* P_g V
+    (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
+    Singleton clusters give the components of the graph joining i, j where some
+    |B_g[i, j]| > tau = NULLSPACE_RTOL ||A||. Clusters join gaps up to n tau, or
+    all of A unless the P_g are Hermitian within tau. Finer clusters can only
+    undercount, so the join gap grows tenfold while the count is uncertain:
+    while the graph's edges below 100 tau ||A|| / gap, the accuracy of A's
+    eigenvectors, change it, or a singular value lies in (tau, 100 tau). A
+    system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES is refused.
     """
     ps = np.array(list(fam.projections.values()))
     n = fam.dimension
@@ -97,45 +93,53 @@ def commutant_dim(fam):
     w, v = np.linalg.eigh(np.tensordot(c, ps, axes=1))
     scale = np.max(np.abs(w))
     tau = NULLSPACE_RTOL * scale
-    gap = np.min(np.diff(w), initial=np.inf)
-    if np.max(np.abs(ps - ps.conj().transpose(0, 2, 1))) <= tau and gap > n * tau:
-        coupling = np.max(np.abs(v.conj().T @ ps @ v), axis=0)
-        coupling = np.maximum(coupling, coupling.T)
-        count = _components(coupling > tau)
-        if count == _components(coupling > 100 * tau * scale / gap):
+    b = v.conj().T @ ps @ v
+    gaps = np.diff(w)
+    merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else np.inf
+    while True:
+        label = np.r_[0, np.cumsum(gaps > merge)]
+        if label[-1] == n - 1:
+            coupling = np.max(np.abs(b), axis=0)
+            coupling = np.maximum(coupling, coupling.T)
+            count = _components(coupling > tau)
+            certain = count == _components(
+                coupling > 100 * tau * scale / np.min(gaps, initial=np.inf))
+        else:
+            s = _block_singular_values(b, label)
+            count = int(np.sum(s <= tau))
+            certain = not np.any((s > tau) & (s < 100 * tau))
+        if certain or label[-1] == 0:
             return count
-    return _kronecker_commutant_dim(ps)
+        while np.count_nonzero(gaps > merge) == label[-1]:
+            merge *= 10
 
 
 def _components(adjacent):
     """Connected components of the graph with this symmetric adjacency."""
     unseen = np.ones(len(adjacent), dtype=bool)
     count = 0
-    for start in range(len(adjacent)):
-        if not unseen[start]:
-            continue
+    while unseen.any():
         count += 1
-        unseen[start] = False
-        stack = [start]
-        while stack:
-            reached = np.flatnonzero(adjacent[stack.pop()] & unseen)
-            unseen[reached] = False
-            stack.extend(reached)
+        front = np.flatnonzero(unseen)[:1]
+        while len(front):
+            unseen[front] = False
+            front = np.flatnonzero(adjacent[front].any(axis=0) & unseen)
     return count
 
 
-def _kronecker_commutant_dim(ps):
-    """The exact path: nullity of the stacked kron(I, P) - kron(P^T, I)."""
-    count, n = ps.shape[:2]
-    if count * n ** 4 > MAX_STACK_ENTRIES:
-        raise VerifierError(
-            "the exact commutant of %d projections at n = %d needs a stack of "
-            "%d entries, above the limit of %d" % (count, n, count * n ** 4,
-                                                   MAX_STACK_ENTRIES))
-    eye = np.eye(n)
-    rows = [np.kron(eye, p) - np.kron(p.T, eye) for p in ps.astype(complex)]
-    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
-    return int(np.sum(s <= NULLSPACE_RTOL * s[0]))
+def _block_singular_values(b, label):
+    """Singular values of X -> ([X, B_g])_g over X block-diagonal by label."""
+    rows, cols = np.nonzero(label[:, None] == label)
+    shape = (len(b), len(label), len(label), len(rows))
+    if np.prod(shape) > MAX_STACK_ENTRIES:
+        raise VerifierError("the exact commutant of %d projections at n = %d needs a "
+                            "stack of %d entries, above the limit of %d"
+                            % (*shape[:2], np.prod(shape), MAX_STACK_ENTRIES))
+    # unknown k is X[rows[k], cols[k]]: its column is E B_g - B_g E, E its unit
+    system = np.zeros(shape, dtype=complex)
+    system[:, rows, :, np.arange(len(rows))] = b[:, cols, :].transpose(1, 0, 2)
+    system[:, :, cols, np.arange(len(rows))] -= b[:, :, rows]
+    return np.linalg.svd(system.reshape(-1, len(rows)), compute_uv=False)
 
 
 def check_essential(fam, tol=VERIFY_TOL):
@@ -149,10 +153,6 @@ def spectrum_match(fam, chain, tol=VERIFY_TOL):
     """Do the two layer spectra reproduce the chain's eigenvalue lists?"""
     if fam.split is None:
         raise VerifierError("family carries no split; cannot form the layer sums")
-    s1, s2 = fam.split
-    eig1 = np.sort(np.linalg.eigvalsh(fam.weighted_sum(s1)))
-    eig2 = np.sort(np.linalg.eigvalsh(fam.weighted_sum(s2)))
-    if eig1.shape[0] != len(chain.lambdas):
-        return False
-    return (bool(np.allclose(eig1, np.sort(chain.lambdas), atol=tol, rtol=0.0))
-            and bool(np.allclose(eig2, np.sort(chain.mus), atol=tol, rtol=0.0)))
+    return all(len(want) == fam.dimension and np.allclose(
+        np.linalg.eigvalsh(fam.weighted_sum(part)), np.sort(want), atol=tol, rtol=0.0)
+        for part, want in zip(fam.split, (chain.lambdas, chain.mus)))

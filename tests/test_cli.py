@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orthoposet import oracle
@@ -171,7 +172,22 @@ def test_solve_names_the_chains_max_dim_leaves_out(tmp_path, capsys, weight,
     assert code == EXIT_NO_REPRESENTATION
     report = json.loads(out)
     assert report["chains"] == [] and report["families"] == []
-    assert err == "note: %s\n" % note
+    # the cap, not the theory, left every chain out
+    longest = max(int(d) for d in note.rsplit("dimension ", 1)[1].split(", "))
+    assert err == ("note: %s; the cap, not the theory, leaves the reply empty: "
+                   "rerun with --max-dim %d to build them\n" % (note, longest))
+
+
+def test_solve_notes_a_partial_cap_in_one_line(tmp_path, capsys):
+    # split g3,g4 on these weights gives chains of dimension 2 and 3
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {
+        "weights": {"g1": 0.6, "g2": 0.6, "g3": 0.8, "g4": 0.5}})
+    code, out, err = run(capsys, ["solve", "--poset", poset, "--character",
+                                  character, "--split", "g3,g4", "--max-dim", "2"])
+    assert code == EXIT_OK
+    assert [ch["dimension"] for ch in json.loads(out)["chains"]] == [2]
+    assert err == "note: --max-dim 2 leaves out chains of dimension 3\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state():
@@ -586,6 +602,31 @@ def test_verify_refuses_an_oversized_exact_commutant(tmp_path, capsys):
     code, out, err = run(capsys, ["verify", family, "--poset", poset])
     assert (code, out) == (EXIT_VALIDATION, "")
     assert "2 projections at n = 60" in err and "limit of 16777216" in err
+
+
+def test_verify_answers_a_threefold_summand_at_n_63(tmp_path, capsys):
+    # F (+) F (+) F, F a dim-21 quad family, conjugated by a seeded unitary:
+    # the exact commutant is M_3, solved on 21 clusters of 3 eigenvalues
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: 0.525 for g in ANTICHAIN4["elements"]}})
+    _, out, _ = run(capsys, ["solve", "--poset", poset,
+                             "--character", character, "--split", "g1,g2"])
+    doc = json.loads(out)["families"][0]["family"]
+    assert doc["dimension"] == 21
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((63, 63))
+                        + 1j * rng.standard_normal((63, 63)))
+    for g, rows in doc["projections"].items():
+        p = u @ np.kron(np.eye(3), np.array(rows) @ [1, 1j]) @ u.conj().T
+        doc["projections"][g] = np.stack([p.real, p.imag], axis=-1).tolist()
+    doc["dimension"] = 63
+    family = write_json(tmp_path, "f.json", doc)
+    code, out, err = run(capsys, ["verify", family, "--poset", poset])
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["passed"] and report["commutant_dim"] == 9
+    assert report["irreducible"] is False
 
 
 def test_validation_errors(tmp_path, capsys):

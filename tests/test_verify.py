@@ -31,17 +31,15 @@ def kronecker_commutant_dim(fam):
 
 @pytest.fixture
 def exact_path(monkeypatch):
-    """Dimensions on which commutant_dim fell back to its exact SVD path."""
+    """Dimensions at which commutant_dim solved a block system, call by call."""
     calls = []
-    exact = verify._kronecker_commutant_dim
+    solve = verify._block_singular_values
 
-    def counted(ps):
-        calls.append(ps.shape[1])
-        # the (|G| n^2) x n^2 stack would not fit in memory at large n
-        assert ps.shape[1] <= 21, "exact path at n = %d" % ps.shape[1]
-        return exact(ps)
+    def counted(b, label):
+        calls.append(b.shape[1])
+        return solve(b, label)
 
-    monkeypatch.setattr(verify, "_kronecker_commutant_dim", counted)
+    monkeypatch.setattr(verify, "_block_singular_values", counted)
     return calls
 
 
@@ -160,7 +158,7 @@ def test_commutant_of_conjugated_direct_sums(exact_path):
         fam = direct_sum([small[i], small[j]], seed)
         # F (+) F has commutant M_2, of dimension 4; F (+) F' has C (+) C
         assert commutant_dim(fam) == kronecker_commutant_dim(fam) == (4 if i == j else 2)
-    # only the repeated summands, with their doubled spectrum, need the SVD
+    # only the repeated summands, with their doubled spectrum, need a block system
     assert exact_path == [2 * small[i].dimension for i, j in pairs if i == j]
     fam = direct_sum([small[0], small[0], small[4]], len(pairs))
     assert commutant_dim(fam) == kronecker_commutant_dim(fam) == 5
@@ -169,7 +167,7 @@ def test_commutant_of_conjugated_direct_sums(exact_path):
 def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
     # F (+) F' with F' a nearby, non-isomorphic family, coupled at 1e-10: the
     # coupling turns A's eigenvectors by about 1e-6, enough for an unguarded
-    # graph to join the summands, but the SVD sees two of them
+    # graph to join the summands, but the block system sees two of them
     near = direct_sum([diamond_family(0.05), diamond_family(0.05 + 1e-4)], 0)
     rng = np.random.default_rng(3)
     for g, p in near.projections.items():
@@ -193,22 +191,45 @@ def test_long_chain_families_verify_at_large_dimension(exact_path):
     assert exact_path == []
 
 
-def test_exact_path_refuses_an_oversized_stack():
-    # F (+) F needs the exact path; at n = 126 its stack would be 16 GB
+def test_block_system_refuses_above_its_bound():
+    # F (+) F (+) F at n = 189: 63 clusters of 3 give 4 * 189^2 * 567 entries
     big = quad_families(0.504)[0]
-    fam = direct_sum([big, big], 0)
+    fam = direct_sum([big, big, big], 0)
     t0 = time.perf_counter()
-    with pytest.raises(VerifierError, match="4 projections at n = 126.*limit of %d"
-                       % verify.MAX_STACK_ENTRIES):
+    with pytest.raises(VerifierError, match="4 projections at n = 189 needs a stack of "
+                       "81015228 entries, above the limit of %d" % verify.MAX_STACK_ENTRIES):
         commutant_dim(fam)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_path_still_answers_at_n_42():
-    # 4 * 42^4 entries stay under the limit
+    # 21 clusters of two eigenvalues: a block system of 4 * 42^2 * 84 entries
     small = quad_families(0.525)[0]
     assert small.dimension == 21
     assert commutant_dim(direct_sum([small, small], 1)) == 4
+
+
+def test_block_system_answers_a_threefold_summand_at_n_63(exact_path):
+    small = quad_families(0.525)[0]
+    fam = direct_sum([small, small, small], 2)
+    t0 = time.perf_counter()
+    assert commutant_dim(fam) == 9
+    assert time.perf_counter() - t0 < 5.0
+    assert exact_path == [63]
+
+
+def test_commutant_of_repeated_non_isomorphic_summands():
+    # F^a (+) G^b with F, G non-isomorphic has commutant M_a (+) M_b
+    small = quad_families(0.6) + quad_families(0.625) + quad_families(0.5 + 1.0 / 6)
+    rng = np.random.default_rng(12)
+    for a, b in itertools.product(range(4), repeat=2):
+        if a + b == 0:
+            continue
+        i, j = rng.choice(len(small), size=2, replace=False)
+        fam = direct_sum([small[i]] * a + [small[j]] * b, int(rng.integers(1 << 30)))
+        assert commutant_dim(fam) == a * a + b * b
+        if fam.dimension <= 21:
+            assert kronecker_commutant_dim(fam) == a * a + b * b
 
 
 def test_forced_elements_and_essentiality():
