@@ -102,14 +102,11 @@ class ProjectionFamily:
                                 for g, c in cs.items()},
                 "character": self.character.to_dict()}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_json(cls, text, poset, split=None):
-        """Read a to_json document. It must give a weight and one square
-        matrix of a common size for each element of poset, and no matrix
-        for anything else."""
+        """Read the JSON of a to_dict document. It must give a weight and
+        one square matrix of a common size for each element of poset, and
+        no matrix for anything else."""
         doc = json.loads(text)
         try:
             weights = doc["character"]["weights"]
@@ -205,7 +202,7 @@ def disjoint_union(p1, p2):
     return Poset(p1.elements + p2.elements, list(p1.relations) + list(p2.relations))
 
 
-def build_from_chain(chain, tol=DEFAULT_TOL):
+def build_from_chain(chain):
     """Assemble every projection family realizing a terminated chain.
 
     The list holds one family per combination of admissible up-set choices
@@ -217,8 +214,8 @@ def build_from_chain(chain, tol=DEFAULT_TOL):
     if chain.termination == ESCAPED:
         raise BuilderError("an escaped chain admits no representation")
     n = chain.dimension
-    plan1 = _PartPlan(ctx.part1, ctx.chi1, ctx.delta1, chain.lambdas, tol)
-    plan2 = _PartPlan(ctx.part2, ctx.chi2, ctx.delta2, chain.mus, tol)
+    plan1 = _PartPlan(ctx.part1, ctx.chi1, ctx.delta1, chain.lambdas, ctx.tol)
+    plan2 = _PartPlan(ctx.part2, ctx.chi2, ctx.delta2, chain.mus, ctx.tol)
     full = disjoint_union(ctx.part1, ctx.part2)
     character = Character(dict(ctx.chi1.weights, **ctx.chi2.weights))
     split = (ctx.part1.elements, ctx.part2.elements)
@@ -241,17 +238,17 @@ def _bare_pair(part):
     return len(part.elements) == 2 and not part.relations
 
 
-def build_quadruple(chain, alphas, tol=DEFAULT_TOL):
+def build_quadruple(chain, alphas):
     """Families over the four incomparable elements; list covers the delta branches."""
     ctx = chain.context
     if ctx is None or not (_bare_pair(ctx.part1) and _bare_pair(ctx.part2)):
         raise BuilderError("chain context is not a pair of bare incomparable pairs")
     expected = [ctx.chi1[g] for g in ctx.part1.elements]
     expected += [ctx.chi2[g] for g in ctx.part2.elements]
-    if len(alphas) != 4 or any(abs(a - e) > tol for a, e in zip(alphas, expected)):
+    if len(alphas) != 4 or any(abs(a - e) > ctx.tol for a, e in zip(alphas, expected)):
         raise BuilderError("alphas %r do not match the chain context weights %r"
                            % (list(alphas), expected))
-    return build_from_chain(chain, tol)
+    return build_from_chain(chain)
 
 
 def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
@@ -301,12 +298,11 @@ def _top_singleton_weights(part, chi):
     return [chi[b[0]] for b in dec.blocks[dec.pair_index + 1:]]
 
 
-def lift_to_catalog(base, target, chain, tol=DEFAULT_TOL):
-    """Extend a chain family to the named catalog poset.
+def lift_to_catalog(target, chain):
+    """Every family of a chain on the named catalog poset.
 
     The chain must come from a context whose parts union to the target
-    poset. base, when given, selects matching branches by comparing the
-    shared projections; pass None to keep every branch.
+    poset, and its ends must have the target's shape.
     """
     ctx = chain.context
     if ctx is None:
@@ -317,7 +313,7 @@ def lift_to_catalog(base, target, chain, tol=DEFAULT_TOL):
     if not is_isomorphic(full, CATALOG[target]):
         raise BuilderError("chain context does not form the %s poset" % (target,))
 
-    slack = 10 * tol
+    slack = 10 * ctx.tol
     last_lam, last_mu = chain.lambdas[-1], chain.mus[-1]
     d1, d2 = ctx.delta1, ctx.delta2
     a1, a2 = d1.pair_weights
@@ -338,15 +334,7 @@ def lift_to_catalog(base, target, chain, tol=DEFAULT_TOL):
         raise ChainShapeMismatch("chain ends (%r, %r, %s); not a %s shape"
                                  % (last_lam, last_mu, chain.termination, target))
 
-    families = build_from_chain(chain, tol)
-    if base is None:
-        return families
-    matched = [fam for fam in families
-               if all(np.max(np.abs(fam.projections[g] - base.projections[g])) <= 1e-8
-                      for g in base.projections if g in fam.projections)]
-    if not matched:
-        raise BuilderError("base family matches no branch of the lift")
-    return matched
+    return build_from_chain(chain)
 
 
 def dualize(fam, tol=DEFAULT_TOL):

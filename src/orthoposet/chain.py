@@ -63,13 +63,16 @@ class EigenChain:
     lambdas: list
     mus: list
     termination: str
-    start_point: float
     context: ChainContext = dataclasses.field(default=None, repr=False)
     boundary_ambiguous: bool = False
 
     @property
     def dimension(self):
         return len(self.lambdas)
+
+    @property
+    def start_point(self):
+        return self.lambdas[0]
 
     def to_dict(self):
         return {"lambda0": self.start_point, "lambdas": self.lambdas,
@@ -110,7 +113,7 @@ def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
         raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
 
     def finish(lambdas, mus, termination, ambiguous=False):
-        return EigenChain(lambdas, mus, termination, lambda0, ctx, ambiguous)
+        return EigenChain(lambdas, mus, termination, ctx, ambiguous)
 
     lambdas, mus = [lambda0], []
     for _ in range(max_steps):
@@ -138,20 +141,18 @@ class TwoPointFamily:
     """Description of the lambda_cap = 0 representations.
 
     one_dim lists the admissible lambda0 values; two_dim the length-2 chains
-    with one diagonal layer discrete and the other a continuous pair block;
-    c_interval is the open range of the center offset for the fully
+    with one diagonal layer discrete and the other a continuous pair block,
+    reversals merged; c_interval is the open range of the center offset for the fully
     continuous two-dimensional series (None when absent).
     """
 
-    sigma1: float
-    sigma2: float
     one_dim: list
     two_dim: list
     c_interval: tuple
     context: ChainContext = dataclasses.field(repr=False)
 
     def to_dict(self):
-        return {"sigma1": self.sigma1, "sigma2": self.sigma2,
+        return {"sigma1": self.context.sigma1, "sigma2": self.context.sigma2,
                 "one_dim": self.one_dim,
                 "two_dim": [ch.to_dict() for ch in self.two_dim],
                 "c_interval": list(self.c_interval) if self.c_interval else None}
@@ -178,7 +179,7 @@ def lambda_zero_case(ctx):
             lam1 = ctx.sigma1 - lam0
             if membership(ctx.delta1, lam1, tol) == DISCRETE:
                 two_dim.append(EigenChain([lam0, lam1], [mu0, ctx.sigma2 - mu0],
-                                          DISCRETE_IN_DELTA1, lam0, ctx))
+                                          DISCRETE_IN_DELTA1, ctx))
     for mu0 in ctx.delta2.discrete:
         lam0 = 1.0 - mu0
         if membership(ctx.delta1, lam0, tol) != CONTINUOUS:
@@ -186,8 +187,9 @@ def lambda_zero_case(ctx):
         mu1 = ctx.sigma2 - mu0
         if membership(ctx.delta2, mu1, tol) == DISCRETE:
             two_dim.append(EigenChain([lam0, ctx.sigma1 - lam0], [mu0, mu1],
-                                      DISCRETE_IN_DELTA2, lam0, ctx))
+                                      DISCRETE_IN_DELTA2, ctx))
 
+    two_dim = _merge_reversals(two_dim)
     c_interval = None
     a1, a2 = ctx.delta1.pair_weights
     a3, a4 = ctx.delta2.pair_weights
@@ -195,30 +197,33 @@ def lambda_zero_case(ctx):
         lo, hi = c_range(a1, a2, a3, a4)
         if hi - lo > tol:
             c_interval = (lo, hi)
-    return TwoPointFamily(ctx.sigma1, ctx.sigma2, one_dim, two_dim, c_interval, ctx)
+    return TwoPointFamily(one_dim, two_dim, c_interval, ctx)
 
 
 def enumerate_irreducibles(ctx):
     """All terminating chains from discrete starting points, reversals merged."""
     if abs(ctx.lambda_cap) <= ctx.tol:
         raise ZeroLambdaCap("use lambda_zero_case")
-    kept = []
-    for lam0 in ctx.delta1.discrete:
-        chain = run_chain(ctx, lam0)
-        if chain.termination == ESCAPED:
-            continue
-        if any(_is_reversal(chain, other, ctx.tol) for other in kept):
-            continue
-        kept.append(chain)
+    chains = [run_chain(ctx, lam0) for lam0 in ctx.delta1.discrete]
+    kept = _merge_reversals(ch for ch in chains if ch.termination != ESCAPED)
     kept.sort(key=lambda ch: ch.start_point)
     return kept
 
 
-def _is_reversal(a, b, tol):
+def _merge_reversals(chains):
+    "chains without those that reverse an earlier one"
+    kept = []
+    for chain in chains:
+        if not any(_is_reversal(chain, other) for other in kept):
+            kept.append(chain)
+    return kept
+
+
+def _is_reversal(a, b):
     # the same representation is reached from either discrete end of the chain
     if a.dimension != b.dimension or a.termination != b.termination:
         return False
-    slack = 10 * tol
+    slack = 10 * a.context.tol
     return (abs(a.lambdas[0] - b.lambdas[-1]) <= slack
             and abs(a.lambdas[-1] - b.lambdas[0]) <= slack)
 
@@ -305,7 +310,7 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     two_point = None
     if abs(ctx.lambda_cap) <= tol:
         mode, two_point = "two-point", lambda_zero_case(ctx)
-        chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, v, ctx)
+        chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, ctx)
                   for v in two_point.one_dim] + two_point.two_dim
     else:
         mode, chains = "chains", enumerate_irreducibles(ctx)

@@ -63,6 +63,15 @@ def _family_record(fam, tol):
             "verification": report.to_dict()}, report.passed
 
 
+def _on_input(fam, p, chi):
+    "fam on the poset p with the character chi; P_g = 0 for each g it leaves out"
+    if set(fam.projections) == set(p.elements):
+        return fam
+    zero = np.zeros((fam.dimension, fam.dimension))
+    projections = {g: fam.projections.get(g, zero) for g in p.elements}
+    return ProjectionFamily(p, chi, projections, fam.split, fam.block_params)
+
+
 def cmd_solve(args):
     p = _load(args.poset, Poset.from_json)
     chi = _load(args.character, Character.from_json)
@@ -82,21 +91,21 @@ def cmd_solve(args):
         report["two_point"] = pred.two_point.to_dict()
         if c is not None:
             ctx = pred.context
-            records.append(_family_record(build_quadruple_continuous(
+            fam = build_quadruple_continuous(
                 ctx.delta1.pair_weights + ctx.delta2.pair_weights, c,
-                gamma or 1.0, tol, parts=(ctx.part1.elements, ctx.part2.elements)),
-                tol))
+                gamma or 1.0, tol, parts=(ctx.part1.elements, ctx.part2.elements))
+            records.append(_family_record(_on_input(fam, p, chi), tol))
     chains = [ch for ch in pred.chains if ch.dimension <= args.max_dim]
     dropped = [ch.dimension for ch in pred.chains if ch.dimension > args.max_dim]
     if pred.mode != "scalar":
         report["chains"] = [ch.to_dict() for ch in chains]
     for ch in chains:
         try:
-            built = build_from_chain(ch, tol)
+            built = build_from_chain(ch)
         except BuilderError as exc:
             records.append(({"chain": ch.to_dict(), "error": str(exc)}, False))
             continue
-        records += [_family_record(fam, tol) for fam in built]
+        records += [_family_record(_on_input(fam, p, chi), tol) for fam in built]
     report["families"] = [rec for rec, _ in records]
     if dropped:
         note = "note: --max-dim %d leaves out chains of dimension %s" % (

@@ -2,14 +2,12 @@
 
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .builder import ProjectionFamily, disjoint_union
-# enumerate_dim1 lives in chain and is re-exported here
-from .chain import NoRepresentation, enumerate_dim1, predict
+from .chain import NoRepresentation, predict
 from .spectrum import CONTINUOUS, DEFAULT_TOL, Character, membership
 from .verify import VERIFY_TOL as ACCEPT_TOL, check_all
 
@@ -389,9 +387,6 @@ class CrossValidation:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def _spectrum_matched(pred, eigs, predicted):

@@ -171,9 +171,6 @@ class Poset:
         return {"elements": list(self.elements),
                 "relations": [list(p) for p in sorted(self.relations)]}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 class ChainDecomposition:
     """Blocks of size one or two, listed from poset bottom to top."""
@@ -323,9 +320,15 @@ def generate_posets(n):
     Every finite poset admits a labeling with g < h only for increasing
     indices, so closing upper-triangular relation sets covers every class;
     duplicates are removed by a minimum-over-relabelings canonical form.
+    The walk covers all 2^(n(n-1)/2) upper-triangular relation sets, so n
+    above 7 (2^28 sets) is refused before any work.
     """
     import numpy as np
 
+    bits = n * (n - 1) // 2
+    if n > 7:
+        raise PosetError("generate_posets(%d) would walk 2^%d = %d relation sets; "
+                         "n is limited to 7" % (n, bits, 1 << bits))
     if n == 0:
         return [Poset([])]
     names = ["e%d" % i for i in range(n)]

@@ -61,9 +61,6 @@ class Character:
     def to_dict(self):
         return {"weights": self.weights}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 @dataclasses.dataclass(frozen=True)
 class DeltaSet:

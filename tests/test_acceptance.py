@@ -1,5 +1,6 @@
 """Acceptance sweep: one test per shipped guarantee, frozen seeds throughout."""
 
+import json
 import time
 
 import numpy as np
@@ -151,7 +152,7 @@ def test_criterion_4_catalog_recipes():
         chain = chains[0]
         assert chain.dimension == dim, (label, chain.dimension)
         assert chain.termination == termination, label
-        families = lift_to_catalog(None, target, chain)
+        families = lift_to_catalog(target, chain)
         assert len(families) == count, (label, len(families))
         for fam in families:
             report = check_all(fam, 1e-10)
@@ -361,8 +362,10 @@ def test_criterion_8_oracle_agreement():
     assert by_dim2[5]["theory"] and by_dim2[5]["oracle"]
     assert by_dim2[5]["spectrum_matched"]
 
-    once = cross_validate(PAIR12, chi1, PAIR34, chi2, (1, 3), QUICK).to_json()
-    again = cross_validate(PAIR12, chi1, PAIR34, chi2, (1, 3), QUICK).to_json()
+    once = json.dumps(cross_validate(PAIR12, chi1, PAIR34, chi2, (1, 3),
+                                     QUICK).to_dict())
+    again = json.dumps(cross_validate(PAIR12, chi1, PAIR34, chi2, (1, 3),
+                                      QUICK).to_dict())
     assert once == again
     assert time.time() - t0 < 60.0
     print("criterion 8: PASS - search agrees with theory on every dimension")
@@ -376,7 +379,7 @@ def test_criterion_9_duality_involution():
                                            "g5": 0.5 - 2 * EPS}),
                        PAIR34, Character({"g3": a, "g4": a}))
     for chain in enumerate_irreducibles(ctx):
-        families += lift_to_catalog(None, "a2", chain)
+        families += lift_to_catalog("a2", chain)
     assert len(families) == 3
     for fam in families:
         dual = dualize(fam)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -84,7 +86,8 @@ def test_build_rejects_escaped_chain():
 def test_family_json_round_trip():
     ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
     fam = build_from_chain(ch)[0]
-    back = ProjectionFamily.from_json(fam.to_json(), fam.poset, split=fam.split)
+    back = ProjectionFamily.from_json(json.dumps(fam.to_dict()), fam.poset,
+                                      split=fam.split)
     for g in fam.poset.elements:
         assert np.allclose(back.projections[g], fam.projections[g], atol=0)
 
@@ -138,7 +141,7 @@ def test_lift_to_catalog():
     ctx = diamond_context(0.5 + eps, 0.5 - 2 * eps)  # terminates at mu = 0
     chains = [ch for ch in enumerate_irreducibles(ctx) if ch.dimension == 3]
     assert chains
-    fams = lift_to_catalog(None, "a2", chains[0])
+    fams = lift_to_catalog("a2", chains[0])
     assert fams
     for fam in fams:
         assert is_isomorphic(fam.poset, Poset(
@@ -153,14 +156,14 @@ def test_lift_rejects_wrong_shapes():
     ctx = diamond_context(0.5 + eps, 0.5 - 2 * eps)
     ch = enumerate_irreducibles(ctx)[0]
     with pytest.raises(BuilderError):
-        lift_to_catalog(None, "a4", ch)  # union is not the a4 poset
+        lift_to_catalog("a4", ch)  # union is not the a4 poset
     with pytest.raises(BuilderError):
-        lift_to_catalog(None, "a8", ch)
+        lift_to_catalog("a8", ch)
     a3 = ctx.chi2["g3"]
     a4 = ctx.chi2["g4"]
-    fake = EigenChain([0.0, 1.0], [1.0, a3 + a4], DISCRETE_IN_DELTA2, 0.0, ctx)
+    fake = EigenChain([0.0, 1.0], [1.0, a3 + a4], DISCRETE_IN_DELTA2, ctx)
     with pytest.raises(ChainShapeMismatch):
-        lift_to_catalog(None, "a2", fake)
+        lift_to_catalog("a2", fake)
 
 
 def test_dualize_requires_excess_weight():

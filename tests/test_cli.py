@@ -24,6 +24,8 @@ from orthoposet.spectrum import Character
 ANTICHAIN4 = {"elements": ["g1", "g2", "g3", "g4"], "relations": []}
 ALL_SIX_TENTHS = {"weights": {"g1": 0.6, "g2": 0.6, "g3": 0.6, "g4": 0.6}}
 ALL_HALVES = {"weights": {"g1": 0.5, "g2": 0.5, "g3": 0.5, "g4": 0.5}}
+# zero step constant, two discrete points of each part, a continuous series
+ZERO_CAP = {"weights": {"g1": 0.3719, "g2": 0.6281, "g3": 0.6143, "g4": 0.3857}}
 
 
 def write_json(tmp_path, name, doc):
@@ -209,9 +211,13 @@ def test_solve_screens_heavy_element(tmp_path, capsys):
     report = json.loads(out)
     assert report["filter"]["forced"] == [["g1", "0"]]
     assert len(report["families"]) == 4
-    # the screened element is pinned to zero and dropped from the output
+    # the screened element is pinned to zero on the input poset
     for record in report["families"]:
-        assert sorted(record["family"]["projections"]) == ["g2", "g3", "g4", "g5"]
+        projections = record["family"]["projections"]
+        assert list(projections) == ["g1", "g2", "g3", "g4", "g5"]
+        assert not np.any(np.array(projections["g1"]))
+        assert record["verification"]["forced_elements"] == ["g1"]
+        assert not record["verification"]["essential"]
 
 
 def test_solve_two_point_mode(tmp_path, capsys):
@@ -231,6 +237,21 @@ def test_solve_two_point_mode(tmp_path, capsys):
     largest_imag = max(abs(entry[1]) for matrix in continuous.values()
                        for row in matrix for entry in row)
     assert largest_imag > 0.4
+
+
+def test_solve_lists_each_two_point_irreducible_once(tmp_path, capsys):
+    # zero step constant: the dimension-2 chain from g1's end and the one
+    # from g2's end are one representation
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ZERO_CAP)
+    code, out, _ = run(capsys, ["solve", "--poset", poset,
+                                "--character", character, "--split", "g1,g2"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["mode"] == "two-point"
+    assert [ch["dimension"] for ch in report["two_point"]["two_dim"]] == [2]
+    dims = [r["family"]["dimension"] for r in report["families"]]
+    assert dims == [1, 1, 2]
 
 
 def test_solve_rejects_non_unimodular_gamma(tmp_path, capsys):
@@ -324,6 +345,111 @@ def test_solve_with_many_pinned_elements_returns_promptly(tmp_path, capsys):
     assert time.perf_counter() - t0 < 2.0
     assert code == EXIT_OK
     assert [r["family"]["dimension"] for r in json.loads(out)["families"]] == [3] * 4
+
+
+def solve_families_verify_on_input(tmp_path, capsys, elements, relations,
+                                   weights, split, extra=()):
+    """Run solve, then verify every family it prints against the input poset.
+
+    Returns the reply's families.
+    """
+    poset = write_json(tmp_path, "p.json", {"elements": elements,
+                                            "relations": relations})
+    character = write_json(tmp_path, "c.json", {"weights": weights})
+    code, out, _ = run(capsys, ["solve", "--poset", poset, "--character", character,
+                                "--split", ",".join(split)] + list(extra))
+    assert code in (EXIT_OK, EXIT_NO_REPRESENTATION), (elements, weights, code)
+    records = json.loads(out)["families"]
+    for record in records:
+        assert sorted(record["family"]["projections"]) == sorted(elements)
+        family = write_json(tmp_path, "f.json", record["family"])
+        code, out, _ = run(capsys, ["verify", family, "--poset", poset])
+        assert code == EXIT_OK, (elements, relations, weights, out)
+        assert json.loads(out) == record["verification"]
+    return records
+
+
+def degenerate_input(rng):
+    """A quad split g1,g2 | g3,g4 plus elements that weights of one or more
+    pin to zero: a heavy element below the first pair with a light one below
+    it, and either loose heavy elements or a heavy element above the second
+    pair. The last pins the whole second part, and solve answers in scalar
+    mode on the parts as given."""
+    elements = ["g1", "g2", "g3", "g4"]
+    relations, part1, part2 = [], ["g1", "g2"], ["g3", "g4"]
+    k = rng.choice([None, 4, 5, 6, 8, 12])  # None: zero step constant
+    weights = {g: 0.5 if k is None else 0.5 + 1.0 / k for g in elements}
+
+    def heavy():
+        return rng.choice([1.0, rng.uniform(1.0, 2.0)])
+
+    top = rng.random() < 0.2
+    for i in range(0 if top else rng.randint(0, 2)):
+        name = "h%d" % i
+        elements.append(name)
+        weights[name] = heavy()
+        rng.choice([part1, part2]).append(name)
+    if rng.random() < 0.5:
+        elements += ["b", "c"]
+        relations += [["b", "g1"], ["b", "g2"], ["c", "b"]]
+        weights.update(b=heavy(), c=rng.uniform(0.1, 0.9))
+        part1 += ["b", "c"]
+    if top:
+        elements.append("t")
+        relations += [["g3", "t"], ["g4", "t"]]
+        weights["t"] = heavy()
+        part2.append("t")
+    rng.shuffle(elements)
+    extra = ["--c", "0.2"] if k is None and not top else []
+    return elements, relations, weights, part1, extra
+
+
+def test_every_solve_family_verifies_on_degenerate_input(tmp_path, capsys):
+    rng = random.Random(13)
+    lifted = 0
+    for _ in range(40):
+        elements, relations, weights, split, extra = degenerate_input(rng)
+        records = solve_families_verify_on_input(tmp_path, capsys, elements,
+                                                 relations, weights, split, extra)
+        lifted += sum(1 for r in records if r["family"]["dimension"] > 1
+                      and r["verification"]["forced_elements"])
+    assert lifted > 0
+
+
+def criterion_recipes(eps=0.0131):
+    "(elements, relations, weights, first part) of the criterion-4 recipes"
+    a = 0.5 + eps
+    diamond = (["g1", "g2", "g5"], [["g1", "g5"], ["g2", "g5"]])
+    a6 = (["g1", "g2", "g5", "g6"], [["g1", "g5"], ["g2", "g5"], ["g5", "g6"]])
+    pair = (["g3", "g4"], [])
+    a4 = (["g3", "g4", "g6"], [["g3", "g6"], ["g4", "g6"]])
+    ends = {"g1": a, "g2": a, "g3": a, "g4": a}
+    cases = [(a6, pair, dict(ends, g5=eps / 2, g6=1 / 3 - 7 * eps / 3))]
+    for m in (1, 2):
+        for a5 in (1 / (2 * m + 1) - 2 * eps,
+                   1 / (4 * m + 2) - (4 * m + 3) * eps / (2 * m + 1),
+                   1 / (4 * m) - 2 * eps - eps / (2 * m), 1 / (2 * m) - 2 * eps):
+            cases.append((diamond, pair, dict(ends, g5=a5)))
+        cases.append((diamond, a4, dict(ends, g5=eps / 2, g6=1 / (2 * m) - 2.5 * eps)))
+    for (els1, rels1), (els2, rels2), weights in cases:
+        yield els1 + els2, rels1 + rels2, weights, els1
+
+
+@pytest.mark.parametrize("pin", [False, True])
+def test_every_solve_family_verifies_on_the_criterion_recipes(tmp_path, capsys,
+                                                              pin):
+    built = 0
+    for elements, relations, weights, split in criterion_recipes():
+        if pin:
+            # a heavy element below the first pair pins itself alone
+            elements = elements + ["z"]
+            relations = relations + [["z", "g1"], ["z", "g2"]]
+            weights = dict(weights, z=1.25)
+            split = split + ["z"]
+        records = solve_families_verify_on_input(tmp_path, capsys, elements,
+                                                 relations, weights, split)
+        built += sum(1 for r in records if r["family"]["dimension"] > 1)
+    assert built >= 11
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
@@ -446,6 +572,20 @@ def test_oracle_agreement(tmp_path, capsys):
     assert report["config"]["restarts"] == 2
     rows = [(r["dimension"], r["theory"], r["oracle"]) for r in report["rows"]]
     assert rows == [(1, False, False), (2, False, False)]
+
+
+def test_oracle_matches_the_continuous_series(tmp_path, capsys):
+    # the spectrum the search finds at d = 2 lies in the continuous series,
+    # not on a predicted chain
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ZERO_CAP)
+    code, out, _ = run(capsys, ["oracle", "--poset", poset,
+                                "--character", character, "--split", "g1,g2",
+                                "--dims", "2", "--restarts", "4",
+                                "--iterations", "2000", "--seed", "0"])
+    assert code == EXIT_OK
+    [row] = json.loads(out)["rows"]
+    assert row["theory"] and row["oracle"] and row["spectrum_matched"]
 
 
 def test_oracle_rejects_a_missing_weight(tmp_path, capsys):

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from orthoposet.builder import build_from_chain
-from orthoposet.chain import enumerate_irreducibles, make_context, predict
+from orthoposet.chain import (enumerate_dim1, enumerate_irreducibles,
+                              make_context, predict)
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
                                OracleError, SearchConfig, _lstsq,
                                _random_projection, _run_lanes, _search_once,
-                               cross_validate, enumerate_dim1, rank_profiles,
-                               search_numeric, trace_feasible)
+                               _spectrum_matched, cross_validate,
+                               rank_profiles, search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, commutant_dim
@@ -462,7 +463,7 @@ def test_search_is_deterministic():
     cfg = dataclasses.replace(QUICK, dimension=3)
     first = search_numeric(QUAD, POINT_SIX, cfg)
     second = search_numeric(QUAD, POINT_SIX, cfg)
-    assert first.to_json() == second.to_json()
+    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
 
 def test_search_reports_absence():
@@ -494,7 +495,7 @@ def test_cross_validate_three_dimensions():
     assert not by_dim[2]["theory"]
     assert by_dim[3]["theory"] and by_dim[3]["oracle"]
     assert by_dim[3]["spectrum_matched"]
-    doc = json.loads(cv.to_json())
+    doc = json.loads(json.dumps(cv.to_dict()))
     assert doc["agree"] is True and len(doc["rows"]) == 3
 
 
@@ -515,3 +516,19 @@ def test_cross_validate_degenerate_character():
     by_dim = {r["dimension"]: r for r in cv.rows}
     assert by_dim[1]["theory"] and by_dim[1]["oracle"]
     assert not by_dim[2]["theory"] and not by_dim[2]["oracle"]
+
+
+def test_spectrum_matched_accepts_the_continuous_series():
+    chi = Character({"g1": 0.3719, "g2": 0.6281, "g3": 0.6143, "g4": 0.3857})
+    pred = predict(QUAD, chi, ["g1", "g2"])
+    assert pred.two_point.c_interval is not None
+    assert abs(pred.context.sigma1 - 1.0) < 1e-12
+    dim2 = [sorted(ch.lambdas) for ch in pred.chains if ch.dimension == 2]
+    # a reflection pair about sigma1 / 2, both values in delta1's open intervals
+    assert _spectrum_matched(pred, np.array([0.102, 0.898]), dim2)
+    assert _spectrum_matched(pred, np.array([0.102, 0.898]), [])
+    # off sigma1 by 1e-3
+    assert not _spectrum_matched(pred, np.array([0.102, 0.899]), dim2)
+    # reflection pairs on discrete points that no predicted chain has
+    assert not _spectrum_matched(pred, np.array([0.0, 1.0]), dim2)
+    assert not _spectrum_matched(pred, np.array([0.3719, 0.6281]), [])

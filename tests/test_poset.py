@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -159,7 +160,7 @@ def test_induced_subposet():
 
 
 def test_json_round_trip():
-    q = Poset.from_json(DIAMOND.to_json())
+    q = Poset.from_json(json.dumps(DIAMOND.to_dict()))
     assert q == DIAMOND
 
 
@@ -250,6 +251,13 @@ def test_dual_catalog_names():
 def test_generate_posets_counts():
     for n, expected in enumerate(CLASS_COUNTS, start=1):
         assert len(generate_posets(n)) == expected
+
+
+def test_generate_posets_refuses_n_above_7_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(PosetError, match=r"generate_posets\(8\).*268435456 relation sets"):
+        generate_posets(8)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_generate_posets_distinct_classes():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -55,7 +57,7 @@ def test_character_total_restrict_json():
     chi = Character({"x": 0.25, "y": 0.5, "z": 0.75})
     assert abs(chi.total - 1.5) < EXACT
     assert "z" not in chi.restrict(["x", "y"])
-    back = Character.from_json(chi.to_json())
+    back = Character.from_json(json.dumps(chi.to_dict()))
     assert back.weights == chi.weights
 
 

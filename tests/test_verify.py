@@ -8,7 +8,9 @@ import pytest
 from orthoposet import verify
 from orthoposet.builder import (BasicPairParams, MINUS, PLUS, ProjectionFamily,
                                 basic_pair, build_from_chain)
-from orthoposet.chain import enumerate_irreducibles, make_context, predict, run_chain
+from orthoposet.chain import (EigenChain, enumerate_irreducibles,
+                              lambda_zero_case, make_context, predict,
+                              run_chain)
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
 from orthoposet.verify import (NULLSPACE_RTOL, DimensionMismatch, VerifierError,
@@ -46,7 +48,7 @@ def exact_path(monkeypatch):
 def quad_families(weight, tol=1e-9):
     chi = Character({g: weight for g in QUAD.elements})
     return [fam for ch in predict(QUAD, chi, ["g1", "g2"], tol).chains
-            for fam in build_from_chain(ch, tol)]
+            for fam in build_from_chain(ch)]
 
 
 def direct_sum(families, seed):
@@ -63,6 +65,20 @@ def direct_sum(families, seed):
             at += f.dimension
         projections[g] = u @ block @ u.conj().T
     return ProjectionFamily(families[0].poset, families[0].character, projections)
+
+
+def test_two_point_chains_merge_exactly_their_reversals():
+    # at zero step constant a 2-dimensional chain is found from both of its
+    # discrete ends; the reversed chain builds the same representation
+    ctx = make_context(Poset(["g1", "g2"], ()), Character({"g1": 0.3, "g2": 0.9}),
+                       Poset(["g3", "g4"], ()), Character({"g3": 0.35, "g4": 0.45}))
+    kept = lambda_zero_case(ctx).two_dim
+    assert len(kept) == 2
+    families = [build_from_chain(ch)[0] for ch in kept]
+    for ch, fam in zip(kept, families):
+        reversal = EigenChain(ch.lambdas[::-1], ch.mus[::-1], ch.termination, ctx)
+        assert commutant_dim(direct_sum([fam, build_from_chain(reversal)[0]], 0)) == 4
+    assert commutant_dim(direct_sum(families, 1)) == 2
 
 
 def diamond_family(eps):
