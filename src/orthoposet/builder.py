@@ -1,6 +1,5 @@
 """Explicit projection families for eigenvalue chains and the continuous series."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -45,28 +44,19 @@ class SumNotExceedingOne(BuilderError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class BasicPairParams:
-    tau: float
-    sign: str = PLUS
-
-    def __post_init__(self):
-        if self.sign not in (PLUS, MINUS):
-            raise BuilderError("sign must be %r or %r" % (PLUS, MINUS))
-
-
-def basic_pair(params):
+def basic_pair(tau, sign=PLUS):
     """Rank-one 2x2 projection with diagonal offset tau.
 
     The minus sign flips the off-diagonal entry, so a plus/minus pair with
     the same tau has a diagonal weighted sum. The offset may be negative:
     block parameters sweep the whole open interval (-1, 1).
     """
-    tau = params.tau
+    if sign not in (PLUS, MINUS):
+        raise BuilderError("sign must be %r or %r" % (PLUS, MINUS))
     if not -1.0 < tau < 1.0:
         raise TauOutOfRange("tau = %r is not interior to (-1, 1)" % (tau,))
     off = math.sqrt(1.0 - tau * tau) / 2.0
-    if params.sign == MINUS:
+    if sign == MINUS:
         off = -off
     return np.array([[(1.0 + tau) / 2.0, off], [off, (1.0 - tau) / 2.0]])
 
@@ -184,9 +174,9 @@ class _PartPlan:
         m = np.zeros((n, n))
         for (i, j), (e1, e2) in zip(self.blocks, self.params):
             if g == self.pair[0]:
-                m[i:j + 1, i:j + 1] = basic_pair(BasicPairParams(e1, PLUS))
+                m[i:j + 1, i:j + 1] = basic_pair(e1, PLUS)
             elif g == self.pair[1]:
-                m[i:j + 1, i:j + 1] = basic_pair(BasicPairParams(e2, MINUS))
+                m[i:j + 1, i:j + 1] = basic_pair(e2, MINUS)
             elif self.part.less(self.pair[0], g):
                 m[i, i] = m[j, j] = 1.0
         for i in self.singles:
@@ -234,23 +224,6 @@ def build_from_chain(chain):
     return families
 
 
-def _bare_pair(part):
-    return len(part.elements) == 2 and not part.relations
-
-
-def build_quadruple(chain, alphas):
-    """Families over the four incomparable elements; list covers the delta branches."""
-    ctx = chain.context
-    if ctx is None or not (_bare_pair(ctx.part1) and _bare_pair(ctx.part2)):
-        raise BuilderError("chain context is not a pair of bare incomparable pairs")
-    expected = [ctx.chi1[g] for g in ctx.part1.elements]
-    expected += [ctx.chi2[g] for g in ctx.part2.elements]
-    if len(alphas) != 4 or any(abs(a - e) > ctx.tol for a, e in zip(alphas, expected)):
-        raise BuilderError("alphas %r do not match the chain context weights %r"
-                           % (list(alphas), expected))
-    return build_from_chain(chain)
-
-
 def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
                                parts=(("g1", "g2"), ("g3", "g4"))):
     """Two-dimensional family of the zero-step continuous series.
@@ -282,7 +255,7 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
     phase = gamma if gamma.imag else gamma.real  # real gamma, real matrices
     # the second layer flips its diagonal so the two layer sums add to I;
     # its off-diagonal carries the phase, and the minus sign with it
-    matrices = [basic_pair(BasicPairParams(tau, sign)).astype(type(phase))
+    matrices = [basic_pair(tau, sign).astype(type(phase))
                 for tau, sign in ((lams[0], PLUS), (lams[1], MINUS),
                                   (-lams[2], PLUS), (-lams[3], PLUS))]
     for m, factor in zip(matrices[2:], (phase, -phase)):

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 
-from .poset import check_split, split_two_one_parameter
+from .poset import check_one_parameter, check_split
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
                        SpectrumError, delta_of, membership, near_boundary)
 
@@ -50,10 +50,6 @@ class ChainContext:
     @property
     def total(self):
         return self.chi1.total + self.chi2.total
-
-
-def make_context(p1, chi1, p2, chi2, tol=DEFAULT_TOL):
-    return ChainContext(p1, chi1, p2, chi2, tol)
 
 
 @dataclasses.dataclass(eq=False)
@@ -285,26 +281,25 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     """Check the split on p, screen the weights and run the chains.
 
     check_split runs first, whatever the weights. The parts then lose the
-    pinned_set, and what is left of each must be one-parameter. If a part
-    is left empty, as at total weight one, the mode is "scalar" and that
-    check runs on p as given. Weights on other names are ignored.
+    pinned_set, and what is left of each must be one-parameter; a part left
+    empty passes. The mode is "scalar" when the total weight is at most one
+    or a part is left empty. Weights on other names are ignored.
     """
     for g in p.elements:
         if g not in chi:
             raise SpectrumError("missing weight for %r" % (g,))
     names = set(p.elements)
     chi = chi.restrict(g for g in chi.weights if g in names)
-    check_split(p, split)
-    # at total weight one or below no chain exists: every element is pinned
-    pinned = names if chi.total <= 1.0 + tol else pinned_set(p, chi, tol)
-    keep = [g for g in p.elements if g not in pinned]
-    first = [g for g in split if g not in pinned]
-    if not first or set(first) >= set(keep):
-        split_two_one_parameter(p, split)
-        forced = run_degeneracy_filter(chi, tol)
-        return Prediction(forced, "scalar", enumerate_dim1(p, chi, tol), [], chi)
-    part1, part2 = split_two_one_parameter(p.induced(keep) if pinned else p, first)
+    pinned = pinned_set(p, chi, tol)
+    part1, part2 = (check_one_parameter(p.induced(set(part) - pinned))
+                    for part in check_split(p, split))
     forced = run_degeneracy_filter(chi, tol)
+    # if the screen forced anything, dimension 1 is the 0/1 solutions,
+    # pinned elements included, and the chains keep dimension 2 and up
+    scalar = enumerate_dim1(p, chi, tol) if forced else []
+    # at total weight one or below no chain exists
+    if chi.total <= 1.0 + tol or not (part1.elements and part2.elements):
+        return Prediction(forced, "scalar", scalar, [], chi)
     ctx = ChainContext(part1, chi.restrict(part1.elements),
                        part2, chi.restrict(part2.elements), tol)
     two_point = None
@@ -315,7 +310,5 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     else:
         mode, chains = "chains", enumerate_irreducibles(ctx)
     if forced:
-        # the 0/1 solutions give dimension 1, pinned elements included
         chains = [ch for ch in chains if ch.dimension >= 2]
-    scalar = enumerate_dim1(p, chi, tol) if forced else []
     return Prediction(forced, mode, scalar, chains, chi, ctx, two_point)

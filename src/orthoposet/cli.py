@@ -137,7 +137,7 @@ def cmd_verify(args):
 def _parse_dims(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        dims = tuple(range(int(lo), int(hi) + 1))
+        dims = range(int(lo), int(hi) + 1)
     else:
         dims = tuple(int(x) for x in text.split(","))
     if not dims:

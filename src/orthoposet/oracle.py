@@ -24,6 +24,10 @@ MAX_LANES = 4096
 # rows of the rank-prefix grid; the largest grid the tests and the benchmark
 # build has 314,154 (eight elements at dimension 8)
 MAX_PROFILE_ROWS = 2 ** 22
+# float64 entries of the pool's state, LANE_POOL x (5 + 2 ANDERSON_MEMORY)
+# x 2|G|n^2 (128 MB); the largest state the tests and the benchmark search
+# with has 36,000 (six elements at dimension 5)
+MAX_STATE_ENTRIES = 2 ** 24
 
 
 class OracleError(ValueError):
@@ -314,14 +318,10 @@ def _run_lanes(p, chi, cfg, lanes):
             changed = True
 
 
-def _search_once(p, chi, ranks, rng, cfg):
-    """One lane of _run_lanes: the family its start reaches, or None."""
-    return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
-
-
 def _lanes(p, chi, cfg):
     """(profiles listed, [(pidx, ranks)] that pass trace_feasible); raises
-    OracleError on a missing weight or a search over MAX_LANES lanes."""
+    OracleError on a missing weight, a search over MAX_LANES lanes, or lanes
+    whose pool state would pass MAX_STATE_ENTRIES."""
     for g in p.elements:
         if g not in chi:
             raise OracleError("missing weight for %r" % (g,))
@@ -337,29 +337,33 @@ def _lanes(p, chi, cfg):
             "profiles left by the trace identity), more than the limit of %d"
             % (cfg.dimension, cfg.restarts * len(lanes), cfg.restarts,
                len(lanes), MAX_LANES))
+    k, n = len(p.elements), cfg.dimension
+    state = LANE_POOL * (5 + 2 * ANDERSON_MEMORY) * 2 * k * n * n
+    if lanes and state > MAX_STATE_ENTRIES:
+        raise OracleError(
+            "search on %r at dimension %d needs %d pool state entries, more "
+            "than the limit of %d" % (list(p.elements), n, state, MAX_STATE_ENTRIES))
     return len(profiles), lanes
 
 
-def search_numeric(p, chi, cfg, require_irreducible=False):
+def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
     """First family found by rank-profile sweeps of alternating projections.
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
     trace_feasible are skipped without changing any other lane. The scan
     takes the first lane whose family passes check_all. A search of more
-    than MAX_LANES lanes raises OracleError before any lane runs.
+    than MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES,
+    raises OracleError before any lane runs. listing is _lanes(p, chi, cfg)
+    if the caller has already made it.
     """
-    return _search(p, chi, cfg, _lanes(p, chi, cfg), require_irreducible)
-
-
-def _search(p, chi, cfg, listing, require_irreducible):
-    "search_numeric over listing, the result of _lanes(p, chi, cfg)"
-    listed, lanes = listing
+    listed, lanes = _lanes(p, chi, cfg) if listing is None else listing
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
               for restart, (pidx, ranks)
               in itertools.product(range(cfg.restarts), lanes))
     found, runs = None, 0
-    for _, fam in _run_lanes(p, chi, cfg, starts):
+    # no lane, no pool: _run_lanes allocates its state before the first lane
+    for _, fam in _run_lanes(p, chi, cfg, starts) if lanes else ():
         runs += 1
         if fam is None:
             continue
@@ -429,14 +433,17 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
         if pred.two_point is not None and pred.two_point.c_interval is not None:
             spectra.setdefault(2, [])
     # every dimension's lanes, listed once before the first search, so the
-    # lane budget of the whole range is checked up front
-    configs = [dataclasses.replace(cfg, dimension=d) for d in dims]
-    listings = [_lanes(p, chi, c) for c in configs]
+    # lane budget of the whole range is checked up front; the listing stops
+    # at the first dimension refused
+    searches = []
+    for d in dims:
+        c = dataclasses.replace(cfg, dimension=d)
+        searches.append((d, c, _lanes(p, chi, c)))
     rows = []
-    for d, c, listing in zip(dims, configs, listings):
+    for d, c, listing in searches:
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = _search(p, chi, c, listing, require_irreducible=True)
+        fam = search_numeric(p, chi, c, require_irreducible=True, listing=listing)
         found = fam is not None
         matched = None
         if found and pred is not None:

@@ -248,11 +248,15 @@ def split_two_one_parameter(p, s1_elements):
     Each part must be one-parameter or a chain, and no relation of p may
     join the two parts.
     """
-    parts = tuple(map(p.induced, check_split(p, s1_elements)))
-    for part in parts:
-        if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
-            raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))
-    return parts
+    return tuple(check_one_parameter(p.induced(part))
+                 for part in check_split(p, s1_elements))
+
+
+def check_one_parameter(part):
+    "part itself, if it is one-parameter, a chain or empty; else BadSplit"
+    if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
+        raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))
+    return part
 
 
 def check_split(p, s1_elements):

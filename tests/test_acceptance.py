@@ -5,13 +5,12 @@ import time
 
 import numpy as np
 
-from orthoposet.builder import (BasicPairParams, BuilderError, MINUS, PLUS,
-                                basic_pair, build_from_chain, build_quadruple,
-                                build_quadruple_continuous, dualize,
-                                lift_to_catalog)
+from orthoposet.builder import (BuilderError, MINUS, PLUS, basic_pair,
+                                build_from_chain, build_quadruple_continuous,
+                                dualize, lift_to_catalog)
 from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
-                              ZeroLambdaCap, dimension_bound,
-                              enumerate_irreducibles, make_context, run_chain)
+                              ChainContext, ZeroLambdaCap, dimension_bound,
+                              enumerate_irreducibles, run_chain)
 from orthoposet.oracle import SearchConfig, cross_validate, search_numeric
 from orthoposet.poset import (A8, ONE_PARAMETER, Poset, classify,
                               essential_catalog_match, generate_posets,
@@ -31,7 +30,7 @@ QUICK = SearchConfig(dimension=1, restarts=4, max_iterations=2000, seed=0)
 
 
 def quadruple_context(a1, a2, a3, a4):
-    return make_context(PAIR12, Character({"g1": a1, "g2": a2}),
+    return ChainContext(PAIR12, Character({"g1": a1, "g2": a2}),
                         PAIR34, Character({"g3": a3, "g4": a4}))
 
 
@@ -40,7 +39,7 @@ def test_criterion_1_quadruple_three_point_family():
     chain = run_chain(quadruple_context(0.6, 0.6, 0.6, 0.6), 0.0)
     assert chain.termination == DISCRETE_IN_DELTA2
     assert chain.dimension == 3
-    families = build_quadruple(chain, (0.6, 0.6, 0.6, 0.6))
+    families = build_from_chain(chain)
     assert len(families) == 2
     for fam in families:
         report = check_all(fam, 1e-10)
@@ -114,7 +113,7 @@ def test_criterion_4_catalog_recipes():
     a = 0.5 + EPS
 
     def diamond_context(a5):
-        return make_context(DIAMOND, Character({"g1": a, "g2": a, "g5": a5}),
+        return ChainContext(DIAMOND, Character({"g1": a, "g2": a, "g5": a5}),
                             PAIR34, Character({"g3": a, "g4": a}))
 
     cases = []
@@ -133,14 +132,14 @@ def test_criterion_4_catalog_recipes():
                       diamond_context(1.0 / (2 * m) - 2 * EPS),
                       "a2", 2 * m + 1, DISCRETE_IN_DELTA2, 1))
         cases.append(("two-sided m=%d" % m,
-                      make_context(DIAMOND,
+                      ChainContext(DIAMOND,
                                    Character({"g1": a, "g2": a, "g5": EPS / 2}),
                                    A4_PART2,
                                    Character({"g3": a, "g4": a,
                                               "g6": 1.0 / (2 * m) - 2.5 * EPS})),
                       "a4", 2 * m + 1, DISCRETE_IN_DELTA2, 1))
     cases.append(("four-chain m=1",
-                  make_context(A6_PART1,
+                  ChainContext(A6_PART1,
                                Character({"g1": a, "g2": a, "g5": EPS / 2,
                                           "g6": 1.0 / 3.0 - 7.0 * EPS / 3.0}),
                                PAIR34, Character({"g3": a, "g4": a})),
@@ -221,7 +220,7 @@ def test_criterion_6_excluded_poset_never_essential():
     def built_families(chi):
         out = []
         try:
-            ctx = make_context(part1, chi.restrict(part1_elements),
+            ctx = ChainContext(part1, chi.restrict(part1_elements),
                                part2, chi.restrict(part2.elements))
             chains = enumerate_irreducibles(ctx)
         except ZeroLambdaCap:
@@ -291,9 +290,9 @@ def test_criterion_7_spectrum_soundness():
         proj = {}
         for g in p.elements:
             if g == "x":
-                proj[g] = basic_pair(BasicPairParams(tau, PLUS))
+                proj[g] = basic_pair(tau, PLUS)
             elif g == "y":
-                proj[g] = basic_pair(BasicPairParams(tau, MINUS))
+                proj[g] = basic_pair(tau, MINUS)
             elif p.less("x", g):
                 proj[g] = np.eye(2)
             else:
@@ -372,10 +371,10 @@ def test_criterion_8_oracle_agreement():
 
 
 def test_criterion_9_duality_involution():
-    families = list(build_quadruple(run_chain(
-        quadruple_context(0.6, 0.6, 0.6, 0.6), 0.0), (0.6, 0.6, 0.6, 0.6)))
+    families = list(build_from_chain(run_chain(
+        quadruple_context(0.6, 0.6, 0.6, 0.6), 0.0)))
     a = 0.5 + EPS
-    ctx = make_context(DIAMOND, Character({"g1": a, "g2": a,
+    ctx = ChainContext(DIAMOND, Character({"g1": a, "g2": a,
                                            "g5": 0.5 - 2 * EPS}),
                        PAIR34, Character({"g3": a, "g4": a}))
     for chain in enumerate_irreducibles(ctx):

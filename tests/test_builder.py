@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orthoposet.builder import (MINUS, PLUS, BasicPairParams, BuilderError,
+from orthoposet.builder import (MINUS, PLUS, BuilderError,
                                 ChainShapeMismatch, COutOfRange,
                                 ProjectionFamily, SumNotExceedingOne,
                                 SumNotTwo, TauOutOfRange, basic_pair,
-                                build_from_chain, build_quadruple,
-                                build_quadruple_continuous, disjoint_union,
-                                dualize, lift_to_catalog)
-from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
-                              EigenChain, enumerate_irreducibles,
-                              make_context, run_chain)
+                                build_from_chain, build_quadruple_continuous,
+                                disjoint_union, dualize, lift_to_catalog)
+from orthoposet.chain import (DISCRETE_IN_DELTA2, ChainContext, EigenChain,
+                              enumerate_irreducibles, run_chain)
 from orthoposet.poset import Poset, dual, is_isomorphic
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, check_essential, spectrum_match
@@ -27,37 +25,37 @@ DIAMOND = Poset(["g1", "g2", "g5"], [("g1", "g5"), ("g2", "g5")])
 
 
 def quad_context(a1, a2, a3, a4):
-    return make_context(P1, Character({"g1": a1, "g2": a2}),
+    return ChainContext(P1, Character({"g1": a1, "g2": a2}),
                         P2, Character({"g3": a3, "g4": a4}))
 
 
 def diamond_context(a, a5):
     chi1 = Character({"g1": a, "g2": a, "g5": a5})
     chi2 = Character({"g3": a, "g4": a})
-    return make_context(DIAMOND, chi1, P2, chi2)
+    return ChainContext(DIAMOND, chi1, P2, chi2)
 
 
 def test_basic_pair_is_rank_one_projection():
-    m = basic_pair(BasicPairParams(0.4))
+    m = basic_pair(0.4)
     assert np.allclose(m @ m, m, atol=EXACT)
     assert np.allclose(m, m.T, atol=EXACT)
     assert abs(np.trace(m) - 1.0) < EXACT
 
 
 def test_plus_minus_pair_sums_to_diagonal():
-    total = basic_pair(BasicPairParams(0.4, PLUS)) + basic_pair(BasicPairParams(0.4, MINUS))
+    total = basic_pair(0.4, PLUS) + basic_pair(0.4, MINUS)
     assert np.allclose(total, np.diag([1.4, 0.6]), atol=EXACT)
 
 
 def test_basic_pair_rejects_boundary_tau():
     for tau in (-1.0, 1.0, 1.5):
         with pytest.raises(TauOutOfRange):
-            basic_pair(BasicPairParams(tau))
+            basic_pair(tau)
 
 
 def test_build_three_point_family():
     ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
-    fams = build_quadruple(ch, (0.6, 0.6, 0.6, 0.6))
+    fams = build_from_chain(ch)
     assert len(fams) == 2  # one per up-set branch of the discrete mu
     for fam in fams:
         assert abs(fam.block_params["p"][0] - 1 / 3) < EXACT
@@ -69,12 +67,6 @@ def test_build_three_point_family():
         report = check_all(fam)
         assert report.passed and report.irreducible
         assert spectrum_match(fam, ch)
-
-
-def test_build_quadruple_checks_weights():
-    ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
-    with pytest.raises(BuilderError):
-        build_quadruple(ch, (0.6, 0.6, 0.6, 0.7))
 
 
 def test_build_rejects_escaped_chain():

@@ -4,11 +4,11 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED,
-                              ChainEngineError, NoRepresentation,
+                              ChainContext, ChainEngineError, NoRepresentation,
                               NonzeroLambdaCap, StepLimit, ZeroLambdaCap,
                               dimension_bound, enumerate_irreducibles,
-                              lambda_zero_case, make_context, predict,
-                              run_chain, run_degeneracy_filter)
+                              lambda_zero_case, predict, run_chain,
+                              run_degeneracy_filter)
 from orthoposet.oracle import SearchConfig, search_numeric
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
@@ -22,7 +22,7 @@ weight = st.floats(min_value=0.1, max_value=0.95)
 
 
 def quad(a1, a2, a3, a4, tol=1e-9):
-    return make_context(P1, Character({"g1": a1, "g2": a2}),
+    return ChainContext(P1, Character({"g1": a1, "g2": a2}),
                         P2, Character({"g3": a3, "g4": a4}), tol)
 
 
@@ -160,6 +160,18 @@ def test_predict_drops_pinned_elements_from_the_parts():
     assert pred.context.part1.elements == ("g1", "g2")
     assert pred.context.part2.elements == ("g3", "g4")
     assert [ch.dimension for ch in pred.chains] == [3, 3]
+
+
+def test_predict_checks_what_pinning_leaves_of_each_part():
+    # t pins g3 and g4, so the second part is left empty; h is pinned too, and
+    # what is left of the first part, g1 < > g2, is one-parameter. Above
+    # dimension 1 that leaves 0.6 P1 + 0.6 P2 = I, which has no solution.
+    p = Poset(["g1", "g2", "g3", "g4", "h", "t"], [("g3", "t"), ("g4", "t")])
+    chi = Character({"g1": 0.6, "g2": 0.6, "g3": 0.6, "g4": 0.6, "h": 1.5, "t": 1.5})
+    pred = predict(p, chi, ["g1", "g2", "h"])
+    assert (pred.mode, pred.forced) == ("scalar", [("h", "0"), ("t", "0")])
+    assert pred.scalar == pred.chains == []
+    assert pred.context is None and pred.two_point is None
 
 
 @pytest.mark.xfail(strict=True, reason="chains start only from Delta1's discrete "

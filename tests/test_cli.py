@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoposet import oracle
+from orthoposet import cli, oracle
+from orthoposet.builder import BuilderError
 from orthoposet.cli import (EXIT_NO_REPRESENTATION, EXIT_OK, EXIT_VALIDATION,
                             EXIT_VERIFICATION, _dumps, _matrix, build_parser,
                             cmd_solve, main)
@@ -372,9 +373,10 @@ def solve_families_verify_on_input(tmp_path, capsys, elements, relations,
 def degenerate_input(rng):
     """A quad split g1,g2 | g3,g4 plus elements that weights of one or more
     pin to zero: a heavy element below the first pair with a light one below
-    it, and either loose heavy elements or a heavy element above the second
-    pair. The last pins the whole second part, and solve answers in scalar
-    mode on the parts as given."""
+    it, loose heavy elements, and a heavy element above the second pair.
+    The last pins the whole second part, and solve answers in scalar mode.
+    The one-parameter check runs on what is left of each part, so a loose
+    heavy element never makes a part wild, with or without the top one."""
     elements = ["g1", "g2", "g3", "g4"]
     relations, part1, part2 = [], ["g1", "g2"], ["g3", "g4"]
     k = rng.choice([None, 4, 5, 6, 8, 12])  # None: zero step constant
@@ -384,7 +386,7 @@ def degenerate_input(rng):
         return rng.choice([1.0, rng.uniform(1.0, 2.0)])
 
     top = rng.random() < 0.2
-    for i in range(0 if top else rng.randint(0, 2)):
+    for i in range(rng.randint(0, 2)):
         name = "h%d" % i
         elements.append(name)
         weights[name] = heavy()
@@ -656,6 +658,52 @@ def test_oracle_checks_the_lane_budget_of_every_dimension_first(tmp_path, capsys
     assert seconds < 2.0
 
 
+def test_oracle_lists_a_large_dimension_range_lazily(tmp_path, capsys):
+    # dimension 6 is refused (7,424 lanes) before the other 999,994 are listed
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2",
+                                  "--dims", "1..1000000"])
+    seconds = time.perf_counter() - t0
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "search at dimension 6 needs 7424 lanes" in err
+    assert seconds < 0.5
+
+
+def test_oracle_starts_no_pool_without_lanes(tmp_path, capsys):
+    # no rank profile of a = 0.5, b = 0.7 has trace 600; the pool's state
+    # alone would be 172.8M float64 entries (1.38 GB)
+    poset = write_json(tmp_path, "p.json", {"elements": ["a", "b"], "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": {"a": 0.5, "b": 0.7}})
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, ["oracle", "--poset", poset, "--character",
+                                    character, "--split", "a", "--dims", "600",
+                                    "--restarts", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == [{"dimension": 600, "theory": False,
+                                        "oracle": False, "agree": True,
+                                        "spectrum_matched": None}]
+    assert peak < 20e6
+
+
+def test_oracle_refuses_an_oversized_pool_state(tmp_path, capsys):
+    # one full-rank lane at dimension 2000: 1.92G entries of pool state
+    poset = write_json(tmp_path, "p.json", {"elements": ["a", "b"], "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": {"a": 0.5, "b": 0.5}})
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", "a", "--dims", "2000",
+                                  "--restarts", "1"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert ("['a', 'b'] at dimension 2000 needs 1920000000 pool state entries"
+            in err and "limit of 16777216" in err)
+
+
 @pytest.mark.parametrize("tol, shift, code, reported", [
     ("1e-6", 1e-8, EXIT_VERIFICATION, 1e-10),
     ("1e-9", 1e-8, EXIT_VERIFICATION, 1e-10),
@@ -698,6 +746,17 @@ def test_solve_rejects_nan_gamma(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "unimodular" in err
+
+
+@pytest.mark.parametrize("gamma", ["1", "1,0"])
+def test_solve_takes_a_real_gamma(tmp_path, capsys, gamma):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_HALVES)
+    argv = ["solve", "--poset", poset, "--character", character,
+            "--split", "g1,g2", "--c", "0.25"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK
+    assert run(capsys, argv + ["--gamma", gamma]) == (code, out, err)
 
 
 def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
@@ -965,6 +1024,28 @@ def test_solve_prints_json_dumps_of_its_report(tmp_path, capsys, weight,
     assert [rec["family"]["dimension"] for rec in report["families"]] == [
         dimension] * 4
     assert run(capsys, argv) == (code, json.dumps(report, indent=2) + "\n", "")
+
+
+def test_solve_records_a_chain_the_builder_rejects(tmp_path, capsys, monkeypatch):
+    built = cli.build_from_chain
+
+    def second_fails(chain):
+        if chain.start_point > 0.0:
+            raise BuilderError("rejected for the test")
+        return built(chain)
+
+    monkeypatch.setattr(cli, "build_from_chain", second_fails)
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    code, out, _ = run(capsys, ["solve", "--poset", poset, "--character",
+                                character, "--split", "g1,g2"])
+    reply = json.loads(out)
+    assert code == EXIT_VERIFICATION
+    assert [ch["lambda0"] for ch in reply["chains"]] == [0.0, 0.6]
+    *families, record = reply["families"]
+    assert [rec["verification"]["passed"] for rec in families] == [True, True]
+    assert record == {"chain": reply["chains"][1], "error": "rejected for the test"}
+    assert out == json.dumps(reply, indent=2) + "\n"
 
 
 # The README's quickstart inputs, plus the family file written from solve.

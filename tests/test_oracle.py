@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from orthoposet.builder import build_from_chain
-from orthoposet.chain import (enumerate_dim1, enumerate_irreducibles,
-                              make_context, predict)
+from orthoposet.chain import (ChainContext, enumerate_dim1,
+                              enumerate_irreducibles, predict)
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
                                OracleError, SearchConfig, _lstsq,
-                               _random_projection, _run_lanes, _search_once,
+                               _random_projection, _run_lanes,
                                _spectrum_matched, cross_validate,
                                rank_profiles, search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
@@ -198,13 +198,18 @@ def test_trace_identity_passes_every_built_family():
         cases.append((diamond, a4, dict(ends, g5=eps / 2, g6=1 / (2 * m) - 2.5 * eps)))
     for part1, part2, w in cases:
         chi = Character(w)
-        ctx = make_context(part1, chi.restrict(part1.elements),
+        ctx = ChainContext(part1, chi.restrict(part1.elements),
                            part2, chi.restrict(part2.elements))
         for chain in enumerate_irreducibles(ctx):
             for fam in build_from_chain(chain):
                 _assert_profile_passes(fam)
                 built += 1
     assert built == 32
+
+
+def _search_once(p, chi, ranks, rng, cfg):
+    """One lane of _run_lanes: the family its start reaches, or None."""
+    return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
 
 
 def _planted_character(rng, p, d):
@@ -439,6 +444,18 @@ def test_lstsq_helper_matches_numpy_bit_for_bit():
             want = np.linalg.lstsq(np.stack(list(steps[i]), axis=1), f[i],
                                    rcond=None)[0]
             assert np.array_equal(got[i, :, 0], want)
+
+
+def test_lstsq_helper_fails_as_numpy_does():
+    rng = np.random.default_rng(9)
+    steps = rng.standard_normal((3, 96, 2))
+    f = rng.standard_normal((3, 96, 1))
+    steps[1, 5, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(steps[1], f[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _lstsq(steps, f)
+    assert str(got.value) == str(want.value)
 
 
 def test_search_logs_one_debug_line(caplog):

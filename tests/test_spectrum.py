@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orthoposet.builder import PLUS, MINUS, BasicPairParams, basic_pair
+from orthoposet.builder import PLUS, MINUS, basic_pair
 from orthoposet.poset import ONE_PARAMETER, Poset, classify
 from orthoposet.spectrum import (CONTINUOUS, DISCRETE, OUTSIDE, Character,
                                  NotOneParameter, OutsideContinuum,
@@ -176,9 +176,9 @@ def test_reconstruction_from_restored_offsets(below, above, data):
     proj = {}
     for g in p.elements:
         if g == "x":
-            proj[g] = basic_pair(BasicPairParams(e1, PLUS))
+            proj[g] = basic_pair(e1, PLUS)
         elif g == "y":
-            proj[g] = basic_pair(BasicPairParams(e2, MINUS))
+            proj[g] = basic_pair(e2, MINUS)
         elif p.less("x", g):
             proj[g] = np.eye(2)
         else:

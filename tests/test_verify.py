@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from orthoposet import verify
-from orthoposet.builder import (BasicPairParams, MINUS, PLUS, ProjectionFamily,
-                                basic_pair, build_from_chain)
-from orthoposet.chain import (EigenChain, enumerate_irreducibles,
-                              lambda_zero_case, make_context, predict,
-                              run_chain)
+from orthoposet.builder import (PLUS, ProjectionFamily, basic_pair,
+                                build_from_chain)
+from orthoposet.chain import (ChainContext, EigenChain,
+                              enumerate_irreducibles, lambda_zero_case,
+                              predict, run_chain)
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
 from orthoposet.verify import (NULLSPACE_RTOL, DimensionMismatch, VerifierError,
@@ -70,7 +70,7 @@ def direct_sum(families, seed):
 def test_two_point_chains_merge_exactly_their_reversals():
     # at zero step constant a 2-dimensional chain is found from both of its
     # discrete ends; the reversed chain builds the same representation
-    ctx = make_context(Poset(["g1", "g2"], ()), Character({"g1": 0.3, "g2": 0.9}),
+    ctx = ChainContext(Poset(["g1", "g2"], ()), Character({"g1": 0.3, "g2": 0.9}),
                        Poset(["g3", "g4"], ()), Character({"g3": 0.35, "g4": 0.45}))
     kept = lambda_zero_case(ctx).two_dim
     assert len(kept) == 2
@@ -84,7 +84,7 @@ def test_two_point_chains_merge_exactly_their_reversals():
 def diamond_family(eps):
     """The dim-3 family of the diamond recipe, which varies smoothly with eps."""
     a = 0.5 + eps
-    ctx = make_context(Poset(["g1", "g2", "g5"], [("g1", "g5"), ("g2", "g5")]),
+    ctx = ChainContext(Poset(["g1", "g2", "g5"], [("g1", "g5"), ("g2", "g5")]),
                        Character({"g1": a, "g2": a, "g5": 0.5 - 2 * eps}),
                        Poset(["g3", "g4"], []), Character({"g3": a, "g4": a}))
     chain, = [ch for ch in enumerate_irreducibles(ctx) if ch.dimension == 3]
@@ -92,7 +92,7 @@ def diamond_family(eps):
 
 
 def three_point_family():
-    ctx = make_context(Poset(["g1", "g2"], []), Character({"g1": 0.6, "g2": 0.6}),
+    ctx = ChainContext(Poset(["g1", "g2"], []), Character({"g1": 0.6, "g2": 0.6}),
                        Poset(["g3", "g4"], []), Character({"g3": 0.6, "g4": 0.6}))
     chain = run_chain(ctx, 0.0)
     return build_from_chain(chain)[0], chain
@@ -140,8 +140,8 @@ def test_shape_mismatch_raises():
 def test_commutant_dimensions():
     tau = 0.3
     fam = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
-                           {"x": basic_pair(BasicPairParams(tau, PLUS)),
-                            "y": basic_pair(BasicPairParams(-tau, PLUS))})
+                           {"x": basic_pair(tau, PLUS),
+                            "y": basic_pair(-tau, PLUS)})
     assert commutant_dim(fam) == 1  # non-commuting rank ones
     split = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
                              {"x": np.diag([1.0, 0.0]), "y": np.diag([0.0, 1.0])})
@@ -267,7 +267,7 @@ def test_forced_elements_and_essentiality():
 def test_spectrum_match():
     fam, chain = three_point_family()
     assert spectrum_match(fam, chain)
-    other = run_chain(make_context(
+    other = run_chain(ChainContext(
         Poset(["g1", "g2"], []), Character({"g1": 5 / 9, "g2": 5 / 9}),
         Poset(["g3", "g4"], []), Character({"g3": 5 / 9, "g4": 5 / 9})), 0.0)
     assert not spectrum_match(fam, other)
@@ -284,7 +284,7 @@ def test_randomized_families_verify_and_are_irreducible():
         eps = rng.uniform(0.002, 0.08)
         m = int(rng.integers(1, 3))
         a = 0.5 + eps
-        ctx = make_context(diamond,
+        ctx = ChainContext(diamond,
                            Character({"g1": a, "g2": a, "g5": 1.0 / (2 * m) - 2 * eps}),
                            pair, Character({"g3": a, "g4": a}))
         chains = [ch for ch in enumerate_irreducibles(ctx)
