@@ -20,30 +20,6 @@ class BuilderError(ValueError):
     pass
 
 
-class TauOutOfRange(BuilderError):
-    pass
-
-
-class DeltaUnsolvable(BuilderError):
-    pass
-
-
-class ChainShapeMismatch(BuilderError):
-    pass
-
-
-class SumNotTwo(BuilderError):
-    pass
-
-
-class COutOfRange(BuilderError):
-    pass
-
-
-class SumNotExceedingOne(BuilderError):
-    pass
-
-
 def basic_pair(tau, sign=PLUS):
     """Rank-one 2x2 projection with diagonal offset tau.
 
@@ -54,7 +30,7 @@ def basic_pair(tau, sign=PLUS):
     if sign not in (PLUS, MINUS):
         raise BuilderError("sign must be %r or %r" % (PLUS, MINUS))
     if not -1.0 < tau < 1.0:
-        raise TauOutOfRange("tau = %r is not interior to (-1, 1)" % (tau,))
+        raise BuilderError("tau = %r is not interior to (-1, 1)" % (tau,))
     off = math.sqrt(1.0 - tau * tau) / 2.0
     if sign == MINUS:
         off = -off
@@ -161,8 +137,8 @@ class _PartPlan:
             fits = [u for u in up_sets
                     if abs(sum(chi[g] for g in u) - values[i]) <= 10 * tol]
             if not fits:
-                raise DeltaUnsolvable("no up-set of %r has weight %r"
-                                      % (list(part.elements), values[i]))
+                raise BuilderError("no up-set of %r has weight %r"
+                                   % (list(part.elements), values[i]))
             self.choices[i] = fits
 
     def branches(self):
@@ -199,8 +175,6 @@ def build_from_chain(chain):
     at the discrete coordinates; equal pair weights typically give two.
     """
     ctx = chain.context
-    if ctx is None:
-        raise BuilderError("chain carries no context")
     if chain.termination == ESCAPED:
         raise BuilderError("an escaped chain admits no representation")
     n = chain.dimension
@@ -240,10 +214,10 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
     names = parts[0] + parts[1]
     a1, a2, a3, a4 = [float(a) for a in alphas]
     if abs(a1 + a2 + a3 + a4 - 2.0) > tol:
-        raise SumNotTwo("weights sum to %r, need 2" % (a1 + a2 + a3 + a4,))
+        raise BuilderError("weights sum to %r, need 2" % (a1 + a2 + a3 + a4,))
     lo, hi = c_range(a1, a2, a3, a4)
     if not lo + tol < c < hi - tol:
-        raise COutOfRange("c = %r is outside (%r, %r)" % (c, lo, hi))
+        raise BuilderError("c = %r is outside (%r, %r)" % (c, lo, hi))
     gamma = complex(gamma)
     if not abs(abs(gamma) - 1.0) <= tol:  # also rejects nan
         raise BuilderError("gamma = %r is not unimodular" % (gamma,))
@@ -278,8 +252,6 @@ def lift_to_catalog(target, chain):
     poset, and its ends must have the target's shape.
     """
     ctx = chain.context
-    if ctx is None:
-        raise BuilderError("chain carries no context")
     if target not in ("a2", "a4", "a6"):
         raise BuilderError("unknown lift target %r" % (target,))
     full = disjoint_union(ctx.part1, ctx.part2)
@@ -304,8 +276,8 @@ def lift_to_catalog(target, chain):
         a6 = tops1[-1]
         ok = chain.termination == "DiscreteInDelta1" and abs(last_lam - a6) <= slack
     if not ok:
-        raise ChainShapeMismatch("chain ends (%r, %r, %s); not a %s shape"
-                                 % (last_lam, last_mu, chain.termination, target))
+        raise BuilderError("chain ends (%r, %r, %s); not a %s shape"
+                           % (last_lam, last_mu, chain.termination, target))
 
     return build_from_chain(chain)
 
@@ -314,7 +286,7 @@ def dualize(fam, tol=DEFAULT_TOL):
     """Complementary family on the dual poset; involutive on its domain."""
     total = fam.character.total
     if total <= 1.0 + tol:
-        raise SumNotExceedingOne("character total %r must exceed one" % (total,))
+        raise BuilderError("character total %r must exceed one" % (total,))
     scale = 1.0 / (total - 1.0)
     eye = np.eye(fam.dimension)
     projections = {g: eye - p for g, p in fam.projections.items()}

@@ -5,7 +5,7 @@ import math
 
 from .poset import check_one_parameter, check_split
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
-                       SpectrumError, delta_of, membership, near_boundary)
+                       delta_of, membership, near_boundary)
 
 DISCRETE_IN_DELTA1 = "DiscreteInDelta1"
 DISCRETE_IN_DELTA2 = "DiscreteInDelta2"
@@ -23,14 +23,6 @@ class NoRepresentation(ChainEngineError):
 
 
 class ZeroLambdaCap(ChainEngineError):
-    pass
-
-
-class NonzeroLambdaCap(ChainEngineError):
-    pass
-
-
-class StepLimit(ChainEngineError):
     pass
 
 
@@ -59,7 +51,7 @@ class EigenChain:
     lambdas: list
     mus: list
     termination: str
-    context: ChainContext = dataclasses.field(default=None, repr=False)
+    context: ChainContext = dataclasses.field(repr=False)
     boundary_ambiguous: bool = False
 
     @property
@@ -129,7 +121,7 @@ def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
         if kind == OUTSIDE:
             return finish(lambdas, mus, ESCAPED, near_boundary(ctx.delta1, lam, 10 * tol))
         lambdas.append(ctx.sigma1 - lam)
-    raise StepLimit("no termination within %d steps" % (max_steps,))
+    raise ChainEngineError("no termination within %d steps" % (max_steps,))
 
 
 @dataclasses.dataclass(eq=False)
@@ -164,7 +156,7 @@ def lambda_zero_case(ctx):
     """Describe the two-point spectrum families when lambda_cap = 0."""
     tol = ctx.tol
     if abs(ctx.lambda_cap) > tol:
-        raise NonzeroLambdaCap("lambda_cap %r is not zero" % (ctx.lambda_cap,))
+        raise ChainEngineError("lambda_cap %r is not zero" % (ctx.lambda_cap,))
     one_dim, two_dim = [], []
     for lam0 in ctx.delta1.discrete:
         mu0 = 1.0 - lam0
@@ -285,9 +277,6 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     empty passes. The mode is "scalar" when the total weight is at most one
     or a part is left empty. Weights on other names are ignored.
     """
-    for g in p.elements:
-        if g not in chi:
-            raise SpectrumError("missing weight for %r" % (g,))
     names = set(p.elements)
     chi = chi.restrict(g for g in chi.weights if g in names)
     pinned = pinned_set(p, chi, tol)

@@ -28,6 +28,11 @@ MAX_PROFILE_ROWS = 2 ** 22
 # x 2|G|n^2 (128 MB); the largest state the tests and the benchmark search
 # with has 36,000 (six elements at dimension 5)
 MAX_STATE_ENTRIES = 2 ** 24
+# restarts x surviving profiles x |G| n^3, what the lanes cost per
+# iteration; the largest search the tests run has 725,760 (64 restarts x
+# 35 profiles x 12 elements at dimension 3), the README's 110,592 and the
+# benchmark's 40,960
+MAX_LANE_WORK = 2 ** 24
 
 
 class OracleError(ValueError):
@@ -320,11 +325,8 @@ def _run_lanes(p, chi, cfg, lanes):
 
 def _lanes(p, chi, cfg):
     """(profiles listed, [(pidx, ranks)] that pass trace_feasible); raises
-    OracleError on a missing weight, a search over MAX_LANES lanes, or lanes
-    whose pool state would pass MAX_STATE_ENTRIES."""
-    for g in p.elements:
-        if g not in chi:
-            raise OracleError("missing weight for %r" % (g,))
+    OracleError on a search over MAX_LANES lanes, or lanes whose pool state
+    would pass MAX_STATE_ENTRIES or whose work would pass MAX_LANE_WORK."""
     if cfg.rank_profile is not None:
         profiles = [cfg.rank_profile]
     else:
@@ -343,6 +345,12 @@ def _lanes(p, chi, cfg):
         raise OracleError(
             "search on %r at dimension %d needs %d pool state entries, more "
             "than the limit of %d" % (list(p.elements), n, state, MAX_STATE_ENTRIES))
+    work = cfg.restarts * len(lanes) * k * n ** 3
+    if work > MAX_LANE_WORK:
+        raise OracleError(
+            "search at dimension %d needs %d units of lane work (restarts x "
+            "lanes x elements x n^3), more than the limit of %d"
+            % (n, work, MAX_LANE_WORK))
     return len(profiles), lanes
 
 
@@ -353,9 +361,9 @@ def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
     restart], pidx indexing the full profile list; profiles that fail
     trace_feasible are skipped without changing any other lane. The scan
     takes the first lane whose family passes check_all. A search of more
-    than MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES,
-    raises OracleError before any lane runs. listing is _lanes(p, chi, cfg)
-    if the caller has already made it.
+    than MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES or
+    work MAX_LANE_WORK, raises OracleError before any lane runs. listing
+    is _lanes(p, chi, cfg) if the caller has already made it.
     """
     listed, lanes = _lanes(p, chi, cfg) if listing is None else listing
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))

@@ -18,10 +18,6 @@ class NotTame(PosetError):
     pass
 
 
-class BadSplit(PosetError):
-    pass
-
-
 def _bits(mask):
     "indices of the set bits of mask, lowest first"
     while mask:
@@ -253,9 +249,9 @@ def split_two_one_parameter(p, s1_elements):
 
 
 def check_one_parameter(part):
-    "part itself, if it is one-parameter, a chain or empty; else BadSplit"
+    "part itself, if it is one-parameter, a chain or empty; else PosetError"
     if classify(part) not in (ONE_PARAMETER, CHAIN_TAME):
-        raise BadSplit("induced part %r is not one-parameter" % (list(part.elements),))
+        raise PosetError("induced part %r is not one-parameter" % (list(part.elements),))
     return part
 
 
@@ -263,13 +259,13 @@ def check_split(p, s1_elements):
     "The two parts' elements; both nonempty, and no relation of p joins them"
     s1 = set(s1_elements)
     if not s1 <= set(p.elements):
-        raise BadSplit("split mentions elements outside the poset")
+        raise PosetError("split mentions elements outside the poset")
     s2 = [g for g in p.elements if g not in s1]
     if not s2 or not s1:
-        raise BadSplit("both parts must be nonempty")
+        raise PosetError("both parts must be nonempty")
     crossing = sorted((g, h) for g, h in p.hasse if (g in s1) != (h in s1))
     if crossing:
-        raise BadSplit("relation %r < %r joins the two parts" % crossing[0])
+        raise PosetError("relation %r < %r joins the two parts" % crossing[0])
     return s1, s2
 
 

@@ -16,18 +16,6 @@ class SpectrumError(ValueError):
     pass
 
 
-class NotOneParameter(SpectrumError):
-    pass
-
-
-class OutsideContinuum(SpectrumError):
-    pass
-
-
-class SingularDenominator(SpectrumError):
-    pass
-
-
 class Character:
     """Strictly positive, finite weights on poset elements."""
 
@@ -39,13 +27,16 @@ class Character:
         self.total = sum(self.weights.values())
 
     def __getitem__(self, g):
-        return self.weights[g]
+        try:
+            return self.weights[g]
+        except KeyError:
+            raise SpectrumError("missing weight for %r" % (g,)) from None
 
     def __contains__(self, g):
         return g in self.weights
 
     def restrict(self, elements):
-        return Character({g: self.weights[g] for g in elements})
+        return Character({g: self[g] for g in elements})
 
     def __repr__(self):
         return "Character(%r)" % (self.weights,)
@@ -91,12 +82,9 @@ def delta_of(p, chi, tol=DEFAULT_TOL):
     except NotTame:
         kind = WILD
     if kind not in (ONE_PARAMETER, CHAIN_TAME):
-        raise NotOneParameter("poset is %s; need OneParameter or ChainTame" % kind)
+        raise SpectrumError("poset is %s; need OneParameter or ChainTame" % kind)
     if not p.elements:
-        raise NotOneParameter("the empty poset has no spectrum")
-    for g in p.elements:
-        if g not in chi:
-            raise SpectrumError("character missing weight for %r" % (g,))
+        raise SpectrumError("the empty poset has no spectrum")
     blocks = dec.blocks
 
     def bw(b):
@@ -153,7 +141,7 @@ def epsilon_pair(a1, a2, mu, tol=DEFAULT_TOL):
     "diagonal offsets of the 2x2 pair blocks with weighted sum diag(mu, a1+a2-mu)"
     denom = 2.0 * mu - a1 - a2
     if abs(denom) <= tol:
-        raise SingularDenominator("2*mu = %r is within tol of a1 + a2 = %r" % (2 * mu, a1 + a2))
+        raise SpectrumError("2*mu = %r is within tol of a1 + a2 = %r" % (2 * mu, a1 + a2))
     eps1 = (2.0 * mu * mu - (2.0 * mu - a1) * (a1 + a2)) / (a1 * denom)
     eps2 = (2.0 * mu * mu - (2.0 * mu - a2) * (a1 + a2)) / (a2 * denom)
     return eps1, eps2
@@ -162,13 +150,13 @@ def epsilon_pair(a1, a2, mu, tol=DEFAULT_TOL):
 def restore_epsilon(d, lam, tol=DEFAULT_TOL):
     """Offsets (eps1, eps2) of the pair block carrying eigenvalue lam of the sum.
 
-    The singularity test runs first so a midpoint hit reports
-    SingularDenominator even when it coincides with a discrete point.
+    The singularity test runs first so a midpoint hit reports the center
+    even when it coincides with a discrete point.
     """
     a1, a2 = d.pair_weights
     mu = lam - d.upper_tail
     if abs(2.0 * mu - a1 - a2) <= tol:
-        raise SingularDenominator("lam = %r is the center sigma/2" % (lam,))
+        raise SpectrumError("lam = %r is the center sigma/2" % (lam,))
     if membership(d, lam, tol) != CONTINUOUS:
-        raise OutsideContinuum("lam = %r is not interior to the continuous part" % (lam,))
+        raise SpectrumError("lam = %r is not interior to the continuous part" % (lam,))
     return epsilon_pair(a1, a2, mu, tol)

@@ -17,10 +17,6 @@ class VerifierError(ValueError):
     pass
 
 
-class DimensionMismatch(VerifierError):
-    pass
-
-
 @dataclasses.dataclass
 class VerificationReport:
     """Axiom residuals and structural verdicts, fields in document order."""
@@ -60,8 +56,8 @@ def check_all(fam, tol=VERIFY_TOL):
     residuals = {}
     for g, p in fam.projections.items():
         if p.shape != (n, n):
-            raise DimensionMismatch("projection for %r has shape %r, expected %r"
-                                    % (g, p.shape, (n, n)))
+            raise VerifierError("projection for %r has shape %r, expected %r"
+                                 % (g, p.shape, (n, n)))
         residuals["hermitian[%s]" % g] = _entry_norm(p - p.conj().T)
         residuals["idempotent[%s]" % g] = _entry_norm(p @ p - p)
     for g, h in sorted(fam.poset.relations):

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orthoposet.builder import (MINUS, PLUS, BuilderError,
-                                ChainShapeMismatch, COutOfRange,
-                                ProjectionFamily, SumNotExceedingOne,
-                                SumNotTwo, TauOutOfRange, basic_pair,
-                                build_from_chain, build_quadruple_continuous,
-                                disjoint_union, dualize, lift_to_catalog)
+from orthoposet.builder import (MINUS, PLUS, BuilderError, ProjectionFamily,
+                                basic_pair, build_from_chain,
+                                build_quadruple_continuous, disjoint_union,
+                                dualize, lift_to_catalog)
 from orthoposet.chain import (DISCRETE_IN_DELTA2, ChainContext, EigenChain,
                               enumerate_irreducibles, run_chain)
 from orthoposet.poset import Poset, dual, is_isomorphic
@@ -49,7 +47,7 @@ def test_plus_minus_pair_sums_to_diagonal():
 
 def test_basic_pair_rejects_boundary_tau():
     for tau in (-1.0, 1.0, 1.5):
-        with pytest.raises(TauOutOfRange):
+        with pytest.raises(BuilderError, match="is not interior to"):
             basic_pair(tau)
 
 
@@ -85,9 +83,9 @@ def test_family_json_round_trip():
 
 
 def test_continuous_series_validation():
-    with pytest.raises(SumNotTwo):
+    with pytest.raises(BuilderError, match="need 2"):
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.6), 0.25, 1.0)
-    with pytest.raises(COutOfRange):
+    with pytest.raises(BuilderError, match="is outside"):
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.5), 0.55, 1.0)
     with pytest.raises(BuilderError):
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.5), 0.25, 2.0)
@@ -154,14 +152,14 @@ def test_lift_rejects_wrong_shapes():
     a3 = ctx.chi2["g3"]
     a4 = ctx.chi2["g4"]
     fake = EigenChain([0.0, 1.0], [1.0, a3 + a4], DISCRETE_IN_DELTA2, ctx)
-    with pytest.raises(ChainShapeMismatch):
+    with pytest.raises(BuilderError, match="not a a2 shape"):
         lift_to_catalog("a2", fake)
 
 
 def test_dualize_requires_excess_weight():
     fam = ProjectionFamily(Poset(["g1"], []), Character({"g1": 1.0}),
                            {"g1": np.eye(1)})
-    with pytest.raises(SumNotExceedingOne):
+    with pytest.raises(BuilderError, match="must exceed one"):
         dualize(fam)
 
 

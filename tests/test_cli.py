@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import math
@@ -704,6 +706,21 @@ def test_oracle_refuses_an_oversized_pool_state(tmp_path, capsys):
             in err and "limit of 16777216" in err)
 
 
+def test_oracle_refuses_an_oversized_lane_work(tmp_path, capsys):
+    # 931 lanes, under MAX_LANES, yet each costs 3 x 60^3 per iteration
+    poset = write_json(tmp_path, "p.json", {"elements": ["a", "b", "c"], "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: 2 / 3 for g in ("a", "b", "c")}})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", "a", "--dims", "60",
+                                  "--restarts", "1", "--iterations", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert ("dimension 60 needs 603288000 units of lane work" in err
+            and "limit of 16777216" in err)
+
+
 @pytest.mark.parametrize("tol, shift, code, reported", [
     ("1e-6", 1e-8, EXIT_VERIFICATION, 1e-10),
     ("1e-9", 1e-8, EXIT_VERIFICATION, 1e-10),
@@ -769,14 +786,17 @@ def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
     assert "names no dimension" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.pop("projections"),
-    lambda doc: doc.update(projections={}),
-    lambda doc: doc["projections"].pop("g2"),
-    lambda doc: doc["character"]["weights"].pop("g2"),
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda doc: doc.pop("projections"), "family document needs"),
+    (lambda doc: doc.update(projections={}), "family projections [] do not match"),
+    (lambda doc: doc["projections"].pop("g2"), "do not match the poset elements"),
+    (lambda doc: doc["character"]["weights"].pop("g2"),
+     "family character misses weights for ['g2']"),
+    (lambda doc: doc.update(projections={g: [[[0.0, 0.0]] * 3] * 2 for g in doc["projections"]}),
+     "projections must be square matrices of one size, got [(2, 3)]"),
 ], ids=["no-projections", "empty-projections", "missing-element",
-        "missing-weight"])
-def test_verify_rejects_malformed_family(tmp_path, capsys, edit):
+        "missing-weight", "non-square"])
+def test_verify_rejects_malformed_family(tmp_path, capsys, edit, fragment):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
     _, out, _ = run(capsys, ["solve", "--poset", poset,
@@ -787,7 +807,7 @@ def test_verify_rejects_malformed_family(tmp_path, capsys, edit):
     code, out, err = run(capsys, ["verify", family, "--poset", poset])
     assert code == EXIT_VALIDATION
     assert out == ""
-    assert "family" in err
+    assert fragment in err
 
 
 def test_verify_refuses_an_oversized_exact_commutant(tmp_path, capsys):
@@ -873,6 +893,34 @@ def test_classify_rejects_non_string_elements(tmp_path, capsys, doc):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "strings" in err
+
+
+@pytest.mark.parametrize("command, poset_doc, character_doc, message", [
+    ("classify", {"relations": []}, None,
+     "poset document needs 'elements' and 'relations'"),
+    ("spectrum", {"elements": ["g1", "g2"], "relations": []}, {},
+     "character document needs 'weights'"),
+])
+def test_documents_without_their_keys_are_rejected(tmp_path, capsys, command,
+                                                   poset_doc, character_doc, message):
+    argv = [command, "--poset", write_json(tmp_path, "p.json", poset_doc)]
+    if character_doc is not None:
+        argv += ["--character", write_json(tmp_path, "c.json", character_doc)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert message in err
+
+
+def test_every_error_class_is_a_value_error():
+    # main maps ValueError to exit 2; any other exception is a traceback
+    found = []
+    for name in ("poset", "spectrum", "chain", "builder", "verify", "oracle", "cli"):
+        module = importlib.import_module("orthoposet." + name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, Exception):
+                found.append(cls)
+                assert issubclass(cls, ValueError), cls
+    assert found
 
 
 def test_classify_empty_poset(tmp_path, capsys):

@@ -20,7 +20,7 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                _spectrum_matched, cross_validate,
                                rank_profiles, search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
-from orthoposet.spectrum import Character
+from orthoposet.spectrum import Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
 
 QUAD = Poset(["g1", "g2", "g3", "g4"], [])
@@ -488,7 +488,7 @@ def test_search_reports_absence():
 
 
 def test_search_rejects_incomplete_character():
-    with pytest.raises(OracleError):
+    with pytest.raises(SpectrumError, match="missing weight for 'g2'"):
         search_numeric(QUAD, Character({"g1": 0.6}), QUICK)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
-                              TWO_WIDTH_TAME, WILD, BadSplit, NotTame, Poset,
+                              TWO_WIDTH_TAME, WILD, NotTame, Poset,
                               PosetError, classify, decompose, dual,
                               essential_catalog_match,
                               generate_posets, is_isomorphic,
@@ -210,9 +210,9 @@ def test_split_two_one_parameter():
     assert p1.elements == ("g1", "g2", "g5")
     assert p2.elements == ("g3", "g4", "g6")
     assert classify(p1) == ONE_PARAMETER
-    with pytest.raises(BadSplit):
+    with pytest.raises(PosetError, match="joins the two parts"):
         split_two_one_parameter(CATALOG["a4"], ("g1",))
-    with pytest.raises(BadSplit):
+    with pytest.raises(PosetError, match="both parts must be nonempty"):
         split_two_one_parameter(CATALOG["a4"], ("g1", "g2", "g3", "g4", "g5", "g6"))
 
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from orthoposet.builder import PLUS, MINUS, basic_pair
 from orthoposet.poset import ONE_PARAMETER, Poset, classify
 from orthoposet.spectrum import (CONTINUOUS, DISCRETE, OUTSIDE, Character,
-                                 NotOneParameter, OutsideContinuum,
-                                 SingularDenominator, SpectrumError, delta_of,
-                                 epsilon_pair, membership, near_boundary,
-                                 restore_epsilon)
+                                 SpectrumError, delta_of, epsilon_pair,
+                                 membership, near_boundary, restore_epsilon)
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -49,7 +47,7 @@ def test_character_rejects_non_finite_weights():
 
 
 def test_delta_of_rejects_empty_poset():
-    with pytest.raises(NotOneParameter):
+    with pytest.raises(SpectrumError, match="the empty poset has no spectrum"):
         delta_of(Poset([]), Character({}))
 
 
@@ -96,9 +94,9 @@ def test_delta_of_chain_has_no_continuum():
 
 
 def test_delta_of_rejects_wide_posets():
-    with pytest.raises(NotOneParameter):
+    with pytest.raises(SpectrumError, match="poset is Wild"):
         delta_of(Poset(["a", "b", "c"], []), Character({"a": 1, "b": 1, "c": 1}))
-    with pytest.raises(SpectrumError):
+    with pytest.raises(SpectrumError, match="missing weight for 'y'"):
         delta_of(PAIR, Character({"x": 0.6}))
 
 
@@ -127,11 +125,11 @@ def test_epsilon_pair_values():
 def test_restore_epsilon_reports_singularity_first():
     p = one_parameter_poset(0, 1)
     d = delta_of(p, Character({"x": 0.3, "y": 0.5, "t0": 0.2}))
-    with pytest.raises(SingularDenominator):
+    with pytest.raises(SpectrumError, match="is the center"):
         restore_epsilon(d, d.sigma / 2.0)
-    with pytest.raises(OutsideContinuum):
+    with pytest.raises(SpectrumError, match="not interior to the continuous part"):
         restore_epsilon(d, 0.7)  # discrete point
-    with pytest.raises(OutsideContinuum):
+    with pytest.raises(SpectrumError, match="not interior to the continuous part"):
         restore_epsilon(d, 1.3)
 
 
