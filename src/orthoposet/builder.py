@@ -1,7 +1,6 @@
 """Explicit projection families for eigenvalue chains and the continuous series."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -69,11 +68,10 @@ class ProjectionFamily:
                 "character": self.character.to_dict()}
 
     @classmethod
-    def from_json(cls, text, poset, split=None):
-        """Read the JSON of a to_dict document. It must give a weight and
-        one square matrix of a common size for each element of poset, and
-        no matrix for anything else."""
-        doc = json.loads(text)
+    def from_dict(cls, doc, poset):
+        """Read a to_dict document. It must give a weight and one square
+        matrix of a common size for each element of poset, and no matrix
+        for anything else."""
         try:
             weights = doc["character"]["weights"]
             projections = {g: np.array([[complex(re, im) for re, im in row] for row in rows])
@@ -95,7 +93,7 @@ class ProjectionFamily:
                                % (sorted(shapes),))
         projections = {g: m.real if np.all(m.imag == 0) else m
                        for g, m in projections.items()}
-        return cls(poset, character, projections, split)
+        return cls(poset, character, projections)
 
 
 def _layout(values, delta, tol):
@@ -127,9 +125,6 @@ class _PartPlan:
         dec = decompose(part)
         self.pair = dec.blocks[dec.pair_index] if dec.pair_index is not None else None
         self.singles, self.blocks = _layout(values, delta, tol)
-        if self.blocks and self.pair is None:
-            raise BuilderError("part %r has no incomparable pair for continuous values"
-                               % (list(part.elements),))
         self.params = [restore_epsilon(delta, values[i], tol) for i, _ in self.blocks]
         self.choices = {}
         up_sets = part.up_sets()

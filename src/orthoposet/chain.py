@@ -5,7 +5,7 @@ import math
 
 from .poset import check_one_parameter, check_split
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
-                       delta_of, membership, near_boundary)
+                       delta_of, membership)
 
 DISCRETE_IN_DELTA1 = "DiscreteInDelta1"
 DISCRETE_IN_DELTA2 = "DiscreteInDelta2"
@@ -52,7 +52,6 @@ class EigenChain:
     mus: list
     termination: str
     context: ChainContext = dataclasses.field(repr=False)
-    boundary_ambiguous: bool = False
 
     @property
     def dimension(self):
@@ -100,26 +99,23 @@ def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
     if membership(ctx.delta1, lambda0, tol) != DISCRETE:
         raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
 
-    def finish(lambdas, mus, termination, ambiguous=False):
-        return EigenChain(lambdas, mus, termination, ctx, ambiguous)
-
     lambdas, mus = [lambda0], []
     for _ in range(max_steps):
         mu = 1.0 - lambdas[-1]
         mus.append(mu)
         kind = membership(ctx.delta2, mu, tol)
         if kind == DISCRETE:
-            return finish(lambdas, mus, DISCRETE_IN_DELTA2)
+            return EigenChain(lambdas, mus, DISCRETE_IN_DELTA2, ctx)
         if kind == OUTSIDE:
-            return finish(lambdas, mus, ESCAPED, near_boundary(ctx.delta2, mu, 10 * tol))
+            return EigenChain(lambdas, mus, ESCAPED, ctx)
         mus.append(ctx.sigma2 - mu)
         lam = 1.0 - mus[-1]
         lambdas.append(lam)
         kind = membership(ctx.delta1, lam, tol)
         if kind == DISCRETE:
-            return finish(lambdas, mus, DISCRETE_IN_DELTA1)
+            return EigenChain(lambdas, mus, DISCRETE_IN_DELTA1, ctx)
         if kind == OUTSIDE:
-            return finish(lambdas, mus, ESCAPED, near_boundary(ctx.delta1, lam, 10 * tol))
+            return EigenChain(lambdas, mus, ESCAPED, ctx)
         lambdas.append(ctx.sigma1 - lam)
     raise ChainEngineError("no termination within %d steps" % (max_steps,))
 

@@ -14,8 +14,7 @@ from .builder import (BuilderError, ProjectionFamily, build_from_chain,
                       build_quadruple_continuous)
 from .chain import NoRepresentation, predict
 from .oracle import SearchConfig, cross_validate_split
-from .poset import (NotTame, Poset, classify, decompose,
-                    essential_catalog_match, width)
+from .poset import Poset, decompose, essential_catalog_match, width
 from .spectrum import DEFAULT_TOL, Character, delta_of
 from .verify import VERIFY_TOL, check_all
 
@@ -25,30 +24,28 @@ EXIT_NO_REPRESENTATION = 3
 EXIT_VERIFICATION = 4
 
 
-def _load(path, from_json, *args):
-    "from_json(text of the file at path, *args); a syntax error names the file"
+def _load(path, from_dict, *args):
+    "from_dict(the JSON document at path, *args); a syntax error names the file"
     with open(path) as fh:
-        text = fh.read()
-    try:
-        return from_json(text, *args)
-    except json.JSONDecodeError as exc:
-        raise ValueError("%s: parse error at line %d column %d: %s"
-                         % (path, exc.lineno, exc.colno, exc.msg))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError("%s: parse error at line %d column %d: %s"
+                             % (path, exc.lineno, exc.colno, exc.msg))
+    return from_dict(doc, *args)
 
 
 def cmd_classify(args):
-    p = _load(args.poset, Poset.from_json)
-    try:
-        blocks = {"blocks": [list(b) for b in decompose(p).blocks]}
-    except NotTame:
-        blocks = None
-    return {"class": classify(p), "width": width(p),
+    p = _load(args.poset, Poset.from_dict)
+    dec = decompose(p)
+    blocks = None if dec.blocks is None else {"blocks": [list(b) for b in dec.blocks]}
+    return {"class": dec.kind, "width": width(p),
             "decomposition": blocks, "catalog": essential_catalog_match(p)}, EXIT_OK
 
 
 def cmd_spectrum(args):
-    p = _load(args.poset, Poset.from_json)
-    chi = _load(args.character, Character.from_json)
+    p = _load(args.poset, Poset.from_dict)
+    chi = _load(args.character, Character.from_dict)
     return delta_of(p, chi, args.tol).to_dict(), EXIT_OK
 
 
@@ -73,8 +70,8 @@ def _on_input(fam, p, chi):
 
 
 def cmd_solve(args):
-    p = _load(args.poset, Poset.from_json)
-    chi = _load(args.character, Character.from_json)
+    p = _load(args.poset, Poset.from_dict)
+    chi = _load(args.character, Character.from_dict)
     tol, c, gamma = args.tol, args.c, args.gamma
     pred = predict(p, chi, args.split.split(","), tol)
     chi = pred.character
@@ -120,8 +117,8 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    p = _load(args.poset, Poset.from_json)
-    chi = _load(args.character, Character.from_json)
+    p = _load(args.poset, Poset.from_dict)
+    chi = _load(args.character, Character.from_dict)
     cfg = SearchConfig(args.dims[0], restarts=args.restarts,
                        max_iterations=args.iterations, seed=args.seed)
     return cross_validate_split(p, chi, args.split.split(","), args.dims, cfg,
@@ -129,8 +126,8 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
-    p = _load(args.poset, Poset.from_json)
-    report = _check(_load(args.family, ProjectionFamily.from_json, p), args.tol)
+    p = _load(args.poset, Poset.from_dict)
+    report = _check(_load(args.family, ProjectionFamily.from_dict, p), args.tol)
     return report.to_dict(), EXIT_OK if report.passed else EXIT_VERIFICATION
 
 

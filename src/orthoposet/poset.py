@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import json
 
 CHAIN_TAME = "ChainTame"
 TWO_WIDTH_TAME = "TwoWidthTame"
@@ -11,10 +10,6 @@ WILD = "Wild"
 
 
 class PosetError(ValueError):
-    pass
-
-
-class NotTame(PosetError):
     pass
 
 
@@ -151,8 +146,7 @@ class Poset:
         return "Poset(%r, %r)" % (list(self.elements), rel)
 
     @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
+    def from_dict(cls, doc):
         try:
             elements = doc["elements"]
             relations = [tuple(pair) for pair in doc.get("relations", [])]
@@ -169,14 +163,15 @@ class Poset:
 
 
 class ChainDecomposition:
-    """Blocks of size one or two, listed from poset bottom to top."""
+    """Blocks of size one or two, listed from poset bottom to top, and the
+    kind they make; blocks is None for a Wild poset."""
 
     def __init__(self, blocks):
-        self.blocks = [tuple(b) for b in blocks]
-        pairs = [i for i, b in enumerate(self.blocks) if len(b) == 2]
+        self.blocks = None if blocks is None else [tuple(b) for b in blocks]
+        pairs = [i for i, b in enumerate(self.blocks or ()) if len(b) == 2]
         self.pair_index = pairs[0] if len(pairs) == 1 else None
-        self.pair_count = len(pairs)
-        self.kind = (CHAIN_TAME, ONE_PARAMETER, TWO_WIDTH_TAME)[min(len(pairs), 2)]
+        self.kind = WILD if blocks is None else (
+            CHAIN_TAME, ONE_PARAMETER, TWO_WIDTH_TAME)[min(len(pairs), 2)]
 
 
 def width(p):
@@ -212,16 +207,16 @@ def width(p):
 def decompose(p):
     """Split a tame poset into a chain of Singleton and Pair blocks.
 
-    Raises NotTame when an element is incomparable to two others (width over
-    2, or a (1,2)-subposet). Otherwise the blocks are totally ordered, so
-    they sort by the size of their down-sets.
+    The poset is Wild, with blocks None, when an element is incomparable to
+    two others (width over 2, or a (1,2)-subposet). Otherwise the blocks are
+    totally ordered, so they sort by the size of their down-sets.
     """
     everything = (1 << len(p.elements)) - 1
     blocks = []
     for i, g in enumerate(p.elements):
         loose = everything & ~(p._up[i] | p._down[i] | 1 << i)
         if loose & (loose - 1):
-            raise NotTame("element incomparable to two others")
+            return ChainDecomposition(None)
         if not loose:
             blocks.append((g,))
         elif loose > 1 << i:
@@ -231,11 +226,8 @@ def decompose(p):
 
 
 def classify(p):
-    "Wild exactly when decompose fails, else by the number of Pair blocks"
-    try:
-        return decompose(p).kind
-    except NotTame:
-        return WILD
+    "Wild when decompose finds no blocks, else by the number of Pair blocks"
+    return decompose(p).kind
 
 
 def split_two_one_parameter(p, s1_elements):

@@ -1,9 +1,8 @@
 """Admissible spectra of weighted projection sums over one-parameter posets."""
 
 import dataclasses
-import json
 
-from .poset import CHAIN_TAME, ONE_PARAMETER, WILD, NotTame, decompose
+from .poset import CHAIN_TAME, ONE_PARAMETER, decompose
 
 DISCRETE = "Discrete"
 CONTINUOUS = "Continuous"
@@ -42,8 +41,7 @@ class Character:
         return "Character(%r)" % (self.weights,)
 
     @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
+    def from_dict(cls, doc):
         try:
             return cls(doc["weights"])
         except (TypeError, KeyError) as exc:
@@ -76,13 +74,9 @@ class DeltaSet:
 
 def delta_of(p, chi, tol=DEFAULT_TOL):
     """Spectral constraint set for sum(alpha_g P_g) over the poset p."""
-    try:
-        dec = decompose(p)
-        kind = dec.kind
-    except NotTame:
-        kind = WILD
-    if kind not in (ONE_PARAMETER, CHAIN_TAME):
-        raise SpectrumError("poset is %s; need OneParameter or ChainTame" % kind)
+    dec = decompose(p)
+    if dec.kind not in (ONE_PARAMETER, CHAIN_TAME):
+        raise SpectrumError("poset is %s; need OneParameter or ChainTame" % dec.kind)
     if not p.elements:
         raise SpectrumError("the empty poset has no spectrum")
     blocks = dec.blocks
@@ -128,13 +122,6 @@ def membership(d, x, tol=DEFAULT_TOL):
         if lo + tol < x < hi - tol:
             return CONTINUOUS
     return OUTSIDE
-
-
-def near_boundary(d, x, margin):
-    "true when x sits within margin of a discrete point or interval endpoint"
-    if any(abs(x - p) <= margin for p in d.discrete):
-        return True
-    return any(abs(x - lo) <= margin or abs(x - hi) <= margin for lo, hi in d.continuous)
 
 
 def epsilon_pair(a1, a2, mu, tol=DEFAULT_TOL):

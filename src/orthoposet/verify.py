@@ -7,6 +7,8 @@ import numpy as np
 # the residual every axiom must meet; the CLI never checks more loosely
 VERIFY_TOL = 1e-10
 NULLSPACE_RTOL = 1e-8
+# commutant_dim counts a coupling as real above this times sqrt(residual) ||A||
+RESIDUAL_COUPLING = 10
 # c_g of commutant_dim's generic element: k times this, mod 1, for k = 1, 2, ...
 GOLDEN_FRACTION = (5 ** 0.5 - 1) / 2
 # the largest stacked system commutant_dim solves: 256 MB complex
@@ -64,11 +66,11 @@ def check_all(fam, tol=VERIFY_TOL):
         residuals["order[%s<%s]" % (g, h)] = _entry_norm(
             fam.projections[g] @ fam.projections[h] - fam.projections[g])
     residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(n))
-    return VerificationReport(residuals, commutant_dim(fam),
+    return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
                               check_essential(fam, tol), _forced(fam, tol), tol)
 
 
-def commutant_dim(fam):
+def commutant_dim(fam, residual=0.0):
     """Dimension over the complex field of {X : X P_g = P_g X for all g}.
 
     Such an X commutes with A = sum_g c_g P_g, c_g fixed and generic, so in A's
@@ -76,12 +78,16 @@ def commutant_dim(fam):
     dimension is the nullity of X -> ([X, B_g])_g on those X, B_g = V* P_g V
     (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)).
     Singleton clusters give the components of the graph joining i, j where some
-    |B_g[i, j]| > tau = NULLSPACE_RTOL ||A||. Clusters join gaps up to n tau, or
-    all of A unless the P_g are Hermitian within tau. Finer clusters can only
-    undercount, so the join gap grows tenfold while the count is uncertain:
-    while the graph's edges below 100 tau ||A|| / gap, the accuracy of A's
-    eigenvectors, change it, or a singular value lies in (tau, 100 tau). A
-    system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES is refused.
+    |B_g[i, j]| > real. Near a reducible family the axiom residuals grow with
+    the square of the coupling between its summands, so real is the larger of
+    tau = NULLSPACE_RTOL ||A|| and RESIDUAL_COUPLING sqrt(residual) ||A||, with
+    residual the family's largest axiom residual. Clusters join gaps up to
+    n tau, or all of A unless the P_g are Hermitian within tau. Finer clusters
+    can only undercount, so the join gap grows tenfold while the count is
+    uncertain: while the graph's edges below 100 tau ||A|| / gap, the accuracy
+    of A's eigenvectors, change it, or a singular value lies in (real,
+    100 real). A system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES
+    is refused.
     """
     ps = np.array(list(fam.projections.values()))
     n = fam.dimension
@@ -89,6 +95,7 @@ def commutant_dim(fam):
     w, v = np.linalg.eigh(np.tensordot(c, ps, axes=1))
     scale = np.max(np.abs(w))
     tau = NULLSPACE_RTOL * scale
+    real = max(tau, RESIDUAL_COUPLING * np.sqrt(residual) * scale)
     b = v.conj().T @ ps @ v
     gaps = np.diff(w)
     merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else np.inf
@@ -97,13 +104,13 @@ def commutant_dim(fam):
         if label[-1] == n - 1:
             coupling = np.max(np.abs(b), axis=0)
             coupling = np.maximum(coupling, coupling.T)
-            count = _components(coupling > tau)
-            certain = count == _components(
-                coupling > 100 * tau * scale / np.min(gaps, initial=np.inf))
+            count = _components(coupling > real)
+            certain = count == _components(coupling > max(
+                real, 100 * tau * scale / np.min(gaps, initial=np.inf)))
         else:
             s = _block_singular_values(b, label)
-            count = int(np.sum(s <= tau))
-            certain = not np.any((s > tau) & (s < 100 * tau))
+            count = int(np.sum(s <= real))
+            certain = not np.any((s > real) & (s < 100 * real))
         if certain or label[-1] == 0:
             return count
         while np.count_nonzero(gaps > merge) == label[-1]:

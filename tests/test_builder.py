@@ -9,7 +9,8 @@ from orthoposet.builder import (MINUS, PLUS, BuilderError, ProjectionFamily,
                                 basic_pair, build_from_chain,
                                 build_quadruple_continuous, disjoint_union,
                                 dualize, lift_to_catalog)
-from orthoposet.chain import (DISCRETE_IN_DELTA2, ChainContext, EigenChain,
+from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
+                              ChainContext, EigenChain,
                               enumerate_irreducibles, run_chain)
 from orthoposet.poset import Poset, dual, is_isomorphic
 from orthoposet.spectrum import Character
@@ -49,6 +50,8 @@ def test_basic_pair_rejects_boundary_tau():
     for tau in (-1.0, 1.0, 1.5):
         with pytest.raises(BuilderError, match="is not interior to"):
             basic_pair(tau)
+    with pytest.raises(BuilderError, match="sign must be 'plus' or 'minus'"):
+        basic_pair(0.1, "sideways")
 
 
 def test_build_three_point_family():
@@ -73,11 +76,21 @@ def test_build_rejects_escaped_chain():
         build_from_chain(ch)
 
 
+def test_build_rejects_a_continuous_value_without_its_reflection():
+    ctx = quad_context(0.6, 0.6, 0.6, 0.6)
+    alone = EigenChain([0.0, 0.3], [1.0, 0.7], DISCRETE_IN_DELTA1, ctx)
+    with pytest.raises(BuilderError, match="continuous value 0.3 at position 1 "
+                       "has no reflection partner"):
+        build_from_chain(alone)
+    unreflected = EigenChain([0.0, 0.3, 0.4], [1.0, 0.7, 0.6], DISCRETE_IN_DELTA2, ctx)
+    with pytest.raises(BuilderError, match="values 0.3, 0.4 do not reflect about sigma/2"):
+        build_from_chain(unreflected)
+
+
 def test_family_json_round_trip():
     ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
     fam = build_from_chain(ch)[0]
-    back = ProjectionFamily.from_json(json.dumps(fam.to_dict()), fam.poset,
-                                      split=fam.split)
+    back = ProjectionFamily.from_dict(json.loads(json.dumps(fam.to_dict())), fam.poset)
     for g in fam.poset.elements:
         assert np.allclose(back.projections[g], fam.projections[g], atol=0)
 

@@ -57,7 +57,6 @@ def test_three_point_chain():
     assert ch.dimension == 3
     assert np.allclose(ch.lambdas, [0.0, 0.8, 0.4], atol=1e-9)
     assert np.allclose(ch.mus, [1.0, 0.2, 0.6], atol=1e-9)
-    assert not ch.boundary_ambiguous
 
 
 def test_chain_requires_discrete_start():
@@ -77,11 +76,9 @@ def test_step_limit():
         run_chain(quad(5 / 9, 5 / 9, 5 / 9, 5 / 9), 0.0, max_steps=1)
 
 
-def test_escape_flags_boundary_grazes():
-    ch = run_chain(quad(0.6, 0.6, 0.3, 0.7 - 5e-9), 0.0)
-    assert ch.termination == ESCAPED and ch.boundary_ambiguous
-    ch = run_chain(quad(0.6, 0.6, 0.3, 0.6), 0.0)
-    assert ch.termination == ESCAPED and not ch.boundary_ambiguous
+def test_chain_escapes_on_and_off_a_boundary_graze():
+    assert run_chain(quad(0.6, 0.6, 0.3, 0.7 - 5e-9), 0.0).termination == ESCAPED
+    assert run_chain(quad(0.6, 0.6, 0.3, 0.6), 0.0).termination == ESCAPED
 
 
 def test_escaped_chain_has_no_small_numeric_family():

@@ -18,7 +18,8 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                OracleError, SearchConfig, _lstsq,
                                _random_projection, _run_lanes,
                                _spectrum_matched, cross_validate,
-                               rank_profiles, search_numeric, trace_feasible)
+                               cross_validate_split, rank_profiles,
+                               search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
@@ -523,6 +524,28 @@ def test_cross_validate_names_a_missing_weight():
                        Poset(["g3", "g4"], []), Character({"g3": 0.6}), (1,), QUICK)
 
 
+# g1, g2 < g5, with g5 listed third: the element order steers the search,
+# and in this order it reaches the near-reducible candidates below
+BELOW_G5 = Poset(["g1", "g2", "g5", "g3", "g4"], [("g1", "g5"), ("g2", "g5")])
+
+
+@pytest.mark.parametrize("p, weights, split", [
+    (QUAD, (0.2, 0.3, 0.8, 0.5), ["g1", "g2"]),
+    (QUAD, (0.8, 0.3, 0.2, 0.5), ["g1", "g2"]),
+    (BELOW_G5, (0.7, 0.3, 0.3, 0.5, 0.2), ["g1", "g2", "g5"]),
+    (BELOW_G5, (0.7, 0.1, 0.4, 0.6, 0.5), ["g1", "g2", "g5"]),
+])
+def test_cross_validate_refuses_near_reducible_candidates(p, weights, split):
+    # at d = 2 the search reaches families within about 1e-5 of a reducible
+    # one, at axiom residuals of 7e-12 to 8e-11; the commutant counts a
+    # coupling that small against such a residual as none, so the theory's
+    # "no family" stands
+    cfg = SearchConfig(2, restarts=8, max_iterations=2000, seed=0)
+    cv = cross_validate_split(p, Character(dict(zip(p.elements, weights))),
+                              split, [2], cfg)
+    assert all(row["agree"] for row in cv.rows)
+
+
 def test_cross_validate_degenerate_character():
     # g1 is screened out (weight above one) yet a scalar family survives
     heavy = Character({"g1": 1.2, "g2": 0.4, "g3": 0.3, "g4": 0.3})
@@ -549,3 +572,9 @@ def test_spectrum_matched_accepts_the_continuous_series():
     # reflection pairs on discrete points that no predicted chain has
     assert not _spectrum_matched(pred, np.array([0.0, 1.0]), dim2)
     assert not _spectrum_matched(pred, np.array([0.3719, 0.6281]), [])
+
+
+def test_spectrum_matched_rejects_an_unpredicted_spectrum_in_chains_mode():
+    pred = predict(QUAD, POINT_SIX, ["g1", "g2"])
+    assert pred.mode == "chains" and pred.two_point is None
+    assert not _spectrum_matched(pred, np.array([0.0, 0.5, 0.8]), [[0.0, 0.4, 0.8]])

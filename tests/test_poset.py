@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
-                              TWO_WIDTH_TAME, WILD, NotTame, Poset,
+                              TWO_WIDTH_TAME, WILD, Poset,
                               PosetError, classify, decompose, dual,
                               essential_catalog_match,
                               generate_posets, is_isomorphic,
@@ -111,9 +111,8 @@ def assert_core_matches_reference(elements, rels):
     assert p.up_sets() == ref_up_sets(p)
     assert width(p) == ref_width(p)
     assert classify(p) == ref_classify(p)
-    try:
-        blocks = decompose(p).blocks
-    except NotTame:
+    blocks = decompose(p).blocks
+    if blocks is None:
         assert ref_classify(p) == WILD
         return
     assert sorted(g for b in blocks for g in b) == sorted(elements)
@@ -160,7 +159,7 @@ def test_induced_subposet():
 
 
 def test_json_round_trip():
-    q = Poset.from_json(json.dumps(DIAMOND.to_dict()))
+    q = Poset.from_dict(json.loads(json.dumps(DIAMOND.to_dict())))
     assert q == DIAMOND
 
 
@@ -187,19 +186,19 @@ def test_decompose_diamond():
     dec = decompose(DIAMOND)
     assert dec.blocks == [("a",), ("b", "c"), ("d",)]
     assert dec.pair_index == 1
-    assert dec.pair_count == 1
 
 
 def test_decompose_rejects_double_incomparability():
-    with pytest.raises(NotTame):
-        decompose(Poset(["a", "b", "c"], []))
+    dec = decompose(Poset(["a", "b", "c"], []))
+    assert dec.blocks is None
+    assert dec.kind == WILD
+    assert dec.pair_index is None
 
 
 def test_decompose_reassembles():
     for p in generate_posets(4):
-        try:
-            dec = decompose(p)
-        except NotTame:
+        dec = decompose(p)
+        if dec.blocks is None:
             continue
         seen = [g for b in dec.blocks for g in b]
         assert sorted(seen) == sorted(p.elements)
@@ -249,6 +248,7 @@ def test_dual_catalog_names():
 
 
 def test_generate_posets_counts():
+    assert generate_posets(0) == [Poset([])]
     for n, expected in enumerate(CLASS_COUNTS, start=1):
         assert len(generate_posets(n)) == expected
 

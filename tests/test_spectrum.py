@@ -9,7 +9,7 @@ from orthoposet.builder import PLUS, MINUS, basic_pair
 from orthoposet.poset import ONE_PARAMETER, Poset, classify
 from orthoposet.spectrum import (CONTINUOUS, DISCRETE, OUTSIDE, Character,
                                  SpectrumError, delta_of, epsilon_pair,
-                                 membership, near_boundary, restore_epsilon)
+                                 membership, restore_epsilon)
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -55,7 +55,7 @@ def test_character_total_restrict_json():
     chi = Character({"x": 0.25, "y": 0.5, "z": 0.75})
     assert abs(chi.total - 1.5) < EXACT
     assert "z" not in chi.restrict(["x", "y"])
-    back = Character.from_json(json.dumps(chi.to_dict()))
+    back = Character.from_dict(json.loads(json.dumps(chi.to_dict())))
     assert back.weights == chi.weights
 
 
@@ -109,17 +109,13 @@ def test_membership_discrete_wins_ties():
     assert membership(d, -0.1) == OUTSIDE
 
 
-def test_near_boundary():
-    d = delta_of(PAIR, PAIR66)
-    assert near_boundary(d, 0.6 + 1e-8, 1e-7)
-    assert not near_boundary(d, 0.31, 1e-7)
-
-
 def test_epsilon_pair_values():
     e1, e2 = epsilon_pair(0.6, 0.6, 0.8)
     assert abs(e1 - 1.0 / 3.0) < EXACT and abs(e2 - 1.0 / 3.0) < EXACT
     e1, e2 = epsilon_pair(0.6, 0.6, 1.0)
     assert abs(e1 - 2.0 / 3.0) < EXACT and abs(e2 - 2.0 / 3.0) < EXACT
+    with pytest.raises(SpectrumError, match=r"2\*mu = 1.2 is within tol of a1 \+ a2 = 1.2"):
+        epsilon_pair(0.6, 0.6, 0.6)
 
 
 def test_restore_epsilon_reports_singularity_first():

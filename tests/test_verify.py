@@ -192,6 +192,27 @@ def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
     assert exact_path == [6]
 
 
+def test_commutant_sees_a_coupling_the_axioms_cannot():
+    # Q(phi) projects onto (cos phi, sin phi). At theta = 0 the family is
+    # I, Q(0), I - Q(0), Q(0): reducible. Turned by theta = 1e-6 it couples
+    # the two lines at 8e-6, far above tau, yet its axiom residuals grow
+    # with theta squared, so it passes at 1.2e-11
+    def q(phi):
+        v = np.array([np.cos(phi), np.sin(phi)])
+        return np.outer(v, v)
+
+    theta = 1e-6
+    fam = ProjectionFamily(QUAD, Character(dict(zip(QUAD.elements, (0.2, 0.3, 0.8, 0.5)))),
+                           {"g1": np.eye(2), "g2": q(5 * theta),
+                            "g3": np.eye(2) - q(0.0), "g4": q(-3 * theta)})
+    report = check_all(fam)
+    assert report.passed and 1e-11 < report.max_residual < 1.5e-11
+    assert abs(np.max(np.abs(fam.projections["g2"] - fam.projections["g4"])) - 8e-6) < 1e-7
+    assert report.commutant_dim == 2 and not report.irreducible
+    # without the residual, the coupling counts as real
+    assert commutant_dim(fam) == 1
+
+
 def test_long_chain_families_verify_at_large_dimension(exact_path):
     fam = quad_families(0.504)[0]
     assert fam.dimension == 63
