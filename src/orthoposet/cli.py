@@ -25,13 +25,17 @@ EXIT_VERIFICATION = 4
 
 
 def _load(path, from_dict, *args):
-    "from_dict(the JSON document at path, *args); a syntax error names the file"
-    with open(path) as fh:
+    "from_dict(the UTF-8 JSON document at path, *args); a read error names the file"
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError("%s: parse error at line %d column %d: %s"
                              % (path, exc.lineno, exc.colno, exc.msg))
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: not UTF-8: %s" % (path, exc))
+        except RecursionError:
+            raise ValueError("%s: nested too deeply to parse" % path)
     return from_dict(doc, *args)
 
 
@@ -90,7 +94,8 @@ def cmd_solve(args):
             ctx = pred.context
             fam = build_quadruple_continuous(
                 ctx.delta1.pair_weights + ctx.delta2.pair_weights, c,
-                gamma or 1.0, tol, parts=(ctx.part1.elements, ctx.part2.elements))
+                1.0 if gamma is None else gamma, tol,
+                parts=(ctx.part1.elements, ctx.part2.elements))
             records.append(_family_record(_on_input(fam, p, chi), tol))
     chains = [ch for ch in pred.chains if ch.dimension <= args.max_dim]
     dropped = [ch.dimension for ch in pred.chains if ch.dimension > args.max_dim]

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .builder import ProjectionFamily, disjoint_union
 from .chain import NoRepresentation, predict
@@ -25,8 +24,9 @@ MAX_LANES = 4096
 # build has 314,154 (eight elements at dimension 8)
 MAX_PROFILE_ROWS = 2 ** 22
 # float64 entries of the pool's state, LANE_POOL x (5 + 2 ANDERSON_MEMORY)
-# x 2|G|n^2 (128 MB); the largest state the tests and the benchmark search
-# with has 36,000 (six elements at dimension 5)
+# x 2|G|n^2 (128 MB), as a lane holds its step history and at most five
+# more flat states between sweeps; the largest state the tests and the
+# benchmark search with has 36,000 (six elements at dimension 5)
 MAX_STATE_ENTRIES = 2 ** 24
 # restarts x surviving profiles x |G| n^3, what the lanes cost per
 # iteration; the largest search the tests run has 725,760 (64 restarts x
@@ -135,33 +135,63 @@ def _random_projection(rng, n, rank):
     return q @ q.conj().T
 
 
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+def _lane(cfg, start):
+    """One lane of alternating projections with Anderson mixing, from start.
 
-
-def _lstsq(a, b):
-    """np.linalg.lstsq(a, b, rcond=None)[0] over stacks a (..., N, m), b (..., N, 1).
-
-    np.linalg.lstsq takes 2-D operands only. The gufunc it calls broadcasts
-    over stacks and solves each matrix bit for bit as lstsq does, so the
-    lanes of one history depth share one call.
+    A coroutine on flat real states: it yields each point it wants swept,
+    is sent back (projections, residual) of that point, and returns (exit,
+    projections or None). exit is "accepted", "step_tol", "stall" or
+    "max_iterations", and projections are those of the accepted point.
     """
-    rcond = np.finfo(float).eps * max(a.shape[-2:])
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")[0]
+    x = start
+    # the last `depth` steps of x and of f, newest last, one per column
+    steps_x, steps_f = np.zeros((2, len(start), ANDERSON_MEMORY))
+    depth, x_prev, f_prev = 0, None, None
+    window = np.inf
+    kept = None
+    for it in range(cfg.max_iterations):
+        swept, res = kept if kept is not None else (yield x)
+        kept = None
+        if res <= ACCEPT_TOL:
+            return "accepted", swept
+        image = swept.ravel().view(float)
+        f = image - x
+        if np.abs(f).max() < cfg.step_tol:
+            return "step_tol", None
+        if (it + 1) % STALL_WINDOW == 0:
+            # plateau: projections are cycling around an infeasible profile
+            if res > STALL_FACTOR * window:
+                return "stall", None
+            window = res
+        if f_prev is not None:
+            steps_x[:, :-1], steps_f[:, :-1] = steps_x[:, 1:], steps_f[:, 1:]
+            steps_x[:, -1], steps_f[:, -1] = x - x_prev, f - f_prev
+            depth = min(depth + 1, ANDERSON_MEMORY)
+        x_prev, f_prev = x, f
+        if depth:
+            # extrapolate through the recent steps, kept only if it lowers
+            # the residual; else the history goes and the image is next
+            basis = steps_f[:, -depth:]
+            gamma = np.linalg.lstsq(basis, f, rcond=None)[0]
+            candidate = image - (steps_x[:, -depth:] + basis) @ gamma
+            trial = yield candidate
+            if trial[1] < res:
+                x, kept = candidate, trial
+                continue
+            depth, x_prev, f_prev = 0, None, None
+        x = image
+    return "max_iterations", None
 
 
 def _run_lanes(p, chi, cfg, lanes):
-    """Alternating projections from random starts, LANE_POOL lanes at a time.
+    """_lane from random starts, LANE_POOL lanes at a time.
 
-    lanes yields (ranks, rng) in scan order. The lanes in the pool share one
-    (lanes, |G|, n, n) state, and Anderson mixing works on its flat real
-    view, one row per lane. A lane leaves the pool on its own exit and the
-    next one enters. Yields (exit, family) for every lane in scan order;
-    exit is "accepted", "step_tol", "stall" or "max_iterations", and family
-    is None unless accepted. Every step is a stack of per-lane, per-matrix
-    operations, so a lane computes the same bits in any pool.
+    lanes yields (ranks, rng) in scan order. Each step stacks the points
+    the lanes in the pool ask for and sweeps them at once, and a lane that
+    returns makes room for the next. Yields (exit, family) for every lane
+    in scan order; family is None unless the lane was accepted. Every step
+    of the sweep is a stack of per-lane, per-matrix operations, so a lane
+    computes the same bits in any pool.
     """
     els = p.elements
     k, n = len(els), cfg.dimension
@@ -215,112 +245,46 @@ def _run_lanes(p, chi, cfg, lanes):
             np.abs(out[:, lo] @ out[:, hi] - out[:, lo]).max(axis=(1, 2, 3)))
         return out, res
 
-    size, pool, memory = 2 * k * n * n, LANE_POOL, ANDERSON_MEMORY
-    # per slot; the lanes in the pool hold slots 0 .. active - 1
-    lane = np.zeros(pool, dtype=int)  # scan index
-    ranks = np.zeros((pool, k), dtype=int)
-    # x is the iterate and y the point the next sweep takes: x itself, or
-    # an Anderson trial when trial is set
-    x, y, x_prev, f_prev, image = np.zeros((5, pool, size))
-    # the last `depth` Anderson steps, newest last; depth -1: no previous step
-    steps_x, steps_f = np.zeros((2, pool, memory, size))
-    depth = np.zeros(pool, dtype=int)
-    trial = np.zeros(pool, dtype=bool)
-    res, window = np.zeros(pool), np.zeros(pool)
-    iterations = np.zeros(pool, dtype=int)
-    slots = (lane, ranks, x, y, x_prev, f_prev, image, steps_x, steps_f,
-             depth, trial, res, window, iterations)
+    pool = []  # (scan index, ranks, lane, the point it asks for)
     done = {}  # exits of lanes that the scan has not reached yet
-    source = iter(lanes)
-    active = entered = scanned = 0
+    source = enumerate(lanes)
+    scanned = 0
     changed = True
     while True:
         while scanned in done:
             yield done.pop(scanned)
             scanned += 1
-        while active < pool:
+        while len(pool) < LANE_POOL:
             nxt = next(source, None)
             if nxt is None:
                 break
-            s, (lane_ranks, rng) = active, nxt
-            lane[s], ranks[s] = entered, lane_ranks
-            x[s] = y[s] = np.stack([_random_projection(rng, n, r)
-                                    for r in lane_ranks]).ravel().view(float)
-            depth[s], trial[s], window[s], iterations[s] = -1, False, np.inf, 0
-            active, entered, changed = active + 1, entered + 1, True
-        if not active:
+            i, (ranks, rng) = nxt
+            lane = _lane(cfg, np.stack([_random_projection(rng, n, r)
+                                        for r in ranks]).ravel().view(float))
+            pool.append((i, ranks, lane, next(lane)))
+            changed = True
+        if not pool:
             return
         if changed:
-            pair_ranks = ranks[:active].ravel()
+            pair_ranks = np.array([ranks for _, ranks, _, _ in pool]).ravel()
             full = np.flatnonzero(pair_ranks == n)
             mid = np.flatnonzero((pair_ranks > 0) & (pair_ranks < n))
             mid = mid[np.argsort(pair_ranks[mid], kind="stable")]
             values, starts = np.unique(pair_ranks[mid], return_index=True)
             groups = list(zip(values.tolist(), starts.tolist(),
                               starts[1:].tolist() + [len(mid)]))
-            changed = False
-        swept, r = sweep(y[:active], full, mid, groups)
-        # a trial that does not lower the residual is dropped with the
-        # history, and the image it extrapolated from is swept next
-        worse = trial[:active] & ~(r < res[:active])
-        s = np.flatnonzero(~worse)
-        if len(s) < active:
-            back = np.flatnonzero(worse)
-            x[back] = y[back] = image[back]
-            depth[back], trial[back] = -1, False
-            swept, r = swept[s], r[s]
-        # one iteration for the rest; a kept trial becomes the iterate
-        x[s] = y[s]
-        img = swept.reshape(len(s), k * n * n).view(float)
-        f = img - x[s]
-        iterations[s] += 1
-        accepted = r <= ACCEPT_TOL
-        small = np.abs(f).max(axis=1) < cfg.step_tol
-        check = iterations[s] % STALL_WINDOW == 0
-        # plateau: projections are cycling around an infeasible profile
-        stalled = check & (r > STALL_FACTOR * window[s])
-        window[s[check]] = r[check]
-        maxed = iterations[s] >= cfg.max_iterations
-        ended = accepted | small | stalled | maxed
-        gone = s[ended]
-        if len(gone):
-            for j in np.flatnonzero(ended):
-                reason = ("accepted" if accepted[j] else "step_tol" if small[j]
-                          else "stall" if stalled[j] else "max_iterations")
+        swept, res = sweep(np.stack([point for *_, point in pool]),
+                           full, mid, groups)
+        live = []
+        for (i, ranks, lane, _), row, r in zip(pool, swept, res):
+            try:
                 # a copy: a view would keep the whole pool's sweep alive
-                fam = (ProjectionFamily(p, chi, dict(zip(els, swept[j].copy())))
-                       if accepted[j] else None)
-                done[int(lane[s[j]])] = (reason, fam)
-            s, f, img, r = s[~ended], f[~ended], img[~ended], r[~ended]
-        grow = depth[s] >= 0
-        g = s[grow]
-        new_x, new_f = x[g] - x_prev[g], f[grow] - f_prev[g]
-        steps_x[g, :-1], steps_f[g, :-1] = steps_x[g, 1:], steps_f[g, 1:]
-        steps_x[g, -1], steps_f[g, -1] = new_x, new_f
-        depth[s] = np.minimum(depth[s] + 1, memory)
-        x_prev[s], f_prev[s], image[s], res[s] = x[s], f, img, r
-        mixing = depth[s] > 0
-        trial[s] = mixing
-        plain = s[~mixing]
-        x[plain] = y[plain] = img[~mixing]
-        for m in set(depth[s[mixing]].tolist()):
-            # extrapolate through the recent steps, kept only if it helps
-            sel = mixing & (depth[s] == m)
-            g = s[sel]
-            mix = steps_f[g, -m:]
-            gamma = _lstsq(mix.transpose(0, 2, 1), f[sel, :, None])
-            mix += steps_x[g, -m:]
-            # the contiguous copy keeps each product's bits those of one lane
-            y[g] = img[sel] - np.matmul(
-                np.ascontiguousarray(mix.transpose(0, 2, 1)), gamma)[:, :, 0]
-        if len(gone):
-            # the last lanes fill the freed slots
-            for j in gone[::-1]:
-                active -= 1
-                if j != active:
-                    for a in slots:
-                        a[j] = a[active]
-            changed = True
+                live.append((i, ranks, lane, lane.send((row.copy(), r))))
+            except StopIteration as stop:
+                reason, proj = stop.value
+                done[i] = (reason, None if proj is None else
+                           ProjectionFamily(p, chi, dict(zip(els, proj))))
+        pool, changed = live, len(live) < len(pool)
 
 
 def _lanes(p, chi, cfg):

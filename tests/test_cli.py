@@ -7,7 +7,10 @@ import inspect
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -260,11 +263,13 @@ def test_solve_lists_each_two_point_irreducible_once(tmp_path, capsys):
 def test_solve_rejects_non_unimodular_gamma(tmp_path, capsys):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_HALVES)
-    code, _, err = run(capsys, ["solve", "--poset", poset,
-                                "--character", character, "--split", "g1,g2",
-                                "--c", "0.25", "--gamma", "2,0"])
-    assert code == EXIT_VALIDATION
-    assert "unimodular" in err
+    # a zero gamma is falsy, and must not stand for the default 1
+    for gamma in ("2,0", "0", "0,0"):
+        code, _, err = run(capsys, ["solve", "--poset", poset,
+                                    "--character", character, "--split", "g1,g2",
+                                    "--c", "0.25", "--gamma", gamma])
+        assert code == EXIT_VALIDATION, gamma
+        assert "not unimodular" in err
 
 
 def test_solve_continuous_family_takes_the_pair_names(tmp_path, capsys):
@@ -851,14 +856,19 @@ def test_verify_answers_a_threefold_summand_at_n_63(tmp_path, capsys):
 def test_validation_errors(tmp_path, capsys):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
-    junk = tmp_path / "junk.json"
-    junk.write_text("{not json")
-
     code, _, err = run(capsys, ["classify", "--poset", str(tmp_path / "no.json")])
     assert code == EXIT_VALIDATION and "error:" in err
 
-    code, _, err = run(capsys, ["classify", "--poset", str(junk)])
-    assert code == EXIT_VALIDATION and "parse error" in err
+    # a file that does not parse, is nested too deeply or is not UTF-8 is named
+    junk = tmp_path / "junk.json"
+    for data, message in ((b"{not json", "parse error at line 1 column 2"),
+                          (b"[" * 100_000, "nested too deeply to parse"),
+                          (b'{"elements": ["\xff"]}', "not UTF-8: 'utf-8' codec "
+                                                     "can't decode byte 0xff")):
+        junk.write_bytes(data)
+        code, out, err = run(capsys, ["classify", "--poset", str(junk)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: %s: %s" % (junk, message)), err
 
     code, _, err = run(capsys, ["solve", "--poset", poset,
                                 "--character", character, "--split", "g1"])
@@ -868,6 +878,19 @@ def test_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", "--poset", poset,
                                 "--character", short, "--split", "g1,g2"])
     assert code == EXIT_VALIDATION and "missing weight" in err
+
+
+def test_load_reads_utf8_whatever_the_locale(tmp_path):
+    poset = tmp_path / "p.json"
+    poset.write_bytes(json.dumps({"elements": ["\u00e9", "b"], "relations": []},
+                                 ensure_ascii=False).encode("utf-8"))
+    # the C locale without coercion reads files as ASCII by default
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "orthoposet", "classify",
+                           "--poset", str(poset)], env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert json.loads(done.stdout)["width"] == 2
 
 
 def test_solve_rejects_infinite_weight(tmp_path, capsys):

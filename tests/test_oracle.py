@@ -10,14 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from orthoposet import oracle
 from orthoposet.builder import build_from_chain
 from orthoposet.chain import (ChainContext, enumerate_dim1,
                               enumerate_irreducibles, predict)
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
-                               OracleError, SearchConfig, _lstsq,
-                               _random_projection, _run_lanes,
-                               _spectrum_matched, cross_validate,
+                               OracleError, SearchConfig, _random_projection,
+                               _run_lanes, _spectrum_matched, cross_validate,
                                cross_validate_split, rank_profiles,
                                search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
@@ -397,6 +397,24 @@ def test_pooled_lanes_match_the_one_lane_loop():
     assert longest > LANE_POOL
 
 
+def _lane_answers(p, chi, cfg):
+    """(exit, bytes of the projections or None) of every lane, in scan order."""
+    return [(exit, None if fam is None else
+             np.stack([fam.projections[g] for g in p.elements]).tobytes())
+            for exit, fam in _run_lanes(p, chi, cfg, _lanes(p, chi, cfg))]
+
+
+def test_pool_size_does_not_change_answers(monkeypatch):
+    searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
+                for p, chi, d in POOL_CASES.values()]
+    want = [_lane_answers(*search) for search in searches]
+    assert max(map(len, want)) > LANE_POOL
+    for pool in (1, 3):
+        monkeypatch.setattr(oracle, "LANE_POOL", pool)
+        for search, answers in zip(searches, want):
+            assert _lane_answers(*search) == answers, pool
+
+
 def _serial_search(p, chi, cfg, require_irreducible):
     """(family, lanes scanned) by _search_once on each lane, then check_all."""
     scanned = 0
@@ -430,33 +448,6 @@ def test_search_takes_a_winner_past_a_full_pool():
     got = search_numeric(p, chi, cfg, require_irreducible=True)
     for g in p.elements:
         assert np.array_equal(got.projections[g], want.projections[g])
-
-
-def test_lstsq_helper_matches_numpy_bit_for_bit():
-    rng = np.random.default_rng(9)
-    for m in range(1, ANDERSON_MEMORY + 1):
-        # stored as the engine keeps its history: steps along the middle axis
-        steps = rng.standard_normal((6, m, 96))
-        steps[0, -1] = steps[0, 0]  # rank deficient (for m = 1, a repeat)
-        f = rng.standard_normal((6, 96))
-        got = _lstsq(steps.transpose(0, 2, 1), f[:, :, None])
-        assert got.shape == (6, m, 1)
-        for i in range(6):
-            want = np.linalg.lstsq(np.stack(list(steps[i]), axis=1), f[i],
-                                   rcond=None)[0]
-            assert np.array_equal(got[i, :, 0], want)
-
-
-def test_lstsq_helper_fails_as_numpy_does():
-    rng = np.random.default_rng(9)
-    steps = rng.standard_normal((3, 96, 2))
-    f = rng.standard_normal((3, 96, 1))
-    steps[1, 5, 0] = np.nan
-    with pytest.raises(np.linalg.LinAlgError) as want:
-        np.linalg.lstsq(steps[1], f[1], rcond=None)
-    with pytest.raises(np.linalg.LinAlgError) as got:
-        _lstsq(steps, f)
-    assert str(got.value) == str(want.value)
 
 
 def test_search_logs_one_debug_line(caplog):
