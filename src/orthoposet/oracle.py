@@ -18,7 +18,7 @@ SPECTRUM_TOL = 1e-6
 # lanes that run at once in one stacked state
 LANE_POOL = 8
 # restarts x surviving profiles; the largest search the tests and the
-# benchmark run has 1,024 lanes
+# benchmark run has 256 lanes
 MAX_LANES = 4096
 # rows of the rank-prefix grid; the largest grid the tests and the benchmark
 # build has 314,154 (eight elements at dimension 8)
@@ -29,9 +29,9 @@ MAX_PROFILE_ROWS = 2 ** 22
 # benchmark search with has 36,000 (six elements at dimension 5)
 MAX_STATE_ENTRIES = 2 ** 24
 # restarts x surviving profiles x |G| n^3, what the lanes cost per
-# iteration; the largest search the tests run has 725,760 (64 restarts x
-# 35 profiles x 12 elements at dimension 3), the README's 110,592 and the
-# benchmark's 40,960
+# iteration; the largest search the tests run has 48,384 (56 lanes of
+# four elements at dimension 6), the README's 27,648 and the benchmark's
+# 12,096
 MAX_LANE_WORK = 2 ** 24
 
 
@@ -53,6 +53,9 @@ class SearchConfig:
             raise OracleError("dimension must be positive")
         if self.restarts < 1 or self.max_iterations < 1:
             raise OracleError("restarts and max_iterations must be positive")
+        if self.rank_profile is not None and not all(
+                0 <= r <= self.dimension for r in self.rank_profile):
+            raise OracleError("rank_profile entries must lie in 0..dimension")
 
 
 def rank_profiles(p, chi, dimension):
@@ -122,6 +125,45 @@ def trace_feasible(p, chi, profiles, dimension):
         lo = np.where(comparable[i], fixed, np.maximum(rg + r - dimension, 0.0)) @ w
         hi = np.where(comparable[i], fixed, np.minimum(rg, r)) @ w
         ok &= (lo <= r[:, i] + PROFILE_SLACK) & (r[:, i] <= hi + PROFILE_SLACK)
+    return ok
+
+
+def norm_feasible(p, chi, profiles, dimension):
+    """Mask of the rank profiles that pass the norm bounds.
+
+    Kernel bound: if sum_T alpha_g < 1, then on the common kernel of the
+    P_g outside T, sum_T alpha_g P_g is the identity yet has norm below 1,
+    so that kernel is 0 and sum_{g not in T} r_g >= n. Image bound: if
+    sum_S alpha_g > 1, then on the common image of the P_g in S the rest of
+    the sum would be (1 - sum_S alpha_g) I, negative yet positive
+    semidefinite, so that image is 0 and sum_S r_g <= (|S| - 1) n. With U
+    the complement of T, both say that a set of small size weighs little:
+    a U whose ranks sum to at most n - 1 weighs at most total - 1, and an S
+    whose co-ranks n - r_g sum to at most n - 1 weighs at most 1. The
+    heaviest such set is a 0/1 knapsack of capacity n - 1 over the integer
+    ranks, solved exactly for a block of profiles at once, so no subset is
+    listed. Only the axioms are used, no chain theory.
+    """
+    els = p.elements
+    w = np.array([chi[g] for g in els])
+    r = np.asarray(profiles, dtype=np.intp).reshape(-1, len(els))
+    n = dimension
+    ok = np.ones(len(r), dtype=bool)
+    # blocks of rows keep each table near 2^16 entries, inside the cache
+    step = max(1, 2 ** 15 // n)
+    for start in range(0, len(r), step):
+        block = r[start:start + step]
+        # flat index of capacity c in each row of a (rows, 2n) table whose
+        # first n columns are -inf, so a set that does not fit never wins
+        at = 2 * n * np.arange(len(block))[:, None] + n + np.arange(n)
+        for sizes, most in ((block, w.sum() - 1.0), (n - block, 1.0)):
+            # best[:, n + c]: the most weight of a set whose sizes sum to at most c
+            best = np.zeros((len(block), 2 * n))
+            best[:, :n] = -np.inf
+            for j, wj in enumerate(w):
+                took = best.ravel()[at - sizes[:, j:j + 1]] + wj
+                np.maximum(best[:, n:], took, out=best[:, n:])
+            ok[start:start + step] &= best[:, -1] <= most + PROFILE_SLACK
     return ok
 
 
@@ -288,19 +330,24 @@ def _run_lanes(p, chi, cfg, lanes):
 
 
 def _lanes(p, chi, cfg):
-    """(profiles listed, [(pidx, ranks)] that pass trace_feasible); raises
-    OracleError on a search over MAX_LANES lanes, or lanes whose pool state
-    would pass MAX_STATE_ENTRIES or whose work would pass MAX_LANE_WORK."""
+    """(profiles listed, profiles that pass trace_feasible, [(pidx, ranks)]
+    that also pass norm_feasible); raises OracleError on a search over
+    MAX_LANES lanes, or lanes whose pool state would pass MAX_STATE_ENTRIES
+    or whose work would pass MAX_LANE_WORK."""
     if cfg.rank_profile is not None:
         profiles = [cfg.rank_profile]
     else:
         profiles = rank_profiles(p, chi, cfg.dimension)
-    feasible = trace_feasible(p, chi, profiles, cfg.dimension)
-    lanes = [(pidx, ranks) for pidx, ranks in enumerate(profiles) if feasible[pidx]]
+    # one array for both filters: converting the list is most of their time
+    ranks = np.array(profiles, dtype=np.intp).reshape(len(profiles), len(p.elements))
+    traced = np.flatnonzero(trace_feasible(p, chi, ranks, cfg.dimension))
+    normed = norm_feasible(p, chi, ranks[traced], cfg.dimension)
+    lanes = [(int(pidx), profiles[pidx]) for pidx in traced[normed]]
     if cfg.restarts * len(lanes) > MAX_LANES:
         raise OracleError(
             "search at dimension %d needs %d lanes (%d restarts x %d rank "
-            "profiles left by the trace identity), more than the limit of %d"
+            "profiles left by the trace identity and the norm bounds), more "
+            "than the limit of %d"
             % (cfg.dimension, cfg.restarts * len(lanes), cfg.restarts,
                len(lanes), MAX_LANES))
     k, n = len(p.elements), cfg.dimension
@@ -315,7 +362,7 @@ def _lanes(p, chi, cfg):
             "search at dimension %d needs %d units of lane work (restarts x "
             "lanes x elements x n^3), more than the limit of %d"
             % (n, work, MAX_LANE_WORK))
-    return len(profiles), lanes
+    return len(profiles), len(traced), lanes
 
 
 def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
@@ -323,13 +370,14 @@ def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible are skipped without changing any other lane. The scan
-    takes the first lane whose family passes check_all. A search of more
-    than MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES or
-    work MAX_LANE_WORK, raises OracleError before any lane runs. listing
-    is _lanes(p, chi, cfg) if the caller has already made it.
+    trace_feasible or norm_feasible are skipped without changing any other
+    lane. The scan takes the first lane whose family passes check_all. A
+    search of more than MAX_LANES lanes, or whose pool state passes
+    MAX_STATE_ENTRIES or work MAX_LANE_WORK, raises OracleError before any
+    lane runs. listing is _lanes(p, chi, cfg) if the caller has already
+    made it.
     """
-    listed, lanes = _lanes(p, chi, cfg) if listing is None else listing
+    listed, traced, lanes = _lanes(p, chi, cfg) if listing is None else listing
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
               for restart, (pidx, ranks)
               in itertools.product(range(cfg.restarts), lanes))
@@ -347,8 +395,8 @@ def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d lanes run, found=%s", cfg.dimension, listed,
-        listed - len(lanes), runs, found is not None)
+        "%d by the norm bounds, %d lanes run, found=%s", cfg.dimension, listed,
+        listed - traced, traced - len(lanes), runs, found is not None)
     return found
 
 

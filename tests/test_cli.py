@@ -666,16 +666,18 @@ def test_oracle_checks_the_lane_budget_of_every_dimension_first(tmp_path, capsys
 
 
 def test_oracle_lists_a_large_dimension_range_lazily(tmp_path, capsys):
-    # dimension 6 is refused (7,424 lanes) before the other 999,994 are listed
+    # unit weights keep every rank profile: dimension 6 is refused (84
+    # profiles, 5,376 lanes) before the other 999,994 are listed
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
-    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: 1.0 for g in ANTICHAIN4["elements"]}})
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
                                   character, "--split", "g1,g2",
                                   "--dims", "1..1000000"])
     seconds = time.perf_counter() - t0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert "search at dimension 6 needs 7424 lanes" in err
+    assert "search at dimension 6 needs 5376 lanes" in err
     assert seconds < 0.5
 
 
@@ -712,17 +714,17 @@ def test_oracle_refuses_an_oversized_pool_state(tmp_path, capsys):
 
 
 def test_oracle_refuses_an_oversized_lane_work(tmp_path, capsys):
-    # 931 lanes, under MAX_LANES, yet each costs 3 x 60^3 per iteration
+    # 1,891 lanes, under MAX_LANES, yet each costs 3 x 60^3 per iteration
     poset = write_json(tmp_path, "p.json", {"elements": ["a", "b", "c"], "relations": []})
     character = write_json(tmp_path, "c.json", {"weights": {
-        g: 2 / 3 for g in ("a", "b", "c")}})
+        g: 1.0 for g in ("a", "b", "c")}})
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
                                   character, "--split", "a", "--dims", "60",
                                   "--restarts", "1", "--iterations", "1"])
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert ("dimension 60 needs 603288000 units of lane work" in err
+    assert ("dimension 60 needs 1225368000 units of lane work" in err
             and "limit of 16777216" in err)
 
 

@@ -18,8 +18,8 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
                                OracleError, SearchConfig, _random_projection,
                                _run_lanes, _spectrum_matched, cross_validate,
-                               cross_validate_split, rank_profiles,
-                               search_numeric, trace_feasible)
+                               cross_validate_split, norm_feasible,
+                               rank_profiles, search_numeric, trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
@@ -36,6 +36,9 @@ def test_search_config_validation():
         SearchConfig(dimension=0)
     with pytest.raises(OracleError):
         SearchConfig(dimension=2, restarts=0)
+    for ranks in ((4, 0, 0, 0), (0, -1, 0, 0)):
+        with pytest.raises(OracleError, match="rank_profile"):
+            SearchConfig(dimension=3, rank_profile=ranks)
     cfg = dataclasses.replace(QUICK, dimension=3, rank_profile=(1, 1, 1, 1))
     assert cfg.dimension == 3 and cfg.rank_profile == (1, 1, 1, 1)
     assert QUICK.rank_profile is None  # replace does not mutate
@@ -170,8 +173,9 @@ def _profile(fam):
 def _assert_profile_passes(fam):
     assert check_all(fam).passed
     ranks = _profile(fam)
-    assert trace_feasible(fam.poset, fam.character, [ranks], fam.dimension)[0], \
-        (fam.poset, fam.character, ranks)
+    for feasible in (trace_feasible, norm_feasible):
+        assert feasible(fam.poset, fam.character, [ranks], fam.dimension)[0], \
+            (feasible.__name__, fam.poset, fam.character, ranks)
 
 
 def test_trace_identity_passes_every_built_family():
@@ -208,6 +212,48 @@ def test_trace_identity_passes_every_built_family():
     assert built == 32
 
 
+def _norm_bounds_hold(p, chi, ranks, n):
+    """The norm bounds by listing every subset: a T lighter than 1 leaves
+    ranks of at least n outside it, and an S heavier than 1 has ranks of at
+    most (|S| - 1) n inside it."""
+    for inside in itertools.product((False, True), repeat=len(ranks)):
+        weight = sum(chi[g] for g, b in zip(p.elements, inside) if b)
+        rank_in = sum(r for r, b in zip(ranks, inside) if b)
+        if weight < 1 - PROFILE_SLACK and sum(ranks) - rank_in < n:
+            return False
+        if weight > 1 + PROFILE_SLACK and rank_in > (sum(inside) - 1) * n:
+            return False
+    return True
+
+
+def test_norm_bounds_match_subset_enumeration():
+    rng = random.Random(18)
+    cases = [(p, Character({g: rng.randint(1, grid) / grid for g in p.elements}), d)
+             for k in range(1, 6) for p in generate_posets(k)
+             for grid in (10, 8) for d in range(1, 6)]
+    # 2,592 profiles, more than the 1,638 rows of one block at d = 20
+    cases.append((QUAD, Character(dict(zip(QUAD.elements, (.5, .5, .5, .75)))), 20))
+    kept = pruned = 0
+    for p, chi, d in cases:
+        profiles = rank_profiles(p, chi, d)
+        want = [_norm_bounds_hold(p, chi, r, d) for r in profiles]
+        assert norm_feasible(p, chi, profiles, d).tolist() == want, (p, chi, d)
+        kept += sum(want)
+        pruned += len(want) - sum(want)
+    assert kept >= 1000 and pruned >= 3000, (kept, pruned)
+
+
+def test_norm_bounds_keep_the_quad_at_two_thirds_balanced():
+    # at d = 4 any two ranks sum to at most 4 and any three to at least 4
+    chi = Character({g: 2 / 3 for g in QUAD.elements})
+    profiles = rank_profiles(QUAD, chi, 4)
+    kept = [r for r, ok in zip(profiles, norm_feasible(QUAD, chi, profiles, 4)) if ok]
+    assert len(kept) == 10
+    assert set(kept) == (set(itertools.permutations((2, 2, 2, 0)))
+                         | set(itertools.permutations((2, 2, 1, 1))))
+    assert norm_feasible(QUAD, chi, [], 4).shape == (0,)
+
+
 def _search_once(p, chi, ranks, rng, cfg):
     """One lane of _run_lanes: the family its start reaches, or None."""
     return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
@@ -232,7 +278,7 @@ def _planted_character(rng, p, d):
 def test_trace_identity_passes_every_searched_family():
     # every lane runs, refuted or not, so an unsound filter cannot hide a family
     rng = random.Random(11)
-    found = refuted = 0
+    found = refuted = pruned = 0
     for k in range(1, 5):
         for p in generate_posets(k) * 2:
             d = rng.randint(1, 4)
@@ -240,13 +286,14 @@ def test_trace_identity_passes_every_searched_family():
             cfg = SearchConfig(dimension=d, restarts=1, max_iterations=500, seed=k)
             profiles = rank_profiles(p, chi, d)
             refuted += int((~trace_feasible(p, chi, profiles, d)).sum())
+            pruned += int((~norm_feasible(p, chi, profiles, d)).sum())
             for pidx, ranks in enumerate(profiles):
                 fam = _search_once(p, chi, ranks, np.random.default_rng([k, pidx]), cfg)
                 if fam is not None and check_all(fam).passed:
                     assert _profile(fam) == ranks
                     _assert_profile_passes(fam)
                     found += 1
-    assert found >= 20 and refuted >= 10, (found, refuted)
+    assert found >= 20 and refuted >= 10 and pruned >= 10, (found, refuted, pruned)
 
 
 def test_search_keeps_the_seed_of_each_surviving_lane():
@@ -456,7 +503,7 @@ def test_search_logs_one_debug_line(caplog):
         search_numeric(QUAD, POINT_SIX, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
-        "5 lanes run, found=True"]
+        "12 by the norm bounds, 1 lanes run, found=True"]
 
 
 def test_search_finds_the_three_point_family():
