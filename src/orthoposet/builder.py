@@ -9,7 +9,7 @@ from .chain import ESCAPED, c_range
 from .poset import CATALOG, Poset, decompose, is_isomorphic
 from .poset import dual as dual_poset
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, Character,
-                       membership, restore_epsilon)
+                       SpectrumError, json_float, membership, restore_epsilon)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -71,15 +71,17 @@ class ProjectionFamily:
     def from_dict(cls, doc, poset):
         """Read a to_dict document. It must give a weight and one square
         matrix of a common size for each element of poset, and no matrix
-        for anything else."""
+        for anything else; weights and entries are JSON numbers."""
         try:
-            weights = doc["character"]["weights"]
-            projections = {g: np.array([[complex(re, im) for re, im in row] for row in rows])
+            character = doc["character"]
+            projections = {g: _matrix(rows, "entry of the projection for %r" % (g,))
                            for g, rows in doc["projections"].items()}
+        except SpectrumError:
+            raise
         except (TypeError, KeyError, ValueError) as exc:
             raise BuilderError("family document needs 'character' weights and "
                                "'projections' with [re, im] entries") from exc
-        character = Character(weights)
+        character = Character.from_dict(character)
         if set(projections) != set(poset.elements) or not projections:
             raise BuilderError("family projections %r do not match the poset elements %r"
                                % (sorted(projections), list(poset.elements)))
@@ -94,6 +96,12 @@ class ProjectionFamily:
         projections = {g: m.real if np.all(m.imag == 0) else m
                        for g, m in projections.items()}
         return cls(poset, character, projections)
+
+
+def _matrix(rows, what):
+    "the complex matrix with these rows of [re, im] JSON numbers; what names an entry"
+    return np.array([[complex(json_float(re, what), json_float(im, what)) for re, im in row]
+                     for row in rows])
 
 
 def _layout(values, delta, tol):

@@ -54,12 +54,14 @@ class SearchConfig:
         if self.restarts < 1 or self.max_iterations < 1:
             raise OracleError("restarts and max_iterations must be positive")
         if self.rank_profile is not None and not all(
-                0 <= r <= self.dimension for r in self.rank_profile):
-            raise OracleError("rank_profile entries must lie in 0..dimension")
+                isinstance(r, (int, np.integer)) and 0 <= r <= self.dimension
+                for r in self.rank_profile):
+            raise OracleError("rank_profile entries must be integers in 0..dimension")
 
 
 def rank_profiles(p, chi, dimension):
-    """Monotone rank tuples with the exact weighted trace.
+    """Monotone rank profiles with the exact weighted trace, as the rows of
+    an (m, k) integer array in scan order: nearest the trace, then by ranks.
 
     trace(sum alpha_g P_g) = dimension holds exactly for any family, so
     sum alpha_g rank(P_g) must equal the dimension up to verifier noise;
@@ -96,9 +98,7 @@ def rank_profiles(p, chi, dimension):
     slack = np.abs(grid @ w - dimension)
     keep = slack <= PROFILE_SLACK
     grid, slack = grid[keep], slack[keep]
-    order = np.lexsort(tuple(grid[:, i] for i in range(k - 1, -1, -1))
-                       + (slack,))
-    return [tuple(int(r) for r in row) for row in grid[order]]
+    return grid[np.lexsort((*grid.T[::-1], slack))]
 
 
 def trace_feasible(p, chi, profiles, dimension):
@@ -334,48 +334,48 @@ def _lanes(p, chi, cfg):
     that also pass norm_feasible); raises OracleError on a search over
     MAX_LANES lanes, or lanes whose pool state would pass MAX_STATE_ENTRIES
     or whose work would pass MAX_LANE_WORK."""
-    if cfg.rank_profile is not None:
-        profiles = [cfg.rank_profile]
+    k, n = len(p.elements), cfg.dimension
+    if cfg.rank_profile is None:
+        profiles = rank_profiles(p, chi, n)
+    elif len(cfg.rank_profile) == k:
+        profiles = np.array([cfg.rank_profile])
     else:
-        profiles = rank_profiles(p, chi, cfg.dimension)
-    # one array for both filters: converting the list is most of their time
-    ranks = np.array(profiles, dtype=np.intp).reshape(len(profiles), len(p.elements))
-    traced = np.flatnonzero(trace_feasible(p, chi, ranks, cfg.dimension))
-    normed = norm_feasible(p, chi, ranks[traced], cfg.dimension)
-    lanes = [(int(pidx), profiles[pidx]) for pidx in traced[normed]]
-    if cfg.restarts * len(lanes) > MAX_LANES:
+        raise OracleError("rank_profile has %d entries for %d elements"
+                          % (len(cfg.rank_profile), k))
+    traced = np.flatnonzero(trace_feasible(p, chi, profiles, n))
+    kept = traced[norm_feasible(p, chi, profiles[traced], n)]
+    if cfg.restarts * len(kept) > MAX_LANES:
         raise OracleError(
             "search at dimension %d needs %d lanes (%d restarts x %d rank "
             "profiles left by the trace identity and the norm bounds), more "
             "than the limit of %d"
-            % (cfg.dimension, cfg.restarts * len(lanes), cfg.restarts,
-               len(lanes), MAX_LANES))
-    k, n = len(p.elements), cfg.dimension
+            % (n, cfg.restarts * len(kept), cfg.restarts, len(kept),
+               MAX_LANES))
     state = LANE_POOL * (5 + 2 * ANDERSON_MEMORY) * 2 * k * n * n
-    if lanes and state > MAX_STATE_ENTRIES:
+    if len(kept) and state > MAX_STATE_ENTRIES:
         raise OracleError(
             "search on %r at dimension %d needs %d pool state entries, more "
             "than the limit of %d" % (list(p.elements), n, state, MAX_STATE_ENTRIES))
-    work = cfg.restarts * len(lanes) * k * n ** 3
+    work = cfg.restarts * len(kept) * k * n ** 3
     if work > MAX_LANE_WORK:
         raise OracleError(
             "search at dimension %d needs %d units of lane work (restarts x "
             "lanes x elements x n^3), more than the limit of %d"
             % (n, work, MAX_LANE_WORK))
-    return len(profiles), len(traced), lanes
+    return len(profiles), len(traced), [(int(pidx), profiles[pidx]) for pidx in kept]
 
 
-def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
+def search_numeric(p, chi, cfg, listing=None):
     """First family found by rank-profile sweeps of alternating projections.
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
     trace_feasible or norm_feasible are skipped without changing any other
-    lane. The scan takes the first lane whose family passes check_all. A
-    search of more than MAX_LANES lanes, or whose pool state passes
-    MAX_STATE_ENTRIES or work MAX_LANE_WORK, raises OracleError before any
-    lane runs. listing is _lanes(p, chi, cfg) if the caller has already
-    made it.
+    lane. The scan takes the first lane whose family passes check_all and
+    is irreducible. A search of more than MAX_LANES lanes, or whose pool
+    state passes MAX_STATE_ENTRIES or work MAX_LANE_WORK, raises
+    OracleError before any lane runs. listing is _lanes(p, chi, cfg) if the
+    caller has already made it.
     """
     listed, traced, lanes = _lanes(p, chi, cfg) if listing is None else listing
     starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
@@ -385,12 +385,11 @@ def search_numeric(p, chi, cfg, require_irreducible=False, listing=None):
     # no lane, no pool: _run_lanes allocates its state before the first lane
     for _, fam in _run_lanes(p, chi, cfg, starts) if lanes else ():
         runs += 1
-        if fam is None:
-            continue
-        report = check_all(fam, ACCEPT_TOL)
-        if report.passed and (report.irreducible or not require_irreducible):
-            found = fam
-            break
+        if fam is not None:
+            report = check_all(fam, ACCEPT_TOL)
+            if report.passed and report.irreducible:
+                found = fam
+                break
     # imported here: at the top it added 6 ms to every CLI call, solve included
     import logging
     logging.getLogger("orthoposet.oracle").debug(
@@ -463,7 +462,7 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
     for d, c, listing in searches:
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = search_numeric(p, chi, c, require_irreducible=True, listing=listing)
+        fam = search_numeric(p, chi, c, listing=listing)
         found = fam is not None
         matched = None
         if found and pred is not None:

@@ -149,13 +149,16 @@ class Poset:
     def from_dict(cls, doc):
         try:
             elements = doc["elements"]
-            relations = [tuple(pair) for pair in doc.get("relations", [])]
+            relations = list(doc.get("relations", []))
         except (TypeError, KeyError) as exc:
             raise PosetError("poset document needs 'elements' and 'relations'") from exc
+        for pair in relations:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise PosetError("relation %r is not a list of two element names" % (pair,))
         names = [g for pair in relations for g in pair]
         if not isinstance(elements, list) or not all(isinstance(g, str) for g in elements + names):
             raise PosetError("elements and relation entries must be strings")
-        return cls(elements, relations)
+        return cls(elements, [tuple(pair) for pair in relations])
 
     def to_dict(self):
         return {"elements": list(self.elements),

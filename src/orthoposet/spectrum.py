@@ -1,6 +1,7 @@
 """Admissible spectra of weighted projection sums over one-parameter posets."""
 
 import dataclasses
+import math
 
 from .poset import CHAIN_TAME, ONE_PARAMETER, decompose
 
@@ -13,6 +14,22 @@ DEFAULT_TOL = 1e-9
 
 class SpectrumError(ValueError):
     pass
+
+
+def json_float(value, what):
+    """value, a number from a JSON document, as a finite float. Anything
+    else raises SpectrumError naming what: a bool (Python counts it as an
+    int), a string, null, a list, NaN, an infinity, or an integer too large
+    for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SpectrumError("%s must be a number, got %r" % (what, value))
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SpectrumError("%s is too large for a float" % what) from None
+    if not math.isfinite(value):
+        raise SpectrumError("%s must be finite, got %r" % (what, value))
+    return value
 
 
 class Character:
@@ -42,10 +59,11 @@ class Character:
 
     @classmethod
     def from_dict(cls, doc):
-        try:
-            return cls(doc["weights"])
-        except (TypeError, KeyError) as exc:
-            raise SpectrumError("character document needs 'weights'") from exc
+        "Read a to_dict document: an object of weights, each a JSON number."
+        weights = doc.get("weights") if isinstance(doc, dict) else None
+        if not isinstance(weights, dict):
+            raise SpectrumError("character document needs 'weights'")
+        return cls({g: json_float(w, "weight for %r" % (g,)) for g, w in weights.items()})
 
     def to_dict(self):
         return {"weights": self.weights}

@@ -66,8 +66,9 @@ def check_all(fam, tol=VERIFY_TOL):
         residuals["order[%s<%s]" % (g, h)] = _entry_norm(
             fam.projections[g] @ fam.projections[h] - fam.projections[g])
     residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(n))
+    forced = _forced(fam, tol)
     return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
-                              check_essential(fam, tol), _forced(fam, tol), tol)
+                              not forced and _no_equal_pair(fam, tol), forced, tol)
 
 
 def commutant_dim(fam, residual=0.0):
@@ -147,9 +148,12 @@ def _block_singular_values(b, label):
 
 def check_essential(fam, tol=VERIFY_TOL):
     """No projection near 0 or I, no comparable pair of equal projections."""
-    return not _forced(fam, tol) and not any(
-        _entry_norm(fam.projections[g] - fam.projections[h]) <= tol
-        for g, h in fam.poset.relations)
+    return not _forced(fam, tol) and _no_equal_pair(fam, tol)
+
+
+def _no_equal_pair(fam, tol):
+    return not any(_entry_norm(fam.projections[g] - fam.projections[h]) <= tol
+                   for g, h in fam.poset.relations)
 
 
 def spectrum_match(fam, chain, tol=VERIFY_TOL):

@@ -240,7 +240,7 @@ def test_criterion_6_excluded_poset_never_essential():
             chi, d = feasible_char()
             cfg = SearchConfig(dimension=d, restarts=4, max_iterations=2000,
                                seed=1000 + i)
-            fam = search_numeric(A8, chi, cfg, require_irreducible=True)
+            fam = search_numeric(A8, chi, cfg)
             if fam is not None:
                 found_n += 1
                 assert not check_essential(fam), (i, "oracle")

@@ -801,8 +801,14 @@ def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
      "family character misses weights for ['g2']"),
     (lambda doc: doc.update(projections={g: [[[0.0, 0.0]] * 3] * 2 for g in doc["projections"]}),
      "projections must be square matrices of one size, got [(2, 3)]"),
+    (lambda doc: doc["character"]["weights"].update(g2=True),
+     "weight for 'g2' must be a number, got True"),
+    (lambda doc: doc["projections"]["g3"][1].__setitem__(0, [0.0, 10 ** 400]),
+     "entry of the projection for 'g3' is too large for a float"),
+    (lambda doc: doc["projections"]["g3"][1].__setitem__(0, [True, 0.0]),
+     "entry of the projection for 'g3' must be a number, got True"),
 ], ids=["no-projections", "empty-projections", "missing-element",
-        "missing-weight", "non-square"])
+        "missing-weight", "non-square", "bool-weight", "401-digit-entry", "bool-entry"])
 def test_verify_rejects_malformed_family(tmp_path, capsys, edit, fragment):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
@@ -893,6 +899,25 @@ def test_load_reads_utf8_whatever_the_locale(tmp_path):
                            "--poset", str(poset)], env=env, capture_output=True)
     assert (done.returncode, done.stderr) == (EXIT_OK, b"")
     assert json.loads(done.stdout)["width"] == 2
+
+
+# JSON values that are not numbers a float holds; bools count as ints in Python
+NOT_FLOATS = {"true": "must be a number, got True", '"0.6"': "must be a number, got '0.6'",
+              "null": "must be a number, got None", "[0.6]": "must be a number, got [0.6]",
+              '"abc"': "must be a number, got 'abc'",
+              "1" + "0" * 400: "is too large for a float"}
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS, ids=["true", "string", "null", "list",
+                                                   "word", "401-digits"])
+def test_solve_takes_a_weight_only_as_a_float(tmp_path, capsys, value):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = tmp_path / "c.json"
+    character.write_text('{"weights": {"g1": 0.6, "g2": 0.6, "g3": %s, "g4": 0.6}}' % value)
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", str(character), "--split", "g1,g2"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: weight for 'g3' %s\n" % NOT_FLOATS[value]
 
 
 def test_solve_rejects_infinite_weight(tmp_path, capsys):
@@ -994,8 +1019,7 @@ def test_oracle_lists_each_dimension_once(tmp_path, capsys, monkeypatch):
     cfg = oracle.SearchConfig(1, restarts=4)
     quad = Poset(ANTICHAIN4["elements"], [])
     found = [oracle.search_numeric(quad, Character(ALL_SIX_TENTHS["weights"]),
-                                   dataclasses.replace(cfg, dimension=d),
-                                   require_irreducible=True) is not None
+                                   dataclasses.replace(cfg, dimension=d)) is not None
              for d in (1, 2, 3)]
     assert [row["oracle"] for row in json.loads(out)["rows"]] == found == [
         False, False, True]

@@ -36,7 +36,7 @@ def test_search_config_validation():
         SearchConfig(dimension=0)
     with pytest.raises(OracleError):
         SearchConfig(dimension=2, restarts=0)
-    for ranks in ((4, 0, 0, 0), (0, -1, 0, 0)):
+    for ranks in ((4, 0, 0, 0), (0, -1, 0, 0), (1.5, 1.5, 1, 1), (1.0, 2, 1, 1)):
         with pytest.raises(OracleError, match="rank_profile"):
             SearchConfig(dimension=3, rank_profile=ranks)
     cfg = dataclasses.replace(QUICK, dimension=3, rank_profile=(1, 1, 1, 1))
@@ -74,15 +74,15 @@ def test_enumerate_dim1_matches_the_up_set_scan():
 
 def test_rank_profiles_keep_exact_trace():
     profiles = rank_profiles(QUAD, Character({g: 0.5 for g in QUAD.elements}), 2)
-    assert len(profiles) == 19
+    assert profiles.shape == (19, 4) and profiles.dtype.kind in "iu"
     for ranks in profiles:
         assert abs(sum(0.5 * r for r in ranks) - 2.0) <= 1e-6
 
 
 def test_rank_profiles_are_monotone():
-    assert rank_profiles(CHAIN2, Character({"x": 0.5, "y": 0.5}), 2) == [(2, 2)]
+    assert rank_profiles(CHAIN2, Character({"x": 0.5, "y": 0.5}), 2).tolist() == [[2, 2]]
     chi = Character({"x": 0.31415926, "y": 0.2718281828})
-    assert rank_profiles(CHAIN2, chi, 2) == []
+    assert rank_profiles(CHAIN2, chi, 2).shape == (0, 2)
 
 
 def grid_rank_profiles(p, chi, dimension):
@@ -100,7 +100,7 @@ def grid_rank_profiles(p, chi, dimension):
     grid, slack = grid[keep], slack[keep]
     order = np.lexsort(tuple(grid[:, i] for i in range(k - 1, -1, -1))
                        + (slack,))
-    return [tuple(int(r) for r in row) for row in grid[order]]
+    return grid[order].tolist()
 
 
 def _weights(rng, els, dimension, mode):
@@ -131,7 +131,7 @@ def test_rank_profiles_match_the_full_grid():
             for dimension in range(1, 7):
                 for mode in ("exact", "mixed", "solved"):
                     chi = Character(_weights(rng, names, dimension, mode))
-                    assert (rank_profiles(p, chi, dimension)
+                    assert (rank_profiles(p, chi, dimension).tolist()
                             == grid_rank_profiles(p, chi, dimension)), (p, chi, dimension)
 
 
@@ -247,9 +247,9 @@ def test_norm_bounds_keep_the_quad_at_two_thirds_balanced():
     # at d = 4 any two ranks sum to at most 4 and any three to at least 4
     chi = Character({g: 2 / 3 for g in QUAD.elements})
     profiles = rank_profiles(QUAD, chi, 4)
-    kept = [r for r, ok in zip(profiles, norm_feasible(QUAD, chi, profiles, 4)) if ok]
+    kept = profiles[norm_feasible(QUAD, chi, profiles, 4)]
     assert len(kept) == 10
-    assert set(kept) == (set(itertools.permutations((2, 2, 2, 0)))
+    assert set(map(tuple, kept.tolist())) == (set(itertools.permutations((2, 2, 2, 0)))
                          | set(itertools.permutations((2, 2, 1, 1))))
     assert norm_feasible(QUAD, chi, [], 4).shape == (0,)
 
@@ -290,7 +290,7 @@ def test_trace_identity_passes_every_searched_family():
             for pidx, ranks in enumerate(profiles):
                 fam = _search_once(p, chi, ranks, np.random.default_rng([k, pidx]), cfg)
                 if fam is not None and check_all(fam).passed:
-                    assert _profile(fam) == ranks
+                    assert _profile(fam) == tuple(ranks.tolist())
                     _assert_profile_passes(fam)
                     found += 1
     assert found >= 20 and refuted >= 10 and pruned >= 10, (found, refuted, pruned)
@@ -300,17 +300,43 @@ def test_search_keeps_the_seed_of_each_surviving_lane():
     cfg = dataclasses.replace(QUICK, dimension=3)
     profiles = rank_profiles(QUAD, POINT_SIX, 3)
     feasible = trace_feasible(QUAD, POINT_SIX, profiles, 3)
-    # the first surviving lane, in (restart, profile) order, that verifies
+    # the first surviving lane, in (restart, profile) order, whose family
+    # verifies and is irreducible
     for restart, pidx in itertools.product(range(cfg.restarts),
                                            np.flatnonzero(feasible)):
         want = _search_once(QUAD, POINT_SIX, profiles[pidx],
                             np.random.default_rng([cfg.seed, pidx, restart]), cfg)
-        if want is not None and check_all(want, 1e-10).passed:
+        report = None if want is None else check_all(want, ACCEPT_TOL)
+        if report is not None and report.passed and report.irreducible:
             break
     assert not feasible[:pidx].all()  # a refuted profile comes before it
     got = search_numeric(QUAD, POINT_SIX, cfg)
     for g in QUAD.elements:
         assert np.array_equal(got.projections[g], want.projections[g])
+
+
+def test_search_runs_only_the_given_rank_profile(monkeypatch):
+    given = []
+    run_lanes = oracle._run_lanes
+
+    def recorded(p, chi, cfg, lanes):
+        lanes = list(lanes)
+        given.extend(tuple(ranks.tolist()) for ranks, _ in lanes)
+        return run_lanes(p, chi, cfg, lanes)
+
+    monkeypatch.setattr(oracle, "_run_lanes", recorded)
+    cfg = dataclasses.replace(QUICK, dimension=3)
+    # the last of the four profiles the full search keeps at d = 3
+    fam = search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(2, 1, 1, 1)))
+    assert _profile(fam) == (2, 1, 1, 1)
+    assert given == [(2, 1, 1, 1)] * cfg.restarts
+    given.clear()
+    # refuted by the trace identity: no lane runs
+    assert search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(0, 0, 2, 3))) \
+        is None
+    assert given == []
+    with pytest.raises(OracleError, match="rank_profile has 3 entries for 4 elements"):
+        search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(1, 1, 1)))
 
 
 EPS = 0.0131
@@ -462,7 +488,7 @@ def test_pool_size_does_not_change_answers(monkeypatch):
             assert _lane_answers(*search) == answers, pool
 
 
-def _serial_search(p, chi, cfg, require_irreducible):
+def _serial_search(p, chi, cfg):
     """(family, lanes scanned) by _search_once on each lane, then check_all."""
     scanned = 0
     for ranks, rng in _lanes(p, chi, cfg):
@@ -470,7 +496,7 @@ def _serial_search(p, chi, cfg, require_irreducible):
         fam = _search_once(p, chi, ranks, rng, cfg)
         if fam is not None:
             report = check_all(fam, ACCEPT_TOL)
-            if report.passed and (report.irreducible or not require_irreducible):
+            if report.passed and report.irreducible:
                 return fam, scanned
     return None, scanned
 
@@ -478,11 +504,11 @@ def _serial_search(p, chi, cfg, require_irreducible):
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 def test_search_matches_a_serial_scan(case):
     p, chi, d = POOL_CASES[case]
-    for require, iterations in itertools.product((False, True), (2000, 60)):
+    for iterations in (2000, 60):
         cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
-        want, _ = _serial_search(p, chi, cfg, require)
-        got = search_numeric(p, chi, cfg, require_irreducible=require)
-        assert (got is None) == (want is None), (require, iterations)
+        want, _ = _serial_search(p, chi, cfg)
+        got = search_numeric(p, chi, cfg)
+        assert (got is None) == (want is None), iterations
         for g in p.elements if got else ():
             assert np.array_equal(got.projections[g], want.projections[g])
 
@@ -490,9 +516,9 @@ def test_search_matches_a_serial_scan(case):
 def test_search_takes_a_winner_past_a_full_pool():
     p, chi, d = POOL_CASES["quad-half-d2"]
     cfg = SearchConfig(dimension=d, restarts=2)
-    want, scanned = _serial_search(p, chi, cfg, True)
+    want, scanned = _serial_search(p, chi, cfg)
     assert scanned > LANE_POOL and commutant_dim(want) == 1
-    got = search_numeric(p, chi, cfg, require_irreducible=True)
+    got = search_numeric(p, chi, cfg)
     for g in p.elements:
         assert np.array_equal(got.projections[g], want.projections[g])
 
@@ -533,8 +559,7 @@ def test_search_rejects_incomplete_character():
 
 def test_search_finds_continuous_series_member():
     half = Character({g: 0.5 for g in QUAD.elements})
-    fam = search_numeric(QUAD, half, dataclasses.replace(QUICK, dimension=2),
-                         require_irreducible=True)
+    fam = search_numeric(QUAD, half, dataclasses.replace(QUICK, dimension=2))
     assert fam is not None
     assert commutant_dim(fam) == 1
     layer = np.sort(np.linalg.eigvalsh(fam.weighted_sum(("g1", "g2"))))

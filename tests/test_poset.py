@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -161,6 +162,14 @@ def test_induced_subposet():
 def test_json_round_trip():
     q = Poset.from_dict(json.loads(json.dumps(DIAMOND.to_dict())))
     assert q == DIAMOND
+
+
+@pytest.mark.parametrize("entry", ["ab", {"a": 1, "b": 2}, ["a", "b", "a"], ["a"]],
+                         ids=["string", "object", "three-names", "one-name"])
+def test_from_dict_takes_a_relation_only_as_two_names(entry):
+    with pytest.raises(PosetError, match=r"relation %s is not a list of two element names"
+                       % re.escape(repr(entry))):
+        Poset.from_dict({"elements": ["a", "b"], "relations": [entry]})
 
 
 def test_width_values():

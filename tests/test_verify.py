@@ -284,6 +284,24 @@ def test_forced_elements_and_essentiality():
     assert check_essential(fam3)
 
 
+def test_check_all_finds_the_forced_elements_once(monkeypatch):
+    calls = []
+    forced = verify._forced
+    monkeypatch.setattr(verify, "_forced",
+                        lambda fam, tol: calls.append(tol) or forced(fam, tol))
+    pinned = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 0.5}),
+                              {"x": np.eye(2), "y": np.zeros((2, 2))})
+    equal = ProjectionFamily(CHAIN2, Character({"x": 0.6, "y": 0.6}),
+                             {"x": np.diag([1.0, 0.0]), "y": np.diag([1.0, 0.0])})
+    for fam, forced_elements, essential in ((pinned, ["x", "y"], False),
+                                            (equal, [], False),
+                                            (three_point_family()[0], [], True)):
+        calls.clear()
+        report = check_all(fam, 1e-10)
+        assert calls == [1e-10]
+        assert (report.forced_elements, report.essential) == (forced_elements, essential)
+
+
 def test_spectrum_match():
     fam, chain = three_point_family()
     assert spectrum_match(fam, chain)
