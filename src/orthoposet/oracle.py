@@ -53,6 +53,8 @@ class SearchConfig:
             raise OracleError("dimension must be positive")
         if self.restarts < 1 or self.max_iterations < 1:
             raise OracleError("restarts and max_iterations must be positive")
+        if self.seed < 0:
+            raise OracleError("seed must be non-negative, got %d" % self.seed)
         if self.rank_profile is not None and not all(
                 isinstance(r, (int, np.integer)) and 0 <= r <= self.dimension
                 for r in self.rank_profile):
@@ -226,13 +228,15 @@ def _lane(cfg, start):
 
 
 def _run_lanes(p, chi, cfg, lanes):
-    """_lane from random starts, LANE_POOL lanes at a time.
+    """_lane from random starts, one lane first, then LANE_POOL at a time.
 
     lanes yields (ranks, rng) in scan order. Each step stacks the points
     the lanes in the pool ask for and sweeps them at once, and a lane that
     returns makes room for the next. Yields (exit, family) for every lane
-    in scan order; family is None unless the lane was accepted. Every step
-    of the sweep is a stack of per-lane, per-matrix operations, so a lane
+    in scan order; family is None unless the lane was accepted. The first
+    lane runs alone, as a search often stops at it; the pool widens to
+    LANE_POOL once the caller resumes past a yielded lane. Every step of
+    the sweep is a stack of per-lane, per-matrix operations, so a lane
     computes the same bits in any pool.
     """
     els = p.elements
@@ -292,11 +296,14 @@ def _run_lanes(p, chi, cfg, lanes):
     source = enumerate(lanes)
     scanned = 0
     changed = True
+    width = 1
     while True:
         while scanned in done:
             yield done.pop(scanned)
+            # the caller passed this lane by, so the search goes on
+            width = LANE_POOL
             scanned += 1
-        while len(pool) < LANE_POOL:
+        while len(pool) < width:
             nxt = next(source, None)
             if nxt is None:
                 break
@@ -378,12 +385,17 @@ def search_numeric(p, chi, cfg, listing=None):
     caller has already made it.
     """
     listed, traced, lanes = _lanes(p, chi, cfg) if listing is None else listing
-    starts = ((ranks, np.random.default_rng([cfg.seed, pidx, restart]))
-              for restart, (pidx, ranks)
-              in itertools.product(range(cfg.restarts), lanes))
+    started = 0
+
+    def starts():
+        nonlocal started
+        for restart, (pidx, ranks) in itertools.product(range(cfg.restarts), lanes):
+            started += 1
+            yield ranks, np.random.default_rng([cfg.seed, pidx, restart])
+
     found, runs = None, 0
     # no lane, no pool: _run_lanes allocates its state before the first lane
-    for _, fam in _run_lanes(p, chi, cfg, starts) if lanes else ():
+    for _, fam in _run_lanes(p, chi, cfg, starts()) if lanes else ():
         runs += 1
         if fam is not None:
             report = check_all(fam, ACCEPT_TOL)
@@ -394,8 +406,9 @@ def search_numeric(p, chi, cfg, listing=None):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d by the norm bounds, %d lanes run, found=%s", cfg.dimension, listed,
-        listed - traced, traced - len(lanes), runs, found is not None)
+        "%d by the norm bounds, %d lanes started, %d lanes run, found=%s",
+        cfg.dimension, listed, listed - traced, traced - len(lanes), started,
+        runs, found is not None)
     return found
 
 

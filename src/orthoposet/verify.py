@@ -13,6 +13,8 @@ RESIDUAL_COUPLING = 10
 GOLDEN_FRACTION = (5 ** 0.5 - 1) / 2
 # the largest stacked system commutant_dim solves: 256 MB complex
 MAX_STACK_ENTRIES = 2 ** 24
+# a larger system is built and reduced about this many entries (16 MB) at a time
+FOLD_ENTRIES = 2 ** 20
 
 
 class VerifierError(ValueError):
@@ -132,18 +134,38 @@ def _components(adjacent):
 
 
 def _block_singular_values(b, label):
-    """Singular values of X -> ([X, B_g])_g over X block-diagonal by label."""
+    """Singular values of X -> ([X, B_g])_g over X block-diagonal by label.
+
+    A system of at most FOLD_ENTRIES entries takes one SVD. A larger one is
+    built FOLD_ENTRIES at a time, in rows t = g n + i of the [X, B_g], and
+    each block is folded into the triangle R of a QR decomposition under
+    the blocks before it; the SVD of R gives the same singular values.
+    """
+    n = len(label)
     rows, cols = np.nonzero(label[:, None] == label)
-    shape = (len(b), len(label), len(label), len(rows))
-    if np.prod(shape) > MAX_STACK_ENTRIES:
+    unknowns = np.arange(len(rows))
+    size = len(b) * n * n * len(rows)
+    if size > MAX_STACK_ENTRIES:
         raise VerifierError("the exact commutant of %d projections at n = %d needs a "
                             "stack of %d entries, above the limit of %d"
-                            % (*shape[:2], np.prod(shape), MAX_STACK_ENTRIES))
-    # unknown k is X[rows[k], cols[k]]: its column is E B_g - B_g E, E its unit
-    system = np.zeros(shape, dtype=complex)
-    system[:, rows, :, np.arange(len(rows))] = b[:, cols, :].transpose(1, 0, 2)
-    system[:, :, cols, np.arange(len(rows))] -= b[:, :, rows]
-    return np.linalg.svd(system.reshape(-1, len(rows)), compute_uv=False)
+                            % (len(b), n, size, MAX_STACK_ENTRIES))
+    # (g, i) a block holds, n rows each; at least as many rows as unknowns,
+    # so that folding R into each block costs at most about one more QR
+    step = max(FOLD_ENTRIES // (n * len(rows)), -(-len(rows) // n))
+    r = np.zeros((0, len(rows)), dtype=complex)
+    for start in range(0, len(b) * n, step):
+        g, i = np.divmod(np.arange(start, min(start + step, len(b) * n)), n)
+        system = np.zeros((len(r) + len(g) * n, len(rows)), dtype=complex)
+        system[:len(r)] = r
+        block = system[len(r):].reshape(len(g), n, len(rows))
+        # unknown k is X[rows[k], cols[k]]: its column is E B_g - B_g E, E its unit
+        t, k = np.nonzero(i[:, None] == rows)
+        block[t, :, k] = b[g[t], cols[k], :]
+        block[:, cols, unknowns] -= b[g[:, None], i[:, None], rows]
+        if step >= len(b) * n:
+            return np.linalg.svd(system, compute_uv=False)
+        r = np.linalg.qr(system, mode="r")
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def check_essential(fam, tol=VERIFY_TOL):

@@ -793,6 +793,19 @@ def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
     assert "names no dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight, dims", [(0.6, "3"), (0.7, "1")])
+def test_oracle_rejects_a_negative_seed(tmp_path, capsys, weight, dims):
+    # at 0.7 and dimension 1 no lane runs, so numpy never sees the seed
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: weight for g in ANTICHAIN4["elements"]}})
+    code, out, err = run(capsys, ["oracle", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2", "--dims", dims,
+                                  "--seed", "-1"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "seed must be non-negative, got -1" in err
+
+
 @pytest.mark.parametrize("edit, fragment", [
     (lambda doc: doc.pop("projections"), "family document needs"),
     (lambda doc: doc.update(projections={}), "family projections [] do not match"),

@@ -523,13 +523,47 @@ def test_search_takes_a_winner_past_a_full_pool():
         assert np.array_equal(got.projections[g], want.projections[g])
 
 
+@pytest.fixture
+def live_lanes(monkeypatch):
+    """The number of live lanes each time _run_lanes starts one."""
+    counts, live = [], [0]
+    lane = oracle._lane
+
+    def counted(cfg, start):
+        live[0] += 1
+        counts.append(live[0])
+        try:
+            return (yield from lane(cfg, start))
+        finally:
+            live[0] -= 1
+
+    monkeypatch.setattr(oracle, "_lane", counted)
+    return counts
+
+
+def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
+    chi = Character({g: 0.5 + 1 / 6 for g in QUAD.elements})
+    fam = search_numeric(QUAD, chi, SearchConfig(dimension=2))
+    report = check_all(fam, ACCEPT_TOL)
+    assert report.passed and report.irreducible
+    assert live_lanes == [1]
+
+
+def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
+    p, chi, d = POOL_CASES["zero-cap-d5"]
+    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=2)) is None
+    # lane 0 runs alone; once the scan passes it by, the pool fills up
+    assert live_lanes[:LANE_POOL + 1] == [1] + list(range(1, LANE_POOL + 1))
+    assert max(live_lanes) == LANE_POOL
+
+
 def test_search_logs_one_debug_line(caplog):
     cfg = dataclasses.replace(QUICK, dimension=3)
     with caplog.at_level(logging.DEBUG, logger="orthoposet.oracle"):
         search_numeric(QUAD, POINT_SIX, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
-        "12 by the norm bounds, 1 lanes run, found=True"]
+        "12 by the norm bounds, 1 lanes started, 1 lanes run, found=True"]
 
 
 def test_search_finds_the_three_point_family():

@@ -245,6 +245,35 @@ def test_exact_path_still_answers_at_n_42():
     assert commutant_dim(direct_sum([small, small], 1)) == 4
 
 
+def test_block_system_folds_in_row_blocks(monkeypatch):
+    # F (+) F at n = 42, built two (g, i) at a time and folded into R, gives
+    # the singular values of the one SVD
+    small = quad_families(0.525)[0]
+    fam = direct_sum([small, small], 1)
+    systems, folds = [], []
+    solve, qr = verify._block_singular_values, np.linalg.qr
+
+    def recorded(b, label):
+        systems.append((b, label))
+        return solve(b, label)
+
+    def fold(a, mode):
+        folds.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(verify, "_block_singular_values", recorded)
+    monkeypatch.setattr(np.linalg, "qr", fold)
+    assert commutant_dim(fam) == 4
+    direct = [solve(b, label) for b, label in systems]
+    assert folds == []
+    monkeypatch.setattr(verify, "FOLD_ENTRIES", 2 ** 12)
+    for (b, label), want in zip(systems, direct):
+        got = solve(b, label)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want[0])
+    assert len(folds) == len(systems) * 4 * 42 // 2 and folds[-1] == (84 + 2 * 42, 84)
+    assert commutant_dim(fam) == 4
+
+
 def test_block_system_answers_a_threefold_summand_at_n_63(exact_path):
     small = quad_families(0.525)[0]
     fam = direct_sum([small, small, small], 2)
