@@ -169,6 +169,36 @@ def norm_feasible(p, chi, profiles, dimension):
     return ok
 
 
+def twin_first(p, chi, profiles):
+    """Mask of the first rank profile, in scan order, of each twin orbit.
+
+    Twins are elements of equal weight with the same strict up-set and
+    down-set, so they are incomparable. Swapping the projections of two
+    twins keeps every axiom and irreducibility, and maps the families of a
+    profile onto those of the profile with the twins' ranks swapped, so one
+    profile of each orbit decides whether the orbit carries a family. Rows
+    whose ranks agree after sorting within each class of twins form one
+    orbit; a stable sort keeps the first of them.
+    """
+    els = p.elements
+    r = np.array(profiles, dtype=np.intp).reshape(-1, len(els))
+    classes = {}
+    for i, g in enumerate(els):
+        classes.setdefault((chi[g], p.up_set(g), p.down_set(g)), []).append(i)
+    twins = [c for c in classes.values() if len(c) > 1]
+    if not twins:
+        return np.ones(len(r), dtype=bool)
+    for c in twins:
+        r[:, c] = np.sort(r[:, c], axis=1)
+    order = np.lexsort(r.T[::-1])
+    ranked = r[order]
+    fresh = np.ones(len(r), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.zeros(len(r), dtype=bool)
+    keep[order[fresh]] = True
+    return keep
+
+
 def _random_projection(rng, n, rank):
     if rank == 0:
         return np.zeros((n, n), dtype=complex)
@@ -337,10 +367,12 @@ def _run_lanes(p, chi, cfg, lanes):
 
 
 def _lanes(p, chi, cfg):
-    """(profiles listed, profiles that pass trace_feasible, [(pidx, ranks)]
-    that also pass norm_feasible); raises OracleError on a search over
-    MAX_LANES lanes, or lanes whose pool state would pass MAX_STATE_ENTRIES
-    or whose work would pass MAX_LANE_WORK."""
+    """(profiles listed, profiles that pass trace_feasible, profiles that
+    also pass norm_feasible, [(pidx, ranks)] of those that twin_first
+    keeps); raises OracleError on a search over MAX_LANES lanes, or lanes
+    whose pool state would pass MAX_STATE_ENTRIES or whose work would pass
+    MAX_LANE_WORK. The budget counts the profiles before twin_first, so a
+    search is refused or run as it would be without it."""
     k, n = len(p.elements), cfg.dimension
     if cfg.rank_profile is None:
         profiles = rank_profiles(p, chi, n)
@@ -369,7 +401,9 @@ def _lanes(p, chi, cfg):
             "search at dimension %d needs %d units of lane work (restarts x "
             "lanes x elements x n^3), more than the limit of %d"
             % (n, work, MAX_LANE_WORK))
-    return len(profiles), len(traced), [(int(pidx), profiles[pidx]) for pidx in kept]
+    firsts = kept[twin_first(p, chi, profiles[kept])]
+    return (len(profiles), len(traced), len(kept),
+            [(int(pidx), profiles[pidx]) for pidx in firsts])
 
 
 def search_numeric(p, chi, cfg, listing=None):
@@ -377,14 +411,14 @@ def search_numeric(p, chi, cfg, listing=None):
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible or norm_feasible are skipped without changing any other
-    lane. The scan takes the first lane whose family passes check_all and
-    is irreducible. A search of more than MAX_LANES lanes, or whose pool
-    state passes MAX_STATE_ENTRIES or work MAX_LANE_WORK, raises
-    OracleError before any lane runs. listing is _lanes(p, chi, cfg) if the
-    caller has already made it.
+    trace_feasible or norm_feasible, or that twin_first drops, are skipped
+    without changing any other lane. The scan takes the first lane whose
+    family passes check_all and is irreducible. A search of more than
+    MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES or work
+    MAX_LANE_WORK, raises OracleError before any lane runs. listing is
+    _lanes(p, chi, cfg) if the caller has already made it.
     """
-    listed, traced, lanes = _lanes(p, chi, cfg) if listing is None else listing
+    listed, traced, normed, lanes = _lanes(p, chi, cfg) if listing is None else listing
     started = 0
 
     def starts():
@@ -406,9 +440,9 @@ def search_numeric(p, chi, cfg, listing=None):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d by the norm bounds, %d lanes started, %d lanes run, found=%s",
-        cfg.dimension, listed, listed - traced, traced - len(lanes), started,
-        runs, found is not None)
+        "%d by the norm bounds, %d by twin symmetry, %d lanes started, "
+        "%d lanes run, found=%s", cfg.dimension, listed, listed - traced,
+        traced - normed, normed - len(lanes), started, runs, found is not None)
     return found
 
 

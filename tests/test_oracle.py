@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from orthoposet import oracle
-from orthoposet.builder import build_from_chain
+from orthoposet.builder import ProjectionFamily, build_from_chain
 from orthoposet.chain import (ChainContext, enumerate_dim1,
                               enumerate_irreducibles, predict)
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
@@ -19,7 +19,8 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                OracleError, SearchConfig, _random_projection,
                                _run_lanes, _spectrum_matched, cross_validate,
                                cross_validate_split, norm_feasible,
-                               rank_profiles, search_numeric, trace_feasible)
+                               rank_profiles, search_numeric, trace_feasible,
+                               twin_first)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
@@ -252,6 +253,63 @@ def test_norm_bounds_keep_the_quad_at_two_thirds_balanced():
     assert set(map(tuple, kept.tolist())) == (set(itertools.permutations((2, 2, 2, 0)))
                          | set(itertools.permutations((2, 2, 1, 1))))
     assert norm_feasible(QUAD, chi, [], 4).shape == (0,)
+
+
+def _twin_orbit(classes, ranks):
+    """Every profile reached from ranks by permuting ranks within each class."""
+    orbit = set()
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        moved = list(ranks)
+        for c, perm in zip(classes, perms):
+            for i, j in zip(c, perm):
+                moved[j] = ranks[i]
+        orbit.add(tuple(moved))
+    return orbit
+
+
+def test_twin_first_keeps_the_first_profile_of_each_orbit():
+    cases = plain = dropped = 0
+    for k in range(1, 5):
+        for p in generate_posets(k):
+            els = p.elements
+            for w in itertools.product((0.25, 0.5, 0.75), repeat=k):
+                chi = Character(dict(zip(els, w)))
+                # twins by pairwise checks: equal weights, and every third
+                # element compares with both alike
+                classes = {tuple(j for j, h in enumerate(els) if h == g or (
+                    chi[g] == chi[h] and not p.comparable(g, h)
+                    and all(p.less(x, g) == p.less(x, h) and p.less(g, x) == p.less(h, x)
+                            for x in els if x not in (g, h))))
+                    for g in els}
+                for d in (2, 3):
+                    profiles = [tuple(r) for r in rank_profiles(p, chi, d).tolist()]
+                    earlier, want = set(), []
+                    for ranks in profiles:
+                        want.append(_twin_orbit(classes, ranks).isdisjoint(earlier))
+                        earlier.add(ranks)
+                    got = twin_first(p, chi, profiles).tolist()
+                    assert got == want, (p, chi, d)
+                    if len(classes) == k:
+                        assert all(got)
+                        plain += 1
+                    cases += 1
+                    dropped += len(got) - sum(got)
+    assert twin_first(QUAD, POINT_SIX, []).shape == (0,)
+    assert cases == 2 * sum(3 ** k * len(generate_posets(k)) for k in range(1, 5))
+    assert plain >= 100 and dropped >= 1000, (plain, dropped)
+
+
+def test_twin_swap_maps_a_family_onto_the_swapped_profile():
+    cfg = dataclasses.replace(QUICK, dimension=3, rank_profile=(2, 1, 1, 1))
+    fam = search_numeric(QUAD, POINT_SIX, cfg)
+    assert _profile(fam) == (2, 1, 1, 1)
+    # g1 and g4 are twins: swap their projections
+    proj = fam.projections
+    swapped = ProjectionFamily(QUAD, POINT_SIX, dict(proj, g1=proj["g4"], g4=proj["g1"]))
+    report = check_all(swapped, ACCEPT_TOL)
+    assert report.passed and report.irreducible
+    assert _profile(swapped) == (1, 1, 1, 2)
+    assert twin_first(QUAD, POINT_SIX, [(2, 1, 1, 1), (1, 1, 1, 2)]).tolist() == [True, False]
 
 
 def _search_once(p, chi, ranks, rng, cfg):
@@ -488,6 +546,39 @@ def test_pool_size_does_not_change_answers(monkeypatch):
             assert _lane_answers(*search) == answers, pool
 
 
+def _searched_lanes(monkeypatch, p, chi, cfg):
+    """{seed: (exit, bytes of the projections or None)} of every lane that
+    search_numeric starts, each run to its end."""
+    table = {}
+
+    def recorded(p, chi, cfg, lanes):
+        lanes = list(lanes)
+        answers = list(_run_lanes(p, chi, cfg, lanes))
+        for (_, rng), (exit, fam) in zip(lanes, answers):
+            proj = None if fam is None else np.stack(
+                [fam.projections[g] for g in p.elements]).tobytes()
+            table[tuple(rng.bit_generator.seed_seq.entropy)] = (exit, proj)
+        return iter(answers)
+
+    monkeypatch.setattr(oracle, "_run_lanes", recorded)
+    search_numeric(p, chi, cfg)
+    return table
+
+
+def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch):
+    searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
+                for p, chi, d in POOL_CASES.values()]
+    kept = [_searched_lanes(monkeypatch, *search) for search in searches]
+    monkeypatch.setattr(oracle, "twin_first",
+                        lambda p, chi, profiles: np.ones(len(profiles), dtype=bool))
+    dropped = 0
+    for search, lanes in zip(searches, kept):
+        every = _searched_lanes(monkeypatch, *search)
+        assert lanes.items() <= every.items(), search
+        dropped += len(every) - len(lanes)
+    assert dropped >= 20, dropped
+
+
 def _serial_search(p, chi, cfg):
     """(family, lanes scanned) by _search_once on each lane, then check_all."""
     scanned = 0
@@ -563,7 +654,8 @@ def test_search_logs_one_debug_line(caplog):
         search_numeric(QUAD, POINT_SIX, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
-        "12 by the norm bounds, 1 lanes started, 1 lanes run, found=True"]
+        "12 by the norm bounds, 3 by twin symmetry, 1 lanes started, "
+        "1 lanes run, found=True"]
 
 
 def test_search_finds_the_three_point_family():
