@@ -78,7 +78,7 @@ class ProjectionFamily:
                            for g, rows in doc["projections"].items()}
         except SpectrumError:
             raise
-        except (TypeError, KeyError, ValueError) as exc:
+        except (AttributeError, TypeError, KeyError, ValueError) as exc:
             raise BuilderError("family document needs 'character' weights and "
                                "'projections' with [re, im] entries") from exc
         character = Character.from_dict(character)

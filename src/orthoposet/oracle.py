@@ -17,9 +17,13 @@ ANDERSON_MEMORY = 5
 SPECTRUM_TOL = 1e-6
 # lanes that run at once in one stacked state
 LANE_POOL = 8
-# restarts x surviving profiles; the largest search the tests and the
-# benchmark run has 256 lanes
+# the two limits of _lane_cap: lanes, restarts x surviving profiles, and
+# their work per iteration, lanes x |G| n^3; the largest search the tests
+# and the benchmark run has 256 lanes, and the largest work the tests run
+# is 48,384 (56 lanes of four elements at dimension 6), the README's 27,648
+# and the benchmark's 12,096
 MAX_LANES = 4096
+MAX_LANE_WORK = 2 ** 24
 # rows of the rank-prefix grid; the largest grid the tests and the benchmark
 # build has 314,154 (eight elements at dimension 8)
 MAX_PROFILE_ROWS = 2 ** 22
@@ -28,11 +32,6 @@ MAX_PROFILE_ROWS = 2 ** 22
 # more flat states between sweeps; the largest state the tests and the
 # benchmark search with has 36,000 (six elements at dimension 5)
 MAX_STATE_ENTRIES = 2 ** 24
-# restarts x surviving profiles x |G| n^3, what the lanes cost per
-# iteration; the largest search the tests run has 48,384 (56 lanes of
-# four elements at dimension 6), the README's 27,648 and the benchmark's
-# 12,096
-MAX_LANE_WORK = 2 ** 24
 
 
 class OracleError(ValueError):
@@ -143,7 +142,7 @@ def norm_feasible(p, chi, profiles, dimension):
     a U whose ranks sum to at most n - 1 weighs at most total - 1, and an S
     whose co-ranks n - r_g sum to at most n - 1 weighs at most 1. The
     heaviest such set is a 0/1 knapsack of capacity n - 1 over the integer
-    ranks, solved exactly for a block of profiles at once, so no subset is
+    ranks, solved exactly for all the profiles at once, so no subset is
     listed. Only the axioms are used, no chain theory.
     """
     els = p.elements
@@ -151,21 +150,17 @@ def norm_feasible(p, chi, profiles, dimension):
     r = np.asarray(profiles, dtype=np.intp).reshape(-1, len(els))
     n = dimension
     ok = np.ones(len(r), dtype=bool)
-    # blocks of rows keep each table near 2^16 entries, inside the cache
-    step = max(1, 2 ** 15 // n)
-    for start in range(0, len(r), step):
-        block = r[start:start + step]
-        # flat index of capacity c in each row of a (rows, 2n) table whose
-        # first n columns are -inf, so a set that does not fit never wins
-        at = 2 * n * np.arange(len(block))[:, None] + n + np.arange(n)
-        for sizes, most in ((block, w.sum() - 1.0), (n - block, 1.0)):
-            # best[:, n + c]: the most weight of a set whose sizes sum to at most c
-            best = np.zeros((len(block), 2 * n))
-            best[:, :n] = -np.inf
-            for j, wj in enumerate(w):
-                took = best.ravel()[at - sizes[:, j:j + 1]] + wj
-                np.maximum(best[:, n:], took, out=best[:, n:])
-            ok[start:start + step] &= best[:, -1] <= most + PROFILE_SLACK
+    # flat index of capacity c in each row of a (rows, 2n) table whose
+    # first n columns are -inf, so a set that does not fit never wins
+    at = 2 * n * np.arange(len(r))[:, None] + n + np.arange(n)
+    for sizes, most in ((r, w.sum() - 1.0), (n - r, 1.0)):
+        # best[:, n + c]: the most weight of a set whose sizes sum to at most c
+        best = np.zeros((len(r), 2 * n))
+        best[:, :n] = -np.inf
+        for j, wj in enumerate(w):
+            took = best.ravel()[at - sizes[:, j:j + 1]] + wj
+            np.maximum(best[:, n:], took, out=best[:, n:])
+        ok &= best[:, -1] <= most + PROFILE_SLACK
     return ok
 
 
@@ -181,7 +176,7 @@ def twin_first(p, chi, profiles):
     orbit; a stable sort keeps the first of them.
     """
     els = p.elements
-    r = np.array(profiles, dtype=np.intp).reshape(-1, len(els))
+    r = np.array(profiles, dtype=np.intp).reshape(len(profiles), len(els))
     classes = {}
     for i, g in enumerate(els):
         classes.setdefault((chi[g], p.up_set(g), p.down_set(g)), []).append(i)
@@ -366,13 +361,18 @@ def _run_lanes(p, chi, cfg, lanes):
         pool, changed = live, len(live) < len(pool)
 
 
+def _lane_cap(k, n, restarts):
+    "kept > cap exactly when restarts x kept > MAX_LANES or x k n^3 > MAX_LANE_WORK"
+    return min(MAX_LANES, MAX_LANE_WORK // max(1, k * n ** 3)) // restarts
+
+
 def _lanes(p, chi, cfg):
     """(profiles listed, profiles that pass trace_feasible, profiles that
     also pass norm_feasible, [(pidx, ranks)] of those that twin_first
-    keeps); raises OracleError on a search over MAX_LANES lanes, or lanes
-    whose pool state would pass MAX_STATE_ENTRIES or whose work would pass
-    MAX_LANE_WORK. The budget counts the profiles before twin_first, so a
-    search is refused or run as it would be without it."""
+    keeps). The filters run over blocks of the profiles in scan order and
+    raise OracleError once the profiles kept pass _lane_cap, or once one is
+    kept if the pool state would pass MAX_STATE_ENTRIES; twin_first comes
+    after, so it never changes a refusal."""
     k, n = len(p.elements), cfg.dimension
     if cfg.rank_profile is None:
         profiles = rank_profiles(p, chi, n)
@@ -381,28 +381,28 @@ def _lanes(p, chi, cfg):
     else:
         raise OracleError("rank_profile has %d entries for %d elements"
                           % (len(cfg.rank_profile), k))
-    traced = np.flatnonzero(trace_feasible(p, chi, profiles, n))
-    kept = traced[norm_feasible(p, chi, profiles[traced], n)]
-    if cfg.restarts * len(kept) > MAX_LANES:
-        raise OracleError(
-            "search at dimension %d needs %d lanes (%d restarts x %d rank "
-            "profiles left by the trace identity and the norm bounds), more "
-            "than the limit of %d"
-            % (n, cfg.restarts * len(kept), cfg.restarts, len(kept),
-               MAX_LANES))
+    cap = _lane_cap(k, n, cfg.restarts)
     state = LANE_POOL * (5 + 2 * ANDERSON_MEMORY) * 2 * k * n * n
-    if len(kept) and state > MAX_STATE_ENTRIES:
-        raise OracleError(
-            "search on %r at dimension %d needs %d pool state entries, more "
-            "than the limit of %d" % (list(p.elements), n, state, MAX_STATE_ENTRIES))
-    work = cfg.restarts * len(kept) * k * n ** 3
-    if work > MAX_LANE_WORK:
-        raise OracleError(
-            "search at dimension %d needs %d units of lane work (restarts x "
-            "lanes x elements x n^3), more than the limit of %d"
-            % (n, work, MAX_LANE_WORK))
-    firsts = kept[twin_first(p, chi, profiles[kept])]
-    return (len(profiles), len(traced), len(kept),
+    traced, kept = 0, []
+    step = max(1, 2 ** 15 // n)  # norm_feasible's tables stay near 2^16 entries
+    for start in range(0, len(profiles), step):
+        block = profiles[start:start + step]
+        passed = np.flatnonzero(trace_feasible(p, chi, block, n))
+        traced += len(passed)
+        kept += (start + passed[norm_feasible(p, chi, block[passed], n)]).tolist()
+        if kept and state > MAX_STATE_ENTRIES:
+            raise OracleError(
+                "search on %r at dimension %d needs %d pool state entries, more "
+                "than the limit of %d" % (list(p.elements), n, state, MAX_STATE_ENTRIES))
+        if len(kept) > cap:
+            raise OracleError(
+                "search at dimension %d keeps more than %d rank profiles past "
+                "the trace identity and the norm bounds, the cap at %d restarts "
+                "under the limits of %d lanes and %d units of lane work "
+                "(restarts x profiles x elements x n^3)"
+                % (n, cap, cfg.restarts, MAX_LANES, MAX_LANE_WORK))
+    firsts = np.array(kept, dtype=np.intp)[twin_first(p, chi, profiles[kept])]
+    return (len(profiles), traced, len(kept),
             [(int(pidx), profiles[pidx]) for pidx in firsts])
 
 
@@ -413,9 +413,8 @@ def search_numeric(p, chi, cfg, listing=None):
     restart], pidx indexing the full profile list; profiles that fail
     trace_feasible or norm_feasible, or that twin_first drops, are skipped
     without changing any other lane. The scan takes the first lane whose
-    family passes check_all and is irreducible. A search of more than
-    MAX_LANES lanes, or whose pool state passes MAX_STATE_ENTRIES or work
-    MAX_LANE_WORK, raises OracleError before any lane runs. listing is
+    family passes check_all and is irreducible. A search that _lanes
+    refuses raises OracleError before any lane runs. listing is
     _lanes(p, chi, cfg) if the caller has already made it.
     """
     listed, traced, normed, lanes = _lanes(p, chi, cfg) if listing is None else listing
@@ -499,7 +498,7 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
         if pred.two_point is not None and pred.two_point.c_interval is not None:
             spectra.setdefault(2, [])
     # every dimension's lanes, listed once before the first search, so the
-    # lane budget of the whole range is checked up front; the listing stops
+    # lane cap of the whole range is checked up front; the listing stops
     # at the first dimension refused
     searches = []
     for d in dims:

@@ -316,11 +316,13 @@ def generate_posets(n):
     indices, so closing upper-triangular relation sets covers every class;
     duplicates are removed by a minimum-over-relabelings canonical form.
     The walk covers all 2^(n(n-1)/2) upper-triangular relation sets, so n
-    above 7 (2^28 sets) is refused before any work.
+    above 7 (2^28 sets) is refused before any work, as is a negative n.
     """
     import numpy as np
 
     bits = n * (n - 1) // 2
+    if n < 0:
+        raise PosetError("generate_posets(%d): n must be non-negative" % n)
     if n > 7:
         raise PosetError("generate_posets(%d) would walk 2^%d = %d relation sets; "
                          "n is limited to 7" % (n, bits, 1 << bits))

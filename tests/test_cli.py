@@ -641,8 +641,8 @@ def test_oracle_refuses_a_search_over_the_lane_budget(tmp_path, capsys):
                                   "--dims", "8"])
     seconds = time.perf_counter() - t0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert ("31680 lanes (64 restarts x 495 rank profiles" in err
-            and "limit of 4096" in err)
+    assert ("dimension 8 keeps more than 42 rank profiles" in err
+            and "cap at 64 restarts under the limits of 4096 lanes" in err)
     assert seconds < 10.0
 
 
@@ -661,7 +661,7 @@ def test_oracle_checks_the_lane_budget_of_every_dimension_first(tmp_path, capsys
                                   "--dims", "1..4"])
     seconds = time.perf_counter() - t0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert "dimension 4 needs 4480 lanes" in err
+    assert "dimension 4 keeps more than 64 rank profiles" in err
     assert seconds < 2.0
 
 
@@ -677,7 +677,7 @@ def test_oracle_lists_a_large_dimension_range_lazily(tmp_path, capsys):
                                   "--dims", "1..1000000"])
     seconds = time.perf_counter() - t0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert "search at dimension 6 needs 5376 lanes" in err
+    assert "search at dimension 6 keeps more than 64 rank profiles" in err
     assert seconds < 0.5
 
 
@@ -724,8 +724,8 @@ def test_oracle_refuses_an_oversized_lane_work(tmp_path, capsys):
                                   "--restarts", "1", "--iterations", "1"])
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (EXIT_VALIDATION, "")
-    assert ("dimension 60 needs 1225368000 units of lane work" in err
-            and "limit of 16777216" in err)
+    assert ("dimension 60 keeps more than 25 rank profiles" in err
+            and "16777216 units of lane work" in err)
 
 
 @pytest.mark.parametrize("tol, shift, code, reported", [
@@ -809,6 +809,8 @@ def test_oracle_rejects_a_negative_seed(tmp_path, capsys, weight, dims):
 @pytest.mark.parametrize("edit, fragment", [
     (lambda doc: doc.pop("projections"), "family document needs"),
     (lambda doc: doc.update(projections={}), "family projections [] do not match"),
+    (lambda doc: doc.update(projections=[1, 2]), "family document needs"),
+    (lambda doc: doc.update(projections="g1"), "family document needs"),
     (lambda doc: doc["projections"].pop("g2"), "do not match the poset elements"),
     (lambda doc: doc["character"]["weights"].pop("g2"),
      "family character misses weights for ['g2']"),
@@ -820,7 +822,8 @@ def test_oracle_rejects_a_negative_seed(tmp_path, capsys, weight, dims):
      "entry of the projection for 'g3' is too large for a float"),
     (lambda doc: doc["projections"]["g3"][1].__setitem__(0, [True, 0.0]),
      "entry of the projection for 'g3' must be a number, got True"),
-], ids=["no-projections", "empty-projections", "missing-element",
+], ids=["no-projections", "empty-projections", "list-projections",
+        "string-projections", "missing-element",
         "missing-weight", "non-square", "bool-weight", "401-digit-entry", "bool-entry"])
 def test_verify_rejects_malformed_family(tmp_path, capsys, edit, fragment):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)

@@ -397,6 +397,54 @@ def test_search_runs_only_the_given_rank_profile(monkeypatch):
         search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(1, 1, 1)))
 
 
+def test_lane_cap_decides_as_both_lane_bounds():
+    # refused exactly when restarts x kept passes MAX_LANES or restarts x
+    # kept x |G| n^3 passes MAX_LANE_WORK
+    kept = np.arange(5000)
+    for k, n, restarts in itertools.product(range(13), range(1, 40),
+                                            (1, 2, 3, 4, 7, 64, 100, 5000)):
+        bounds = ((restarts * kept > oracle.MAX_LANES)
+                  | (restarts * kept * k * n ** 3 > oracle.MAX_LANE_WORK))
+        assert (bounds == (kept > oracle._lane_cap(k, n, restarts))).all(), (k, n, restarts)
+
+
+def test_lane_cap_refuses_one_profile_past_it():
+    # quad weights 1 keep all 56 profiles at dimension 5: 73 x 56 = 4,088
+    # lanes are searched, 74 x 56 = 4,144 are not
+    unit = Character({g: 1.0 for g in QUAD.elements})
+    assert oracle._lanes(QUAD, unit, SearchConfig(5, restarts=73))[2] == 56
+    with pytest.raises(OracleError, match="dimension 5 keeps more than 55 rank profiles"):
+        oracle._lanes(QUAD, unit, SearchConfig(5, restarts=74))
+
+
+def test_lanes_filtered_in_blocks_match_one_pass():
+    # six elements at 0.4, dimension 6: 7,872 profiles in blocks of 5,461
+    # rows keep 3,982, under the cap of 4,096 at one restart
+    els = ["g%d" % i for i in range(6)]
+    p, chi = Poset(els), Character({g: 0.4 for g in els})
+    profiles = rank_profiles(p, chi, 6)
+    traced = np.flatnonzero(trace_feasible(p, chi, profiles, 6))
+    kept = traced[norm_feasible(p, chi, profiles[traced], 6)]
+    firsts = kept[twin_first(p, chi, profiles[kept])]
+    listed, n_traced, n_kept, lanes = oracle._lanes(p, chi, SearchConfig(6, restarts=1))
+    assert (listed, n_traced, n_kept) == (len(profiles), len(traced), len(kept)) \
+        == (7872, 7072, 3982)
+    assert [pidx for pidx, _ in lanes] == firsts.tolist()
+    assert all((ranks == profiles[pidx]).all() for pidx, ranks in lanes)
+    with pytest.raises(OracleError, match="keeps more than 2048 rank profiles"):
+        oracle._lanes(p, chi, SearchConfig(6, restarts=2))
+
+
+def test_search_refuses_the_eight_antichain_in_its_first_block():
+    # all 398,567 profiles at dimension 6 pass both filters; the cap of 64
+    # at 64 restarts is passed within the first block of 5,461 rows
+    els = ["g%d" % i for i in range(8)]
+    t0 = time.perf_counter()
+    with pytest.raises(OracleError, match="dimension 6 keeps more than 64 rank profiles"):
+        search_numeric(Poset(els), Character({g: 0.25 for g in els}), SearchConfig(6))
+    assert time.perf_counter() - t0 < 0.8
+
+
 EPS = 0.0131
 A4_TWO_SIDED = Poset(["g1", "g2", "g5", "g3", "g4", "g6"],
                      [("g1", "g5"), ("g2", "g5"), ("g3", "g6"), ("g4", "g6")])
@@ -676,6 +724,8 @@ def test_search_is_deterministic():
 
 def test_search_reports_absence():
     assert search_numeric(QUAD, POINT_SIX, dataclasses.replace(QUICK, dimension=2)) is None
+    # the empty poset has no profile, and its |G| n^3 is 0
+    assert search_numeric(Poset([]), Character({}), SearchConfig(1)) is None
 
 
 def test_search_rejects_incomplete_character():

@@ -269,6 +269,11 @@ def test_generate_posets_refuses_n_above_7_at_once():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_generate_posets_refuses_a_negative_n():
+    with pytest.raises(PosetError, match=r"generate_posets\(-1\): n must be non-negative"):
+        generate_posets(-1)
+
+
 def test_generate_posets_distinct_classes():
     reps = generate_posets(4)
     for p, q in itertools.combinations(reps, 2):
