@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 CHAIN_TAME = "ChainTame"
 TWO_WIDTH_TAME = "TwoWidthTame"
@@ -182,29 +183,35 @@ def width(p):
     p, which is n minus a maximum matching of the strict order read as a
     bipartite graph (Fulkerson 1956), grown here by augmenting paths. An
     unmatched successor is taken before any path is followed, so a chain
-    costs linear time in either element order.
+    costs linear time in either element order. The path search keeps its
+    own stack, so a path may be as long as the poset.
     """
     owner = {}  # j -> the i matched to it, i < j
     matched = 0  # the keys of owner, as a bitmask
-
-    def augment(i, seen):
-        nonlocal matched
-        # seen[0]: bitmask of the j already reached in this search
-        free = p._up[i] & ~seen[0]
-        seen[0] |= free
-        unmatched = free & ~matched
-        if unmatched:
-            j = (unmatched & -unmatched).bit_length() - 1
-            owner[j] = i
-            matched |= 1 << j
-            return True
-        for j in _bits(free):
-            if augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    return len(p.elements) - sum(augment(i, [0]) for i in range(len(p.elements)))
+    for root in range(len(p.elements)):
+        # path: [i, successors of i left to try, the j tried last] per step
+        seen, i, path = 0, root, []  # seen: the j reached from root so far
+        while True:
+            free = p._up[i] & ~seen
+            seen |= free
+            unmatched = free & ~matched
+            if unmatched:
+                j = (unmatched & -unmatched).bit_length() - 1
+                matched |= 1 << j
+                path.append([i, 0, j])
+                owner.update((j, i) for i, _, j in path)
+                break
+            path.append([i, free, None])
+            while path and not path[-1][1]:
+                path.pop()
+            if not path:
+                break
+            step = path[-1]
+            low = step[1] & -step[1]
+            step[1] ^= low
+            step[2] = low.bit_length() - 1
+            i = owner[step[2]]
+    return len(p.elements) - len(owner)
 
 
 def decompose(p):
@@ -312,56 +319,40 @@ def essential_catalog_match(p):
 def generate_posets(n):
     """All posets on n elements, one representative per isomorphism class.
 
-    Every finite poset admits a labeling with g < h only for increasing
-    indices, so closing upper-triangular relation sets covers every class;
-    duplicates are removed by a minimum-over-relabelings canonical form.
-    The walk covers all 2^(n(n-1)/2) upper-triangular relation sets, so n
-    above 7 (2^28 sets) is refused before any work, as is a negative n.
+    Each poset on m points is one on m - 1 points with a maximal element
+    added above a down-set, the complement of one of its up-sets, so each
+    level grows from the representatives of the level below. A candidate's
+    key is the bitmask of its relations over the pairs i < j, in
+    lexicographic order; its canonical key is the least key over the
+    relabelings that keep every relation going up the labels. The
+    representatives are the distinct canonical keys, in increasing order.
+    Every candidate is relabeled n! ways, so n above 7 is refused before
+    any work, as is a negative n; n = 7 takes about a second.
     """
     import numpy as np
 
-    bits = n * (n - 1) // 2
     if n < 0:
         raise PosetError("generate_posets(%d): n must be non-negative" % n)
     if n > 7:
-        raise PosetError("generate_posets(%d) would walk 2^%d = %d relation sets; "
-                         "n is limited to 7" % (n, bits, 1 << bits))
-    if n == 0:
-        return [Poset([])]
-    names = ["e%d" % i for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    bit_of = {ij: b for b, ij in enumerate(pairs)}
-    closed = set()
-    for mask in range(1 << len(pairs)):
-        up = [0] * n  # bitmask of strict successors per node
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                up[i] |= 1 << j
-        key = 0
-        for i, row in enumerate(_close(up, names)):
-            for j in _bits(row):
-                key |= 1 << bit_of[(i, j)]
-        closed.add(key)
-
-    closed = sorted(closed)
-    nbits = len(pairs)
-    bits = np.zeros((len(closed), nbits), dtype=np.int64)
-    for row, key in enumerate(closed):
-        for b in range(nbits):
-            if key >> b & 1:
-                bits[row, b] = 1
-    # canonical key: minimum over relabelings of the ordered-pair bitmask
-    ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pos_of = {ij: b for b, ij in enumerate(ordered)}
-    canon = np.full(len(closed), np.iinfo(np.int64).max, dtype=np.int64)
-    for perm in itertools.permutations(range(n)):
-        w = np.array([1 << pos_of[(perm[i], perm[j])] for i, j in pairs], dtype=np.int64)
-        np.minimum(canon, bits @ w, out=canon)
-    reps = {}
-    for row, key in enumerate(closed):
-        reps.setdefault(int(canon[row]), key)
-    out = []
-    for key in sorted(reps.values()):
-        rel = [(names[i], names[j]) for b, (i, j) in enumerate(pairs) if key >> b & 1]
-        out.append(Poset(names, rel))
-    return out
+        raise PosetError("generate_posets(%d) would try %d! = %d relabelings of every "
+                         "candidate; n is limited to 7" % (n, n, math.factorial(n)))
+    level = [Poset([])]
+    for m in range(1, n + 1):
+        names = ["e%d" % i for i in range(m)]
+        low, high = np.triu_indices(m, 1)  # the pairs i < j, lexicographic
+        # the new element names[-1] goes above everything outside the up-set
+        rows = [[q.less(names[i], names[j]) if j < m - 1 else names[i] not in up
+                 for i, j in zip(low, high)]
+                for q in level for up in q.up_sets()]
+        rel = np.array(rows, dtype=np.int64)
+        weight = np.zeros((m, m), dtype=np.int64)
+        weight[low, high] = 1 << np.arange(len(low))
+        # a relation relabeled to go down outweighs every key
+        weight[high, low] = 1 << len(low)
+        canon = np.full(len(rows), np.iinfo(np.int64).max)
+        for perm in map(np.array, itertools.permutations(range(m))):
+            np.minimum(canon, rel @ weight[perm[low], perm[high]], out=canon)
+        level = [Poset(names, [(names[i], names[j]) for b, (i, j) in enumerate(zip(low, high))
+                               if key >> b & 1])
+                 for key in np.unique(canon).tolist()]
+    return level

@@ -1014,6 +1014,18 @@ def test_classify_wide_poset_returns_promptly(tmp_path, capsys):
     assert report["decomposition"] is None
 
 
+def test_classify_long_fence(tmp_path, capsys):
+    # a_i < b_i and a_(i+1) < b_i: width follows augmenting paths 1,000 steps long
+    a, b = ["a%d" % i for i in range(1000)], ["b%d" % i for i in range(1000)]
+    rels = [list(pair) for pair in zip(a, b)] + [list(pair) for pair in zip(a[1:], b)]
+    poset = write_json(tmp_path, "p.json", {"elements": a[::-1] + b, "relations": rels})
+    code, out, _ = run(capsys, ["classify", "--poset", poset])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"] == "Wild"
+    assert report["width"] == 1000
+
+
 def test_oracle_lists_each_dimension_once(tmp_path, capsys, monkeypatch):
     # the lane budget and the search share one listing per dimension
     calls = []

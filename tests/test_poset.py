@@ -17,7 +17,7 @@ from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
                               split_two_one_parameter, width)
 
 MAX_ELEMENTS = 5
-CLASS_COUNTS = [1, 2, 5, 16, 63, 318]  # isomorphism classes on 1..6 points
+CLASS_COUNTS = [1, 2, 5, 16, 63, 318, 2045]  # isomorphism classes on 1..7 points
 
 DIAMOND = Poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
@@ -259,12 +259,32 @@ def test_dual_catalog_names():
 def test_generate_posets_counts():
     assert generate_posets(0) == [Poset([])]
     for n, expected in enumerate(CLASS_COUNTS, start=1):
+        t0 = time.perf_counter()
         assert len(generate_posets(n)) == expected
+        assert time.perf_counter() - t0 < 5.0
+
+
+def test_generate_posets_matches_closing_every_relation_set():
+    # close each upper-triangular relation set, keep the least key of each
+    # isomorphism class, the key being the relations as a bitmask over the
+    # pairs i < j in lexicographic order
+    for n in range(MAX_ELEMENTS + 1):
+        names = ["e%d" % i for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        closed = {}
+        for mask in range(1 << len(pairs)):
+            p = Poset(names, [ij for b, ij in enumerate(pairs) if mask >> b & 1])
+            closed[sum(1 << b for b, ij in enumerate(pairs) if ij in p.relations)] = p
+        reps = []
+        for key in sorted(closed):
+            if not any(is_isomorphic(closed[key], q) for q in reps):
+                reps.append(closed[key])
+        assert generate_posets(n) == reps
 
 
 def test_generate_posets_refuses_n_above_7_at_once():
     t0 = time.perf_counter()
-    with pytest.raises(PosetError, match=r"generate_posets\(8\).*268435456 relation sets"):
+    with pytest.raises(PosetError, match=r"generate_posets\(8\).*8! = 40320 relabelings"):
         generate_posets(8)
     assert time.perf_counter() - t0 < 0.1
 
@@ -361,6 +381,14 @@ def test_long_chain_is_built_and_classified_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_width_of_a_long_fence_follows_long_paths():
+    # a_i < b_i and a_(i+1) < b_i, the a listed last first: the augmenting
+    # paths grow one step per a matched, past any recursion limit
+    a, b = ["a%d" % i for i in range(1000)], ["b%d" % i for i in range(1000)]
+    p = Poset(a[::-1] + b, list(zip(a, b)) + list(zip(a[1:], b)))
+    assert width(p) == 1000
 
 
 def test_width_of_a_top_first_chain_is_fast():
