@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -164,27 +165,40 @@ def norm_feasible(p, chi, profiles, dimension):
     return ok
 
 
-def twin_first(p, chi, profiles):
-    """Mask of the first rank profile, in scan order, of each twin orbit.
+def orbit_first(p, chi, profiles, dimension):
+    """Mask of the first rank profile, in scan order, of each orbit.
 
     Twins are elements of equal weight with the same strict up-set and
     down-set, so they are incomparable. Swapping the projections of two
     twins keeps every axiom and irreducibility, and maps the families of a
-    profile onto those of the profile with the twins' ranks swapped, so one
-    profile of each orbit decides whether the orbit carries a family. Rows
-    whose ranks agree after sorting within each class of twins form one
-    orbit; a stable sort keeps the first of them.
+    profile onto those of the profile with the twins' ranks swapped. On an
+    antichain whose weights sum to 2, P_g -> I - P_g does the same for the
+    profiles r and dimension - r: the I - P_g are projections with
+    sum alpha_g (I - P_g) = 2I - I = I and the same commutant. So one
+    profile of each orbit decides whether the orbit carries a family. Ranks
+    sorted within each class of twins name a twin orbit, and the least of
+    the names of r and dimension - r names a complement pair; a stable sort
+    keeps the first row of each name.
     """
     els = p.elements
-    r = np.array(profiles, dtype=np.intp).reshape(len(profiles), len(els))
+    k = len(els)
+    r = np.array(profiles, dtype=np.intp).reshape(len(profiles), k)
+    # the weights sum to 2 up to their rounding
+    mirror = not p.relations and abs(math.fsum(chi[g] for g in els) - 2) <= k * 2 ** -52
     classes = {}
     for i, g in enumerate(els):
         classes.setdefault((chi[g], p.up_set(g), p.down_set(g)), []).append(i)
     twins = [c for c in classes.values() if len(c) > 1]
-    if not twins:
+    if not twins and not mirror:
         return np.ones(len(r), dtype=bool)
-    for c in twins:
-        r[:, c] = np.sort(r[:, c], axis=1)
+    names = [r, dimension - r] if mirror else [r]
+    for name, c in itertools.product(names, twins):
+        name[:, c] = np.sort(name[:, c], axis=1)
+    if mirror:
+        # the row-wise lexicographic minimum: the first column that differs decides
+        lo, hi = names
+        first = (lo != hi).argmax(axis=1)[:, None]
+        r = np.where(np.take_along_axis(hi < lo, first, axis=1), hi, lo)
     order = np.lexsort(r.T[::-1])
     ranked = r[order]
     fresh = np.ones(len(r), dtype=bool)
@@ -368,10 +382,10 @@ def _lane_cap(k, n, restarts):
 
 def _lanes(p, chi, cfg):
     """(profiles listed, profiles that pass trace_feasible, profiles that
-    also pass norm_feasible, [(pidx, ranks)] of those that twin_first
+    also pass norm_feasible, [(pidx, ranks)] of those that orbit_first
     keeps). The filters run over blocks of the profiles in scan order and
     raise OracleError once the profiles kept pass _lane_cap, or once one is
-    kept if the pool state would pass MAX_STATE_ENTRIES; twin_first comes
+    kept if the pool state would pass MAX_STATE_ENTRIES; orbit_first comes
     after, so it never changes a refusal."""
     k, n = len(p.elements), cfg.dimension
     if cfg.rank_profile is None:
@@ -401,7 +415,7 @@ def _lanes(p, chi, cfg):
                 "under the limits of %d lanes and %d units of lane work "
                 "(restarts x profiles x elements x n^3)"
                 % (n, cap, cfg.restarts, MAX_LANES, MAX_LANE_WORK))
-    firsts = np.array(kept, dtype=np.intp)[twin_first(p, chi, profiles[kept])]
+    firsts = np.array(kept, dtype=np.intp)[orbit_first(p, chi, profiles[kept], n)]
     return (len(profiles), traced, len(kept),
             [(int(pidx), profiles[pidx]) for pidx in firsts])
 
@@ -411,7 +425,7 @@ def search_numeric(p, chi, cfg, listing=None):
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible or norm_feasible, or that twin_first drops, are skipped
+    trace_feasible or norm_feasible, or that orbit_first drops, are skipped
     without changing any other lane. The scan takes the first lane whose
     family passes check_all and is irreducible. A search that _lanes
     refuses raises OracleError before any lane runs. listing is
@@ -439,7 +453,7 @@ def search_numeric(p, chi, cfg, listing=None):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d by the norm bounds, %d by twin symmetry, %d lanes started, "
+        "%d by the norm bounds, %d by symmetry, %d lanes started, "
         "%d lanes run, found=%s", cfg.dimension, listed, listed - traced,
         traced - normed, normed - len(lanes), started, runs, found is not None)
     return found

@@ -19,8 +19,8 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                OracleError, SearchConfig, _random_projection,
                                _run_lanes, _spectrum_matched, cross_validate,
                                cross_validate_split, norm_feasible,
-                               rank_profiles, search_numeric, trace_feasible,
-                               twin_first)
+                               orbit_first, rank_profiles, search_numeric,
+                               trace_feasible)
 from orthoposet.poset import Poset, generate_posets
 from orthoposet.spectrum import Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
@@ -29,6 +29,8 @@ QUAD = Poset(["g1", "g2", "g3", "g4"], [])
 CHAIN2 = Poset(["x", "y"], [("x", "y")])
 
 POINT_SIX = Character({g: 0.6 for g in QUAD.elements})
+# an antichain of total weight 2, one of the benchmark's zero-cap quads
+ZERO_CAP = Character({"g1": 0.3719, "g2": 1 - 0.3719, "g3": 0.6143, "g4": 1 - 0.6143})
 QUICK = SearchConfig(dimension=1, restarts=4, max_iterations=2000, seed=0)
 
 
@@ -268,7 +270,7 @@ def _twin_orbit(classes, ranks):
 
 
 def test_twin_first_keeps_the_first_profile_of_each_orbit():
-    cases = plain = dropped = 0
+    cases = plain = dropped = mirrored = 0
     for k in range(1, 5):
         for p in generate_posets(k):
             els = p.elements
@@ -281,22 +283,28 @@ def test_twin_first_keeps_the_first_profile_of_each_orbit():
                     and all(p.less(x, g) == p.less(x, h) and p.less(g, x) == p.less(h, x)
                             for x in els if x not in (g, h))))
                     for g in els}
+                # the grid's sums are exact, so no rounding enters here
+                mirror = not p.relations and sum(w) == 2
                 for d in (2, 3):
                     profiles = [tuple(r) for r in rank_profiles(p, chi, d).tolist()]
                     earlier, want = set(), []
                     for ranks in profiles:
-                        want.append(_twin_orbit(classes, ranks).isdisjoint(earlier))
+                        twins = _twin_orbit(classes, ranks)
+                        orbit = twins | (_twin_orbit(classes, tuple(d - r for r in ranks))
+                                         if mirror else set())
+                        want.append(orbit.isdisjoint(earlier))
+                        mirrored += twins.isdisjoint(earlier) and not want[-1]
                         earlier.add(ranks)
-                    got = twin_first(p, chi, profiles).tolist()
+                    got = orbit_first(p, chi, profiles, d).tolist()
                     assert got == want, (p, chi, d)
-                    if len(classes) == k:
+                    if len(classes) == k and not mirror:
                         assert all(got)
                         plain += 1
                     cases += 1
                     dropped += len(got) - sum(got)
-    assert twin_first(QUAD, POINT_SIX, []).shape == (0,)
+    assert orbit_first(QUAD, POINT_SIX, [], 3).shape == (0,)
     assert cases == 2 * sum(3 ** k * len(generate_posets(k)) for k in range(1, 5))
-    assert plain >= 100 and dropped >= 1000, (plain, dropped)
+    assert plain >= 100 and dropped >= 1000 and mirrored >= 1, (plain, dropped, mirrored)
 
 
 def test_twin_swap_maps_a_family_onto_the_swapped_profile():
@@ -309,7 +317,46 @@ def test_twin_swap_maps_a_family_onto_the_swapped_profile():
     report = check_all(swapped, ACCEPT_TOL)
     assert report.passed and report.irreducible
     assert _profile(swapped) == (1, 1, 1, 2)
-    assert twin_first(QUAD, POINT_SIX, [(2, 1, 1, 1), (1, 1, 1, 2)]).tolist() == [True, False]
+    assert orbit_first(QUAD, POINT_SIX, [(2, 1, 1, 1), (1, 1, 1, 2)], 3).tolist() \
+        == [True, False]
+
+
+def test_complement_maps_a_family_onto_the_mirrored_profile():
+    # at d = 1 the zero-cap quad has two profiles, and no twins relate them
+    profiles = rank_profiles(QUAD, ZERO_CAP, 1).tolist()
+    assert profiles == [[0, 0, 1, 1], [1, 1, 0, 0]]
+    cfg = dataclasses.replace(QUICK, rank_profile=(0, 0, 1, 1))
+    fam = search_numeric(QUAD, ZERO_CAP, cfg)
+    assert _profile(fam) == (0, 0, 1, 1)
+    mirrored = ProjectionFamily(QUAD, ZERO_CAP, {g: np.eye(1) - proj for g, proj
+                                                 in fam.projections.items()})
+    report = check_all(mirrored, ACCEPT_TOL)
+    assert report.passed and report.irreducible
+    assert _profile(mirrored) == (1, 1, 0, 0)
+    assert orbit_first(QUAD, ZERO_CAP, profiles, 1).tolist() == [True, False]
+
+
+def test_complement_orbit_needs_an_antichain_of_weight_two():
+    profiles = [(0, 0, 1, 1), (1, 1, 0, 0)]
+    # one relation: I - P reverses it
+    related = Poset(QUAD.elements, [("g1", "g2")])
+    assert orbit_first(related, ZERO_CAP, profiles, 1).tolist() == [True, True]
+    # a total off 2 by 1e-9, inside PROFILE_SLACK but past rounding, or by 0.01
+    for shift in (1e-9, -1e-9, 0.01):
+        chi = Character(dict(ZERO_CAP.weights, g4=ZERO_CAP["g4"] + shift))
+        assert orbit_first(QUAD, chi, profiles, 1).tolist() == [True, True], shift
+
+
+@pytest.mark.parametrize("a, b", [(0.3719, 0.6143), (0.7268, 0.4537)])
+def test_lanes_search_one_complement_of_each_zero_cap_pair(a, b):
+    # profiles (r, r, d - r, d - r) pair off as r <-> d - r; the first of
+    # each pair is kept
+    chi = Character({"g1": a, "g2": 1 - a, "g3": b, "g4": 1 - b})
+    for d, searched in ((3, 2), (4, 3), (5, 3), (6, 4)):
+        listed, traced, normed, lanes = oracle._lanes(QUAD, chi, SearchConfig(d, restarts=2))
+        assert listed == traced == normed == d + 1
+        assert [(pidx, ranks.tolist()) for pidx, ranks in lanes] == [
+            (r, [r, r, d - r, d - r]) for r in range(searched)]
 
 
 def _search_once(p, chi, ranks, rng, cfg):
@@ -425,7 +472,7 @@ def test_lanes_filtered_in_blocks_match_one_pass():
     profiles = rank_profiles(p, chi, 6)
     traced = np.flatnonzero(trace_feasible(p, chi, profiles, 6))
     kept = traced[norm_feasible(p, chi, profiles[traced], 6)]
-    firsts = kept[twin_first(p, chi, profiles[kept])]
+    firsts = kept[orbit_first(p, chi, profiles[kept], 6)]
     listed, n_traced, n_kept, lanes = oracle._lanes(p, chi, SearchConfig(6, restarts=1))
     assert (listed, n_traced, n_kept) == (len(profiles), len(traced), len(kept)) \
         == (7872, 7072, 3982)
@@ -455,8 +502,7 @@ ENDS = {g: 0.5 + EPS for g in ("g1", "g2", "g3", "g4")}
 POOL_CASES = {
     "quad-d3": (QUAD, POINT_SIX, 3),
     "quad-d4": (QUAD, POINT_SIX, 4),
-    "zero-cap-d5": (QUAD, Character({"g1": 0.3719, "g2": 1 - 0.3719,
-                                     "g3": 0.6143, "g4": 1 - 0.6143}), 5),
+    "zero-cap-d5": (QUAD, ZERO_CAP, 5),
     "a4-two-sided-d5": (A4_TWO_SIDED, Character(
         dict(ENDS, g5=EPS / 2, g6=0.5 - 2.5 * EPS)), 5),
     "a6-four-chain-d4": (A6_FOUR_CHAIN, Character(
@@ -617,8 +663,8 @@ def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch):
     searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
                 for p, chi, d in POOL_CASES.values()]
     kept = [_searched_lanes(monkeypatch, *search) for search in searches]
-    monkeypatch.setattr(oracle, "twin_first",
-                        lambda p, chi, profiles: np.ones(len(profiles), dtype=bool))
+    monkeypatch.setattr(oracle, "orbit_first",
+                        lambda p, chi, profiles, dimension: np.ones(len(profiles), dtype=bool))
     dropped = 0
     for search, lanes in zip(searches, kept):
         every = _searched_lanes(monkeypatch, *search)
@@ -690,7 +736,8 @@ def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
 
 def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
     p, chi, d = POOL_CASES["zero-cap-d5"]
-    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=2)) is None
+    # 3 of the 6 profiles are searched, so 12 lanes at 4 restarts
+    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=4)) is None
     # lane 0 runs alone; once the scan passes it by, the pool fills up
     assert live_lanes[:LANE_POOL + 1] == [1] + list(range(1, LANE_POOL + 1))
     assert max(live_lanes) == LANE_POOL
@@ -702,7 +749,7 @@ def test_search_logs_one_debug_line(caplog):
         search_numeric(QUAD, POINT_SIX, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
-        "12 by the norm bounds, 3 by twin symmetry, 1 lanes started, "
+        "12 by the norm bounds, 3 by symmetry, 1 lanes started, "
         "1 lanes run, found=True"]
 
 

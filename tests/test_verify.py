@@ -277,10 +277,15 @@ def test_block_system_folds_in_row_blocks(monkeypatch):
 def test_block_system_answers_a_threefold_summand_at_n_63(exact_path):
     small = quad_families(0.525)[0]
     fam = direct_sum([small, small, small], 2)
-    t0 = time.perf_counter()
-    assert commutant_dim(fam) == 9
-    assert time.perf_counter() - t0 < 5.0
-    assert exact_path == [63]
+    # the best of three calls, so that another process on the host does not decide
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert commutant_dim(fam) == 9
+        best = min(best, time.perf_counter() - t0)
+    assert best < 5.0
+    # one block system of size 63 per call
+    assert exact_path == [63] * 3
 
 
 def test_commutant_of_repeated_non_isomorphic_summands():
