@@ -181,23 +181,20 @@ def build_from_chain(chain):
     if chain.termination == ESCAPED:
         raise BuilderError("an escaped chain admits no representation")
     n = chain.dimension
-    plan1 = _PartPlan(ctx.part1, ctx.chi1, ctx.delta1, chain.lambdas, ctx.tol)
-    plan2 = _PartPlan(ctx.part2, ctx.chi2, ctx.delta2, chain.mus, ctx.tol)
+    plans = [_PartPlan(ctx.part1, ctx.chi1, ctx.delta1, chain.lambdas, ctx.tol),
+             _PartPlan(ctx.part2, ctx.chi2, ctx.delta2, chain.mus, ctx.tol)]
     full = disjoint_union(ctx.part1, ctx.part2)
     character = Character(dict(ctx.chi1.weights, **ctx.chi2.weights))
     split = (ctx.part1.elements, ctx.part2.elements)
-    block_params = {"p": [e for e, _ in plan1.params], "q": [e for _, e in plan1.params],
-                    "r": [e for e, _ in plan2.params], "s": [e for _, e in plan2.params]}
+    # p and q are the first part's pair offsets, r and s the second's
+    block_params = dict(zip("pqrs", ([e[i] for e in plan.params]
+                                     for plan in plans for i in (0, 1))))
     families = []
-    for br1 in plan1.branches():
-        for br2 in plan2.branches():
-            projections = {}
-            for g in ctx.part1.elements:
-                projections[g] = plan1.matrix(g, br1, n)
-            for g in ctx.part2.elements:
-                projections[g] = plan2.matrix(g, br2, n)
-            families.append(ProjectionFamily(full, character, projections,
-                                             split, dict(block_params)))
+    for branches in itertools.product(*(plan.branches() for plan in plans)):
+        projections = {g: plan.matrix(g, branch, n)
+                       for plan, branch in zip(plans, branches) for g in plan.part.elements}
+        families.append(ProjectionFamily(full, character, projections,
+                                         split, dict(block_params)))
     return families
 
 

@@ -86,38 +86,36 @@ def run_degeneracy_filter(chi, tol=DEFAULT_TOL):
     return forced
 
 
-def run_chain(ctx, lambda0, max_steps=DEFAULT_MAX_STEPS):
+def run_chain(ctx, lambda0):
     """Iterate the link/reflection recurrence from a discrete starting eigenvalue.
 
-    Link steps (x -> 1 - x) change the constraint set and get membership
-    checks; reflection steps (x -> sigma - x) stay inside the same set, so
-    a continuous value reflects to a continuous value and needs none.
+    Each step is two half steps, onto delta2's side and back to delta1's: a
+    link (x -> 1 - x) of the other side's last value, checked, and for a
+    continuous value a reflection (x -> sigma - x), which needs no check.
     """
-    tol = ctx.tol
-    if abs(ctx.lambda_cap) <= tol:
-        raise ZeroLambdaCap("lambda_cap %r is zero within tol" % (ctx.lambda_cap,))
+    tol, cap = ctx.tol, ctx.lambda_cap
+    if abs(cap) <= tol:
+        raise ZeroLambdaCap("lambda_cap %r is zero within tol" % (cap,))
     if membership(ctx.delta1, lambda0, tol) != DISCRETE:
         raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
 
     lambdas, mus = [lambda0], []
-    for _ in range(max_steps):
-        mu = 1.0 - lambdas[-1]
-        mus.append(mu)
-        kind = membership(ctx.delta2, mu, tol)
-        if kind == DISCRETE:
-            return EigenChain(lambdas, mus, DISCRETE_IN_DELTA2, ctx)
-        if kind == OUTSIDE:
-            return EigenChain(lambdas, mus, ESCAPED, ctx)
-        mus.append(ctx.sigma2 - mu)
-        lam = 1.0 - mus[-1]
-        lambdas.append(lam)
-        kind = membership(ctx.delta1, lam, tol)
-        if kind == DISCRETE:
-            return EigenChain(lambdas, mus, DISCRETE_IN_DELTA1, ctx)
-        if kind == OUTSIDE:
-            return EigenChain(lambdas, mus, ESCAPED, ctx)
-        lambdas.append(ctx.sigma1 - lam)
-    raise ChainEngineError("no termination within %d steps" % (max_steps,))
+    halves = ((mus, lambdas, ctx.delta2, DISCRETE_IN_DELTA2),
+              (lambdas, mus, ctx.delta1, DISCRETE_IN_DELTA1))
+    for _ in range(DEFAULT_MAX_STEPS):
+        for values, other, delta, end in halves:
+            x = 1.0 - other[-1]
+            values.append(x)
+            kind = membership(delta, x, tol)
+            if kind == DISCRETE:
+                return EigenChain(lambdas, mus, end, ctx)
+            if kind == OUTSIDE:
+                return EigenChain(lambdas, mus, ESCAPED, ctx)
+            values.append(delta.sigma - x)
+    raise ChainEngineError(
+        "no termination within %d steps from lambda0 = %r: each step moves lambda "
+        "by lambda_cap = %r within [0, 1], so the chain ends within %d steps"
+        % (DEFAULT_MAX_STEPS, lambda0, cap, math.floor(1.0 / abs(cap)) + 1))
 
 
 @dataclasses.dataclass(eq=False)
@@ -153,25 +151,21 @@ def lambda_zero_case(ctx):
     tol = ctx.tol
     if abs(ctx.lambda_cap) > tol:
         raise ChainEngineError("lambda_cap %r is not zero" % (ctx.lambda_cap,))
-    one_dim, two_dim = [], []
-    for lam0 in ctx.delta1.discrete:
-        mu0 = 1.0 - lam0
-        kind = membership(ctx.delta2, mu0, tol)
-        if kind == DISCRETE:
-            one_dim.append(lam0)
-        elif kind == CONTINUOUS:
-            lam1 = ctx.sigma1 - lam0
-            if membership(ctx.delta1, lam1, tol) == DISCRETE:
-                two_dim.append(EigenChain([lam0, lam1], [mu0, ctx.sigma2 - mu0],
-                                          DISCRETE_IN_DELTA1, ctx))
-    for mu0 in ctx.delta2.discrete:
-        lam0 = 1.0 - mu0
-        if membership(ctx.delta1, lam0, tol) != CONTINUOUS:
-            continue
-        mu1 = ctx.sigma2 - mu0
-        if membership(ctx.delta2, mu1, tol) == DISCRETE:
-            two_dim.append(EigenChain([lam0, ctx.sigma1 - lam0], [mu0, mu1],
-                                      DISCRETE_IN_DELTA2, ctx))
+    one_dim = [lam0 for lam0 in ctx.delta1.discrete
+               if membership(ctx.delta2, 1.0 - lam0, tol) == DISCRETE]
+    # a discrete start on one side, a continuous pair on the other, and a
+    # discrete end back on the start's side
+    two_dim = []
+    for own, other, end in ((ctx.delta1, ctx.delta2, DISCRETE_IN_DELTA1),
+                            (ctx.delta2, ctx.delta1, DISCRETE_IN_DELTA2)):
+        for x0 in own.discrete:
+            y0 = 1.0 - x0
+            x1 = own.sigma - x0
+            if (membership(other, y0, tol) == CONTINUOUS
+                    and membership(own, x1, tol) == DISCRETE):
+                pair = [[x0, x1], [y0, other.sigma - y0]]
+                lambdas, mus = pair if own is ctx.delta1 else pair[::-1]
+                two_dim.append(EigenChain(lambdas, mus, end, ctx))
 
     two_dim = _merge_reversals(two_dim)
     c_interval = None
@@ -213,7 +207,8 @@ def _is_reversal(a, b):
 
 
 def dimension_bound(ctx):
-    """Upper bound for the length of a chain started at lambda0 = 0.
+    """Upper bound for (dimension - 1) // 2 of a chain started at lambda0 = 0,
+    the figure criterion 2 compares; it does not bound the dimension itself.
 
     A negative step constant is handled through the dual problem, whose
     step constant is -lambda_cap/(total - 1).

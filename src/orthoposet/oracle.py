@@ -177,8 +177,8 @@ def orbit_first(p, chi, profiles, dimension):
     sum alpha_g (I - P_g) = 2I - I = I and the same commutant. So one
     profile of each orbit decides whether the orbit carries a family. Ranks
     sorted within each class of twins name a twin orbit, and the least of
-    the names of r and dimension - r names a complement pair; a stable sort
-    keeps the first row of each name.
+    the names of r and dimension - r names a complement pair; the first row
+    of each name is kept.
     """
     els = p.elements
     k = len(els)
@@ -199,12 +199,8 @@ def orbit_first(p, chi, profiles, dimension):
         lo, hi = names
         first = (lo != hi).argmax(axis=1)[:, None]
         r = np.where(np.take_along_axis(hi < lo, first, axis=1), hi, lo)
-    order = np.lexsort(r.T[::-1])
-    ranked = r[order]
-    fresh = np.ones(len(r), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     keep = np.zeros(len(r), dtype=bool)
-    keep[order[fresh]] = True
+    keep[np.unique(r, axis=0, return_index=True)[1]] = True
     return keep
 
 

@@ -33,7 +33,8 @@ def json_float(value, what):
 
 
 class Character:
-    """Strictly positive, finite weights on poset elements."""
+    """Strictly positive, finite weights on poset elements, whose total is
+    finite even doubled: a part's sigma can reach twice the total."""
 
     def __init__(self, weights):
         self.weights = {g: float(w) for g, w in dict(weights).items()}
@@ -41,6 +42,9 @@ class Character:
             if not 0 < w < float("inf"):
                 raise SpectrumError("weight for %r must be positive and finite, got %r" % (g, w))
         self.total = sum(self.weights.values())
+        if not math.isfinite(2.0 * self.total):
+            raise SpectrumError("the weights sum to %r, and twice that is not a finite float"
+                                % (self.total,))
 
     def __getitem__(self, g):
         try:

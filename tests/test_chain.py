@@ -72,8 +72,12 @@ def test_chain_rejects_zero_cap():
 
 
 def test_step_limit():
-    with pytest.raises(ChainEngineError, match="no termination within 1 steps"):
-        run_chain(quad(5 / 9, 5 / 9, 5 / 9, 5 / 9), 0.0, max_steps=1)
+    # the chain from 0 ends DiscreteInDelta2 after 25,000 steps, past the limit
+    message = ("no termination within 10000 steps from lambda0 = 0.0: each step "
+               "moves lambda by lambda_cap = 3.99.*e-05 within \\[0, 1\\], so the "
+               "chain ends within 25001 steps")
+    with pytest.raises(ChainEngineError, match=message):
+        run_chain(quad(0.50001, 0.50001, 0.50001, 0.50001), 0.0)
 
 
 def test_chain_escapes_on_and_off_a_boundary_graze():

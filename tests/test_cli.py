@@ -947,6 +947,39 @@ def test_solve_rejects_infinite_weight(tmp_path, capsys):
     assert "finite" in err
 
 
+HUGE_PAIR = {"weights": {"g1": 1e308, "g2": 1e308, "g3": 0.6, "g4": 0.6}}
+
+
+# the total overflows a float, or twice it does (sigma of g1, g2 < g3)
+@pytest.mark.parametrize("command, poset_doc, weights, extra", [
+    ("solve", ANTICHAIN4, HUGE_PAIR, ["--split", "g1,g2"]),
+    ("oracle", ANTICHAIN4, HUGE_PAIR, ["--split", "g1,g2", "--dims", "1"]),
+    ("spectrum", {"elements": ["g1", "g2"], "relations": []},
+     {"weights": {"g1": 1e308, "g2": 1e308}}, []),
+    ("spectrum", {"elements": ["g1", "g2", "g3"], "relations": [["g1", "g3"], ["g2", "g3"]]},
+     {"weights": {"g1": 0.1, "g2": 0.1, "g3": 1e308}}, []),
+], ids=["solve", "oracle", "spectrum-pair", "spectrum-sigma"])
+def test_a_total_that_overflows_is_rejected(tmp_path, capsys, command, poset_doc,
+                                            weights, extra):
+    code, out, err = run(capsys, [
+        command, "--poset", write_json(tmp_path, "p.json", poset_doc),
+        "--character", write_json(tmp_path, "c.json", weights)] + extra)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "twice that is not a finite float" in err
+
+
+def test_solve_names_the_bound_past_the_step_limit(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {
+        "weights": {g: 0.50001 for g in ANTICHAIN4["elements"]}})
+    code, out, err = run(capsys, ["solve", "--poset", poset,
+                                  "--character", character, "--split", "g1,g2"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error: no termination within 10000 steps from lambda0 = 0.0:")
+    assert "lambda_cap = 3.99" in err
+    assert err.endswith("so the chain ends within 25001 steps\n")
+
+
 @pytest.mark.parametrize("doc", [
     {"elements": [["g1"], "g2"], "relations": []},
     {"elements": [1, 2], "relations": []},

@@ -236,6 +236,21 @@ def test_is_isomorphic():
     assert not is_isomorphic(DIAMOND, Poset(["p", "q", "r", "s"], [("p", "q")]))
 
 
+def test_is_isomorphic_searches_every_bijection_before_it_says_no():
+    names = ["e%d" % i for i in range(6)]
+    p = Poset(names, [("e0", "e4"), ("e0", "e5"), ("e1", "e3"), ("e2", "e3")])
+    q = Poset(names, [("e0", "e3"), ("e0", "e5"), ("e1", "e4"), ("e2", "e3")])
+
+    def profile(r):
+        return sorted((len(r.up_set(g)), len(r.down_set(g))) for g in names)
+
+    # the cheap screens pass, so only the full search can tell them apart
+    assert len(p.relations) == len(q.relations)
+    assert profile(p) == profile(q)
+    assert not is_isomorphic(p, q)
+    assert not is_isomorphic(q, p)
+
+
 def test_catalog_members_are_distinct():
     names = list(CATALOG)
     assert len(names) == 7

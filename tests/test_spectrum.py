@@ -46,6 +46,15 @@ def test_character_rejects_non_finite_weights():
             Character({"x": 0.6, "y": bad})
 
 
+def test_character_rejects_a_total_whose_double_overflows():
+    with pytest.raises(SpectrumError, match="sum to inf"):
+        Character({"x": 1e308, "y": 1e308, "z": 0.6})
+    # finite total, but sigma = 0.2 + 2e308 of the part g1, g2 < g3 is not
+    with pytest.raises(SpectrumError, match="sum to 1e[+]?308, and twice"):
+        Character({"x": 0.1, "y": 0.1, "t0": 1e308})
+    assert Character({"x": 0.1, "y": 0.1, "t0": 1e307}).total == 1e307
+
+
 def test_delta_of_rejects_empty_poset():
     with pytest.raises(SpectrumError, match="the empty poset has no spectrum"):
         delta_of(Poset([]), Character({}))
