@@ -186,9 +186,9 @@ def build_from_chain(chain):
     full = disjoint_union(ctx.part1, ctx.part2)
     character = Character(dict(ctx.chi1.weights, **ctx.chi2.weights))
     split = (ctx.part1.elements, ctx.part2.elements)
-    # p and q are the first part's pair offsets, r and s the second's
-    block_params = dict(zip("pqrs", ([e[i] for e in plan.params]
-                                     for plan in plans for i in (0, 1))))
+    params1, params2 = plans[0].params, plans[1].params
+    block_params = {"p": [e for e, _ in params1], "q": [e for _, e in params1],
+                    "r": [e for e, _ in params2], "s": [e for _, e in params2]}
     families = []
     for branches in itertools.product(*(plan.branches() for plan in plans)):
         projections = {g: plan.matrix(g, branch, n)

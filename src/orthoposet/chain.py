@@ -11,7 +11,7 @@ DISCRETE_IN_DELTA1 = "DiscreteInDelta1"
 DISCRETE_IN_DELTA2 = "DiscreteInDelta2"
 ESCAPED = "Escaped"
 
-DEFAULT_MAX_STEPS = 10000
+MAX_STEPS = 10000
 
 
 class ChainEngineError(ValueError):
@@ -102,7 +102,7 @@ def run_chain(ctx, lambda0):
     lambdas, mus = [lambda0], []
     halves = ((mus, lambdas, ctx.delta2, DISCRETE_IN_DELTA2),
               (lambdas, mus, ctx.delta1, DISCRETE_IN_DELTA1))
-    for _ in range(DEFAULT_MAX_STEPS):
+    for _ in range(MAX_STEPS):
         for values, other, delta, end in halves:
             x = 1.0 - other[-1]
             values.append(x)
@@ -115,7 +115,7 @@ def run_chain(ctx, lambda0):
     raise ChainEngineError(
         "no termination within %d steps from lambda0 = %r: each step moves lambda "
         "by lambda_cap = %r within [0, 1], so the chain ends within %d steps"
-        % (DEFAULT_MAX_STEPS, lambda0, cap, math.floor(1.0 / abs(cap)) + 1))
+        % (MAX_STEPS, lambda0, cap, math.floor(1.0 / abs(cap)) + 1))
 
 
 @dataclasses.dataclass(eq=False)
@@ -156,15 +156,15 @@ def lambda_zero_case(ctx):
     # a discrete start on one side, a continuous pair on the other, and a
     # discrete end back on the start's side
     two_dim = []
-    for own, other, end in ((ctx.delta1, ctx.delta2, DISCRETE_IN_DELTA1),
-                            (ctx.delta2, ctx.delta1, DISCRETE_IN_DELTA2)):
+    for own, other, end, swap in ((ctx.delta1, ctx.delta2, DISCRETE_IN_DELTA1, False),
+                                  (ctx.delta2, ctx.delta1, DISCRETE_IN_DELTA2, True)):
         for x0 in own.discrete:
             y0 = 1.0 - x0
             x1 = own.sigma - x0
             if (membership(other, y0, tol) == CONTINUOUS
                     and membership(own, x1, tol) == DISCRETE):
-                pair = [[x0, x1], [y0, other.sigma - y0]]
-                lambdas, mus = pair if own is ctx.delta1 else pair[::-1]
+                xs, ys = [x0, x1], [y0, other.sigma - y0]
+                lambdas, mus = (ys, xs) if swap else (xs, ys)
                 two_dim.append(EigenChain(lambdas, mus, end, ctx))
 
     two_dim = _merge_reversals(two_dim)

@@ -968,6 +968,16 @@ def test_a_total_that_overflows_is_rejected(tmp_path, capsys, command, poset_doc
     assert "twice that is not a finite float" in err
 
 
+def test_an_unused_weight_counts_toward_the_total(tmp_path, capsys):
+    # a name outside the poset is never read, but its weight is summed
+    weights = {"weights": {"g1": 0.3, "g2": 0.3, "g3": 0.6, "g4": 0.6, "x": 1e308}}
+    code, out, err = run(capsys, [
+        "solve", "--poset", write_json(tmp_path, "p.json", ANTICHAIN4),
+        "--character", write_json(tmp_path, "c.json", weights), "--split", "g1,g2"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "twice that is not a finite float" in err
+
+
 def test_solve_names_the_bound_past_the_step_limit(tmp_path, capsys):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", {
