@@ -263,14 +263,15 @@ def _lane(cfg, start):
 
 
 def _run_lanes(p, chi, cfg, lanes):
-    """_lane from random starts, one lane first, then LANE_POOL at a time.
+    """_lane from random starts, in a pool of 1, 2, 4, ... up to LANE_POOL lanes.
 
     lanes yields (ranks, rng) in scan order. Each step stacks the points
     the lanes in the pool ask for and sweeps them at once, and a lane that
     returns makes room for the next. Yields (exit, family) for every lane
     in scan order; family is None unless the lane was accepted. The first
-    lane runs alone, as a search often stops at it; the pool widens to
-    LANE_POOL once the caller resumes past a yielded lane. Every step of
+    lane runs alone, as a search often stops at it; each time the caller
+    resumes past a yielded lane, the pool doubles, up to LANE_POOL, so a
+    search that stops early starts few lanes it never reads. Every step of
     the sweep is a stack of per-lane, per-matrix operations, so a lane
     computes the same bits in any pool.
     """
@@ -336,7 +337,7 @@ def _run_lanes(p, chi, cfg, lanes):
         while scanned in done:
             yield done.pop(scanned)
             # the caller passed this lane by, so the search goes on
-            width = LANE_POOL
+            width = min(2 * width, LANE_POOL)
             scanned += 1
         while len(pool) < width:
             nxt = next(source, None)
@@ -436,10 +437,11 @@ def search_numeric(p, chi, cfg, listing=None):
             started += 1
             yield ranks, np.random.default_rng([cfg.seed, pidx, restart])
 
-    found, runs = None, 0
+    found = None
+    exits = dict.fromkeys(("accepted", "step_tol", "stall", "max_iterations"), 0)
     # no lane, no pool: _run_lanes allocates its state before the first lane
-    for _, fam in _run_lanes(p, chi, cfg, starts()) if lanes else ():
-        runs += 1
+    for reason, fam in _run_lanes(p, chi, cfg, starts()) if lanes else ():
+        exits[reason] += 1
         if fam is not None:
             report = check_all(fam, ACCEPT_TOL)
             if report.passed and report.irreducible:
@@ -450,8 +452,9 @@ def search_numeric(p, chi, cfg, listing=None):
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
         "%d by the norm bounds, %d by symmetry, %d lanes started, "
-        "%d lanes run, found=%s", cfg.dimension, listed, listed - traced,
-        traced - normed, normed - len(lanes), started, runs, found is not None)
+        "%d lanes run (%s), found=%s", cfg.dimension, listed, listed - traced,
+        traced - normed, normed - len(lanes), started, sum(exits.values()),
+        ", ".join("%d %s" % (v, k) for k, v in exits.items()), found is not None)
     return found
 
 

@@ -736,11 +736,22 @@ def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
 
 def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
     p, chi, d = POOL_CASES["zero-cap-d5"]
-    # 3 of the 6 profiles are searched, so 12 lanes at 4 restarts
-    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=4)) is None
-    # lane 0 runs alone; once the scan passes it by, the pool fills up
-    assert live_lanes[:LANE_POOL + 1] == [1] + list(range(1, LANE_POOL + 1))
+    # 3 of the 6 profiles are searched, so 15 lanes at 5 restarts
+    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=5)) is None
+    # lane 0 runs alone; passing it by admits lanes 1 and 2, and passing
+    # lane 1 by admits three more beside lane 2, a pool of 4
+    assert live_lanes[:6] == [1, 1, 2, 2, 3, 4]
     assert max(live_lanes) == LANE_POOL
+
+
+def test_pool_doubles_so_a_search_won_by_its_second_lane_starts_three(live_lanes):
+    p, chi, d = POOL_CASES["a6-four-chain-d4"]
+    fam = search_numeric(p, chi, SearchConfig(dimension=d, restarts=4))
+    report = check_all(fam, ACCEPT_TOL)
+    assert report.passed and report.irreducible
+    # lane 0 alone, then lanes 1 and 2 in a pool of 2; lane 1 wins, so no
+    # later lane starts
+    assert live_lanes == [1, 1, 2]
 
 
 def test_search_logs_one_debug_line(caplog):
@@ -750,7 +761,8 @@ def test_search_logs_one_debug_line(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
         "12 by the norm bounds, 3 by symmetry, 1 lanes started, "
-        "1 lanes run, found=True"]
+        "1 lanes run (1 accepted, 0 step_tol, 0 stall, 0 max_iterations), "
+        "found=True"]
 
 
 def test_search_finds_the_three_point_family():
