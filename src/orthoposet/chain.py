@@ -4,8 +4,7 @@ import dataclasses
 import math
 
 from .poset import check_one_parameter, check_split
-from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, OUTSIDE, Character,
-                       delta_of, membership)
+from .spectrum import DEFAULT_TOL, DISCRETE, OUTSIDE, Character, delta_of, membership
 
 DISCRETE_IN_DELTA1 = "DiscreteInDelta1"
 DISCRETE_IN_DELTA2 = "DiscreteInDelta2"
@@ -86,57 +85,64 @@ def run_degeneracy_filter(chi, tol=DEFAULT_TOL):
     return forced
 
 
-def run_chain(ctx, lambda0):
-    """Iterate the link/reflection recurrence from a discrete starting eigenvalue.
-
-    Each step is two half steps, onto delta2's side and back to delta1's: a
-    link (x -> 1 - x) of the other side's last value, checked, and for a
-    continuous value a reflection (x -> sigma - x), which needs no check.
-    """
-    tol, cap = ctx.tol, ctx.lambda_cap
-    if abs(cap) <= tol:
-        raise ZeroLambdaCap("lambda_cap %r is zero within tol" % (cap,))
-    if membership(ctx.delta1, lambda0, tol) != DISCRETE:
-        raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
-
-    lambdas, mus = [lambda0], []
+def _walk(ctx, x0, from_delta2, steps):
+    """The chain from x0, a discrete point of delta2 if from_delta2 else of
+    delta1, or None if it has not ended within steps steps. A step is two
+    half steps, onto the other side and back: a link (x -> 1 - x) of the
+    other side's last value, checked, and for a continuous value a
+    reflection (x -> sigma - x), which needs no check."""
+    lambdas, mus = ([], [x0]) if from_delta2 else ([x0], [])
     halves = ((mus, lambdas, ctx.delta2, DISCRETE_IN_DELTA2),
               (lambdas, mus, ctx.delta1, DISCRETE_IN_DELTA1))
-    for _ in range(MAX_STEPS):
+    if from_delta2:
+        halves = halves[::-1]
+    for _ in range(steps):
         for values, other, delta, end in halves:
             x = 1.0 - other[-1]
             values.append(x)
-            kind = membership(delta, x, tol)
+            kind = membership(delta, x, ctx.tol)
             if kind == DISCRETE:
                 return EigenChain(lambdas, mus, end, ctx)
             if kind == OUTSIDE:
                 return EigenChain(lambdas, mus, ESCAPED, ctx)
             values.append(delta.sigma - x)
-    raise ChainEngineError(
-        "no termination within %d steps from lambda0 = %r: each step moves lambda "
-        "by lambda_cap = %r within [0, 1], so the chain ends within %d steps"
-        % (MAX_STEPS, lambda0, cap, math.floor(1.0 / abs(cap)) + 1))
+    return None
+
+
+def run_chain(ctx, lambda0):
+    "Walk the link/reflection recurrence from a discrete point of delta1."
+    tol, cap = ctx.tol, ctx.lambda_cap
+    if abs(cap) <= tol:
+        raise ZeroLambdaCap("lambda_cap %r is zero within tol" % (cap,))
+    if membership(ctx.delta1, lambda0, tol) != DISCRETE:
+        raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
+    chain = _walk(ctx, lambda0, False, MAX_STEPS)
+    if chain is None:
+        raise ChainEngineError(
+            "no termination within %d steps from lambda0 = %r: each step moves lambda "
+            "by lambda_cap = %r within [0, 1], so the chain ends within %d steps"
+            % (MAX_STEPS, lambda0, cap, math.floor(1.0 / abs(cap)) + 1))
+    return chain
 
 
 @dataclasses.dataclass(eq=False)
 class TwoPointFamily:
     """Description of the lambda_cap = 0 representations.
 
-    one_dim lists the admissible lambda0 values; two_dim the length-2 chains
-    with one diagonal layer discrete and the other a continuous pair block,
+    chains lists the one-dimensional chains, then the length-2 ones with
+    one diagonal layer discrete and the other a continuous pair block,
     reversals merged; c_interval is the open range of the center offset for the fully
     continuous two-dimensional series (None when absent).
     """
 
-    one_dim: list
-    two_dim: list
+    chains: list
     c_interval: tuple
     context: ChainContext = dataclasses.field(repr=False)
 
     def to_dict(self):
         return {"sigma1": self.context.sigma1, "sigma2": self.context.sigma2,
-                "one_dim": self.one_dim,
-                "two_dim": [ch.to_dict() for ch in self.two_dim],
+                "one_dim": [ch.start_point for ch in self.chains if ch.dimension == 1],
+                "two_dim": [ch.to_dict() for ch in self.chains if ch.dimension == 2],
                 "c_interval": list(self.c_interval) if self.c_interval else None}
 
 
@@ -151,23 +157,14 @@ def lambda_zero_case(ctx):
     tol = ctx.tol
     if abs(ctx.lambda_cap) > tol:
         raise ChainEngineError("lambda_cap %r is not zero" % (ctx.lambda_cap,))
-    one_dim = [lam0 for lam0 in ctx.delta1.discrete
-               if membership(ctx.delta2, 1.0 - lam0, tol) == DISCRETE]
-    # a discrete start on one side, a continuous pair on the other, and a
-    # discrete end back on the start's side
-    two_dim = []
-    for own, other, end, swap in ((ctx.delta1, ctx.delta2, DISCRETE_IN_DELTA1, False),
-                                  (ctx.delta2, ctx.delta1, DISCRETE_IN_DELTA2, True)):
-        for x0 in own.discrete:
-            y0 = 1.0 - x0
-            x1 = own.sigma - x0
-            if (membership(other, y0, tol) == CONTINUOUS
-                    and membership(own, x1, tol) == DISCRETE):
-                xs, ys = [x0, x1], [y0, other.sigma - y0]
-                lambdas, mus = (ys, xs) if swap else (xs, ys)
-                two_dim.append(EigenChain(lambdas, mus, end, ctx))
-
-    two_dim = _merge_reversals(two_dim)
+    # the walk is 2-periodic here, so one step decides it; a walk from
+    # delta2 that ends in delta1 is the reversal of one from delta1
+    ended = [ch for ch in (_walk(ctx, x0, False, 1) for x0 in ctx.delta1.discrete)
+             if ch is not None and ch.termination != ESCAPED]
+    ended += [ch for ch in (_walk(ctx, x0, True, 1) for x0 in ctx.delta2.discrete)
+              if ch is not None and ch.termination == DISCRETE_IN_DELTA2]
+    chains = ([ch for ch in ended if ch.dimension == 1]
+              + _merge_reversals(ch for ch in ended if ch.dimension == 2))
     c_interval = None
     a1, a2 = ctx.delta1.pair_weights
     a3, a4 = ctx.delta2.pair_weights
@@ -175,7 +172,7 @@ def lambda_zero_case(ctx):
         lo, hi = c_range(a1, a2, a3, a4)
         if hi - lo > tol:
             c_interval = (lo, hi)
-    return TwoPointFamily(one_dim, two_dim, c_interval, ctx)
+    return TwoPointFamily(chains, c_interval, ctx)
 
 
 def enumerate_irreducibles(ctx):
@@ -285,8 +282,7 @@ def predict(p, chi, split, tol=DEFAULT_TOL):
     two_point = None
     if abs(ctx.lambda_cap) <= tol:
         mode, two_point = "two-point", lambda_zero_case(ctx)
-        chains = [EigenChain([v], [1.0 - v], DISCRETE_IN_DELTA2, ctx)
-                  for v in two_point.one_dim] + two_point.two_dim
+        chains = two_point.chains
     else:
         mode, chains = "chains", enumerate_irreducibles(ctx)
     if forced:

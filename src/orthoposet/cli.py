@@ -74,6 +74,8 @@ def _on_input(fam, p, chi):
 
 
 def cmd_solve(args):
+    if args.max_dim < 1:
+        raise ValueError("--max-dim must be at least 1, got %d" % args.max_dim)
     p = _load(args.poset, Poset.from_dict)
     chi = _load(args.character, Character.from_dict)
     tol, c, gamma = args.tol, args.c, args.gamma

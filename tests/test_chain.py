@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -10,7 +13,8 @@ from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED,
                               lambda_zero_case, predict, run_chain,
                               run_degeneracy_filter)
 from orthoposet.oracle import SearchConfig, search_numeric
-from orthoposet.poset import Poset
+from orthoposet.poset import (Poset, PosetError, check_one_parameter, check_split,
+                              generate_posets)
 from orthoposet.spectrum import Character
 
 EXACT = 1e-12
@@ -98,18 +102,18 @@ def test_escaped_chain_has_no_small_numeric_family():
 
 def test_lambda_zero_all_half():
     fam = lambda_zero_case(quad(0.5, 0.5, 0.5, 0.5))
-    assert fam.one_dim == [0.0, 0.5, 1.0]
-    assert fam.two_dim == []
+    assert fam.to_dict()["one_dim"] == [0.0, 0.5, 1.0]
+    assert fam.to_dict()["two_dim"] == []
     assert np.allclose(fam.c_interval, (0.0, 0.5), atol=EXACT)
 
 
 def test_lambda_zero_mixed_pairs():
     fam = lambda_zero_case(quad(0.3, 0.9, 0.35, 0.45))
-    assert fam.one_dim == []
+    assert fam.to_dict()["one_dim"] == []
     # each chain is reached from both of its discrete ends; one is kept
-    tags = sorted(ch.termination for ch in fam.two_dim)
+    tags = sorted(ch.termination for ch in fam.chains)
     assert tags == [DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2]
-    for ch in fam.two_dim:
+    for ch in fam.chains:
         assert abs(sum(ch.lambdas) - fam.context.sigma1) < 1e-9
     assert np.allclose(fam.c_interval, (0.3, 0.4), atol=EXACT)
 
@@ -181,6 +185,94 @@ def test_predict_finds_chains_with_both_ends_in_delta2():
     # split g3,g4 on the same weights finds both: dimensions 2 and 3
     chi = Character(dict(zip(QUAD.elements, (0.6, 0.6, 0.8, 0.5))))
     assert sorted(ch.dimension for ch in predict(QUAD, chi, ["g1", "g2"]).chains) == [2, 3]
+
+
+FIVE = ["g1", "g2", "g3", "g4", "g5"]
+# (poset, first part, how often a weight enters sigma1 + sigma2 if not once)
+ZERO_CAP_SHAPES = [(QUAD, ["g1", "g2"], {}),
+                   (Poset(FIVE, [("g1", "g5"), ("g2", "g5")]), ["g1", "g2", "g5"], {"g5": 2}),
+                   (Poset(FIVE, [("g5", "g1"), ("g5", "g2")]), ["g1", "g2", "g5"], {"g5": 0})]
+
+
+def zero_cap_inputs(rng, count):
+    """count (poset, character, split) of zero step constant: quads a, b, c,
+    2 - a - b - c, and g1, g2 below or above g5 beside g3, g4, with g4's
+    weight fixing sigma1 + sigma2 = 2. Weights lie in (0, 1), in tenths,
+    eighths or hundredths, so nothing is pinned."""
+    while count:
+        p, split, times = rng.choice(ZERO_CAP_SHAPES)
+        den = rng.choice((10, 8, 100))
+        ks = {g: rng.randrange(1, den) for g in p.elements if g != "g4"}
+        k4 = 2 * den - sum(times.get(g, 1) * k for g, k in ks.items())
+        if 0 < k4 < den:
+            ks["g4"] = k4
+            count -= 1
+            yield p, Character({g: ks[g] / den for g in p.elements}), split
+
+
+def rounded(values):
+    return tuple(round(v, 9) for v in values)
+
+
+def test_part_swap_at_zero_cap_swaps_lambda_and_mu():
+    # the complement split reads each chain with lambda and mu swapped; a
+    # chain with both discrete ends in delta2 is one in delta1 there
+    def chains(pred, swap):
+        keys = []
+        for ch in pred.chains:
+            lam, mu = (ch.mus, ch.lambdas) if swap else (ch.lambdas, ch.mus)
+            keys.append(min((rounded(lam), rounded(mu)),
+                            (rounded(lam[::-1]), rounded(mu[::-1]))))
+        return sorted(keys)
+
+    for p, chi, split in zero_cap_inputs(random.Random(27), 3000):
+        pred = predict(p, chi, split)
+        swapped = predict(p, chi, [g for g in p.elements if g not in split])
+        assert pred.mode == swapped.mode == "two-point"
+        assert pred.scalar == swapped.scalar
+        assert chains(pred, False) == chains(swapped, True), (chi, split)
+
+
+def test_relabeling_keeps_chains_and_0_1_solutions():
+    # shuffling and renaming the elements of every shape on 2 to 5 points
+    # changes neither the chains nor the 0/1 solutions of any split
+    def outcome(p, chi, split, back):
+        try:
+            pred = predict(p, chi, split)
+        except (ChainEngineError, PosetError) as exc:
+            return type(exc).__name__
+        return (pred.mode, sorted((back[g], tag) for g, tag in pred.forced),
+                sorted(sorted(back[g] for g, bit in zip(p.elements, bits) if bit)
+                       for bits in pred.scalar),
+                [(rounded(ch.lambdas), rounded(ch.mus), ch.termination)
+                 for ch in pred.chains])
+
+    rng = random.Random(28)
+    inputs = 0
+    for n in range(2, 6):
+        for p in generate_posets(n):
+            identity = dict(zip(p.elements, p.elements))
+            for r in range(1, n):
+                for split in itertools.combinations(p.elements, r):
+                    try:
+                        for part in check_split(p, split):
+                            check_one_parameter(p.induced(part))
+                    except PosetError:
+                        continue
+                    for den in (10, 8) * 12:
+                        chi = {g: rng.randrange(1, 3 * den // 2 + 1) / den
+                               for g in p.elements}
+                        order = rng.sample(p.elements, n)
+                        new = dict(zip(order, rng.sample(["v%d" % i for i in range(10)], n)))
+                        back = {v: g for g, v in new.items()}
+                        q = Poset([new[g] for g in order],
+                                  [(new[g], new[h]) for g, h in p.relations])
+                        chi_q = Character({new[g]: chi[g] for g in order})
+                        assert (outcome(p, Character(chi), split, identity)
+                                == outcome(q, chi_q, [new[g] for g in split], back)), \
+                            (p, chi, split)
+                        inputs += 1
+    assert inputs == 46 * 24
 
 
 def test_dimension_bound_values():

@@ -198,6 +198,20 @@ def test_solve_notes_a_partial_cap_in_one_line(tmp_path, capsys):
     assert err == "note: --max-dim 2 leaves out chains of dimension 3\n"
 
 
+@pytest.mark.parametrize("weights", [(0.3, 0.9, 0.35, 0.45), (0.25, 0.25, 0.25, 0.25)],
+                         ids=["two-point", "scalar"])
+@pytest.mark.parametrize("max_dim", ["0", "-1"])
+def test_solve_rejects_max_dim_below_one(tmp_path, capsys, weights, max_dim):
+    # the cap would leave out every chain, or keep only the 0/1 solutions
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": dict(zip(
+        ANTICHAIN4["elements"], weights))})
+    code, out, err = run(capsys, ["solve", "--poset", poset, "--character",
+                                  character, "--split", "g1,g2", "--max-dim", max_dim])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: --max-dim must be at least 1, got %s\n" % max_dim
+
+
 def test_parser_is_built_once_and_keeps_no_state():
     assert build_parser() is build_parser()
     argv = ["solve", "--poset", "p.json", "--character", "c.json", "--split", "g1"]

@@ -71,7 +71,7 @@ def test_two_point_chains_merge_exactly_their_reversals():
     # discrete ends; the reversed chain builds the same representation
     ctx = ChainContext(Poset(["g1", "g2"], ()), Character({"g1": 0.3, "g2": 0.9}),
                        Poset(["g3", "g4"], ()), Character({"g3": 0.35, "g4": 0.45}))
-    kept = lambda_zero_case(ctx).two_dim
+    kept = lambda_zero_case(ctx).chains
     assert len(kept) == 2
     families = [build_from_chain(ch)[0] for ch in kept]
     for ch, fam in zip(kept, families):
