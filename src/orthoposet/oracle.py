@@ -262,16 +262,17 @@ def _lane(cfg, start):
     return "max_iterations", None
 
 
-def _run_lanes(p, chi, cfg, lanes):
-    """_lane from random starts, in a pool of 1, 2, 4, ... up to LANE_POOL lanes.
+def _run_lanes(p, chi, cfg, lanes, width=1):
+    """_lane from random starts, in a pool of width, 2 width, ... up to LANE_POOL lanes.
 
     lanes yields (ranks, rng) in scan order. Each step stacks the points
     the lanes in the pool ask for and sweeps them at once, and a lane that
     returns makes room for the next. Yields (exit, family) for every lane
-    in scan order; family is None unless the lane was accepted. The first
-    lane runs alone, as a search often stops at it; each time the caller
-    resumes past a yielded lane, the pool doubles, up to LANE_POOL, so a
-    search that stops early starts few lanes it never reads. Every step of
+    in scan order; family is None unless the lane was accepted. At width 1
+    the first lane runs alone, as a search often stops at it; each time the
+    caller resumes past a yielded lane, the pool doubles, up to LANE_POOL,
+    so a search that stops early starts few lanes it never reads. A search
+    expected to read every lane starts at width LANE_POOL. Every step of
     the sweep is a stack of per-lane, per-matrix operations, so a lane
     computes the same bits in any pool.
     """
@@ -290,9 +291,9 @@ def _run_lanes(p, chi, cfg, lanes):
     for j in range(max(map(len, parents))):
         children = [i for i in range(k) if len(parents[i]) > j]
         squeezes.append((children, [parents[i][j] for i in children]))
-    # P_g P_h - P_g over g = h (idempotence) and every relation g < h
-    lo, hi = np.array([(i, i) for i in range(k)]
-                      + [(index[g], index[h]) for g, h in p.relations]).T
+    # P_g P_h - P_g over every relation g < h
+    lo, hi = np.array([(index[g], index[h]) for g, h in p.relations],
+                      dtype=np.intp).reshape(-1, 2).T
 
     def sweep(y, full, mid, groups):
         """Projections after one pass from the flat states y, and their residuals.
@@ -315,16 +316,22 @@ def _run_lanes(p, chi, cfg, lanes):
         flat = out.reshape(-1, n, n)
         flat[full] = eye
         if len(mid):
-            # nearest projection of the prescribed rank to each Hermitian part
+            # nearest projection of the prescribed rank to each Hermitian
+            # part; free is Hermitian to the bit, a squeezed part is not
             m = squeezed.reshape(-1, n, n)[mid]
-            vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)[1]
+            if squeezes:
+                m = (m + m.conj().transpose(0, 2, 1)) / 2.0
+            vecs = np.linalg.eigh(m)[1]
             for rank, start, stop in groups:
                 v = vecs[start:stop, :, n - rank:]
                 m[start:stop] = v @ v.conj().transpose(0, 2, 1)
             flat[mid] = m
         res = np.maximum(
             np.abs((alpha * out).sum(axis=1) - eye).max(axis=(1, 2)),
-            np.abs(out[:, lo] @ out[:, hi] - out[:, lo]).max(axis=(1, 2, 3)))
+            np.abs(out @ out - out).max(axis=(1, 2, 3)))
+        if len(lo):
+            np.maximum(res, np.abs(out[:, lo] @ out[:, hi] - out[:, lo])
+                       .max(axis=(1, 2, 3)), out=res)
         return out, res
 
     pool = []  # (scan index, ranks, lane, the point it asks for)
@@ -332,7 +339,6 @@ def _run_lanes(p, chi, cfg, lanes):
     source = enumerate(lanes)
     scanned = 0
     changed = True
-    width = 1
     while True:
         while scanned in done:
             yield done.pop(scanned)
@@ -379,11 +385,14 @@ def _lane_cap(k, n, restarts):
 
 def _lanes(p, chi, cfg):
     """(profiles listed, profiles that pass trace_feasible, profiles that
-    also pass norm_feasible, [(pidx, ranks)] of those that orbit_first
-    keeps). The filters run over blocks of the profiles in scan order and
-    raise OracleError once the profiles kept pass _lane_cap, or once one is
-    kept if the pool state would pass MAX_STATE_ENTRIES; orbit_first comes
-    after, so it never changes a refusal."""
+    also pass norm_feasible, profiles of those that orbit_first keeps,
+    [(pidx, ranks)] of those whose ranks are not all 0 or n at n >= 2).
+    The filters run over blocks of the profiles in scan order and raise
+    OracleError once the profiles kept pass _lane_cap, or once one is kept
+    if the pool state would pass MAX_STATE_ENTRIES; orbit_first and the
+    0-or-n drop come after, so they never change a refusal. Ranks all 0
+    or n force every P_g to 0 or I, whose commutant is all of M_n, so at
+    n >= 2 such a profile carries only reducible families."""
     k, n = len(p.elements), cfg.dimension
     if cfg.rank_profile is None:
         profiles = rank_profiles(p, chi, n)
@@ -413,22 +422,28 @@ def _lanes(p, chi, cfg):
                 "(restarts x profiles x elements x n^3)"
                 % (n, cap, cfg.restarts, MAX_LANES, MAX_LANE_WORK))
     firsts = np.array(kept, dtype=np.intp)[orbit_first(p, chi, profiles[kept], n)]
-    return (len(profiles), traced, len(kept),
-            [(int(pidx), profiles[pidx]) for pidx in firsts])
+    ranks = profiles[firsts]
+    lanes = firsts[~((ranks == 0) | (ranks == n)).all(axis=1)] if n > 1 else firsts
+    return (len(profiles), traced, len(kept), len(firsts),
+            [(int(pidx), profiles[pidx]) for pidx in lanes])
 
 
-def search_numeric(p, chi, cfg, listing=None):
+def search_numeric(p, chi, cfg, listing=None, expected=True):
     """First family found by rank-profile sweeps of alternating projections.
 
     Lanes run in (restart, profile) order with the seed [seed, pidx,
     restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible or norm_feasible, or that orbit_first drops, are skipped
-    without changing any other lane. The scan takes the first lane whose
-    family passes check_all and is irreducible. A search that _lanes
-    refuses raises OracleError before any lane runs. listing is
-    _lanes(p, chi, cfg) if the caller has already made it.
+    trace_feasible or norm_feasible, that orbit_first drops, or whose
+    ranks are all 0 or n at n >= 2 are skipped without changing any other
+    lane. The scan takes the first lane whose family passes check_all and
+    is irreducible. A search that _lanes refuses raises OracleError before
+    any lane runs. listing is _lanes(p, chi, cfg) if the caller has already
+    made it. expected=False says that the caller's theory expects no
+    family, so the search will likely read every lane: its pool starts at
+    LANE_POOL lanes, not 1. It changes only the schedule, never the answer.
     """
-    listed, traced, normed, lanes = _lanes(p, chi, cfg) if listing is None else listing
+    listed, traced, normed, orbits, lanes = _lanes(p, chi, cfg) if listing is None else listing
+    width = 1 if expected else LANE_POOL
     started = 0
 
     def starts():
@@ -440,7 +455,7 @@ def search_numeric(p, chi, cfg, listing=None):
     found = None
     exits = dict.fromkeys(("accepted", "step_tol", "stall", "max_iterations"), 0)
     # no lane, no pool: _run_lanes allocates its state before the first lane
-    for reason, fam in _run_lanes(p, chi, cfg, starts()) if lanes else ():
+    for reason, fam in _run_lanes(p, chi, cfg, starts(), width) if lanes else ():
         exits[reason] += 1
         if fam is not None:
             report = check_all(fam, ACCEPT_TOL)
@@ -451,9 +466,10 @@ def search_numeric(p, chi, cfg, listing=None):
     import logging
     logging.getLogger("orthoposet.oracle").debug(
         "search d=%d: %d profiles listed, %d refuted by the trace identity, "
-        "%d by the norm bounds, %d by symmetry, %d lanes started, "
-        "%d lanes run (%s), found=%s", cfg.dimension, listed, listed - traced,
-        traced - normed, normed - len(lanes), started, sum(exits.values()),
+        "%d by the norm bounds, %d by symmetry, %d as all 0 or n, pool of %d "
+        "at first, %d lanes started, %d lanes run (%s), found=%s",
+        cfg.dimension, listed, listed - traced, traced - normed, normed - orbits,
+        orbits - len(lanes), width, started, sum(exits.values()),
         ", ".join("%d %s" % (v, k) for k, v in exits.items()), found is not None)
     return found
 
@@ -521,7 +537,7 @@ def cross_validate_split(p, chi, split, dims, cfg, tol=DEFAULT_TOL):
     for d, c, listing in searches:
         predicted = spectra.get(d, [])
         theory = d in spectra
-        fam = search_numeric(p, chi, c, listing=listing)
+        fam = search_numeric(p, chi, c, listing=listing, expected=theory)
         found = fam is not None
         matched = None
         if found and pred is not None:

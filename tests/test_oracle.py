@@ -350,13 +350,58 @@ def test_complement_orbit_needs_an_antichain_of_weight_two():
 @pytest.mark.parametrize("a, b", [(0.3719, 0.6143), (0.7268, 0.4537)])
 def test_lanes_search_one_complement_of_each_zero_cap_pair(a, b):
     # profiles (r, r, d - r, d - r) pair off as r <-> d - r; the first of
-    # each pair is kept
+    # each pair is kept, and then the pair (0, 0, d, d) ~ (d, d, 0, 0)
+    # goes, as its ranks are all 0 or d
     chi = Character({"g1": a, "g2": 1 - a, "g3": b, "g4": 1 - b})
-    for d, searched in ((3, 2), (4, 3), (5, 3), (6, 4)):
-        listed, traced, normed, lanes = oracle._lanes(QUAD, chi, SearchConfig(d, restarts=2))
-        assert listed == traced == normed == d + 1
+    for d, orbits in ((3, 2), (4, 3), (5, 3), (6, 4)):
+        listed, traced, normed, kept, lanes = oracle._lanes(
+            QUAD, chi, SearchConfig(d, restarts=2))
+        assert listed == traced == normed == d + 1 and kept == orbits
         assert [(pidx, ranks.tolist()) for pidx, ranks in lanes] == [
-            (r, [r, r, d - r, d - r]) for r in range(searched)]
+            (r, [r, r, d - r, d - r]) for r in range(1, orbits)]
+
+
+def _all_zero_or_n(ranks, n):
+    return bool(((np.asarray(ranks) == 0) | (np.asarray(ranks) == n)).all())
+
+
+def test_lanes_drop_profiles_of_ranks_all_zero_or_n():
+    # the profiles orbit_first keeps, less those whose ranks are all 0 or n;
+    # on such a profile every P_g is 0 or I, a family that verifies yet is
+    # reducible
+    rng = random.Random(5)
+    dropped = 0
+    for k in range(1, 5):
+        for p in generate_posets(k) * 2:
+            d = rng.randint(2, 4)
+            chi = _planted_character(rng, p, d)
+            profiles = rank_profiles(p, chi, d)
+            kept = np.flatnonzero(trace_feasible(p, chi, profiles, d))
+            kept = kept[norm_feasible(p, chi, profiles[kept], d)]
+            firsts = kept[orbit_first(p, chi, profiles[kept], d)]
+            *_, orbits, lanes = oracle._lanes(p, chi, SearchConfig(d, restarts=1))
+            assert orbits == len(firsts)
+            assert [pidx for pidx, _ in lanes] == [
+                pidx for pidx in firsts if not _all_zero_or_n(profiles[pidx], d)]
+            for pidx in firsts:
+                if _all_zero_or_n(profiles[pidx], d):
+                    eye = np.eye(d, dtype=complex)
+                    fam = ProjectionFamily(p, chi, {g: eye * (r == d) for g, r in
+                                                    zip(p.elements, profiles[pidx])})
+                    report = check_all(fam, ACCEPT_TOL)
+                    assert report.passed and not report.irreducible
+                    dropped += 1
+    assert dropped >= 10, dropped
+
+
+def test_lanes_keep_zero_one_profiles_at_dimension_one():
+    # at n = 1 every profile is 0 or 1, and each is an irreducible family
+    heavy = Character({"g1": 1.2, "g2": 0.4, "g3": 0.3, "g4": 0.3})
+    *_, orbits, lanes = oracle._lanes(QUAD, heavy, SearchConfig(1, restarts=4))
+    assert orbits == len(lanes) == 1
+    fam = search_numeric(QUAD, heavy, SearchConfig(1, restarts=4))
+    assert predict(QUAD, heavy, ["g1", "g2"]).scalar == [(0, 1, 1, 1)]
+    assert _profile(fam) == (0, 1, 1, 1)
 
 
 def _search_once(p, chi, ranks, rng, cfg):
@@ -424,10 +469,10 @@ def test_search_runs_only_the_given_rank_profile(monkeypatch):
     given = []
     run_lanes = oracle._run_lanes
 
-    def recorded(p, chi, cfg, lanes):
+    def recorded(p, chi, cfg, lanes, width=1):
         lanes = list(lanes)
         given.extend(tuple(ranks.tolist()) for ranks, _ in lanes)
-        return run_lanes(p, chi, cfg, lanes)
+        return run_lanes(p, chi, cfg, lanes, width)
 
     monkeypatch.setattr(oracle, "_run_lanes", recorded)
     cfg = dataclasses.replace(QUICK, dimension=3)
@@ -473,7 +518,7 @@ def test_lanes_filtered_in_blocks_match_one_pass():
     traced = np.flatnonzero(trace_feasible(p, chi, profiles, 6))
     kept = traced[norm_feasible(p, chi, profiles[traced], 6)]
     firsts = kept[orbit_first(p, chi, profiles[kept], 6)]
-    listed, n_traced, n_kept, lanes = oracle._lanes(p, chi, SearchConfig(6, restarts=1))
+    listed, n_traced, n_kept, _, lanes = oracle._lanes(p, chi, SearchConfig(6, restarts=1))
     assert (listed, n_traced, n_kept) == (len(profiles), len(traced), len(kept)) \
         == (7872, 7072, 3982)
     assert [pidx for pidx, _ in lanes] == firsts.tolist()
@@ -645,9 +690,9 @@ def _searched_lanes(monkeypatch, p, chi, cfg):
     search_numeric starts, each run to its end."""
     table = {}
 
-    def recorded(p, chi, cfg, lanes):
+    def recorded(p, chi, cfg, lanes, width=1):
         lanes = list(lanes)
-        answers = list(_run_lanes(p, chi, cfg, lanes))
+        answers = list(_run_lanes(p, chi, cfg, lanes, width))
         for (_, rng), (exit, fam) in zip(lanes, answers):
             proj = None if fam is None else np.stack(
                 [fam.projections[g] for g in p.elements]).tobytes()
@@ -736,12 +781,64 @@ def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
 
 def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
     p, chi, d = POOL_CASES["zero-cap-d5"]
-    # 3 of the 6 profiles are searched, so 15 lanes at 5 restarts
-    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=5)) is None
-    # lane 0 runs alone; passing it by admits lanes 1 and 2, and passing
-    # lane 1 by admits three more beside lane 2, a pool of 4
-    assert live_lanes[:6] == [1, 1, 2, 2, 3, 4]
+    # 2 of the 6 profiles are searched, so 12 lanes at 6 restarts
+    assert search_numeric(p, chi, SearchConfig(dimension=d, restarts=6)) is None
+    # lane 0 runs alone; passing it by admits lanes 1 and 2; lane 3 takes
+    # the place of lane 2, which ends first; passing lanes 1 and 2 by
+    # doubles the pool twice, to its full width
+    assert live_lanes[:5] == [1, 1, 2, 2, 2]
     assert max(live_lanes) == LANE_POOL
+
+
+def test_cross_validate_starts_a_refuted_search_at_the_full_pool(live_lanes):
+    # the theory refutes the zero-cap quad at d = 5: every lane is read,
+    # so the full pool starts before any lane ends
+    cv = cross_validate_split(QUAD, ZERO_CAP, ["g1", "g2"], [5], QUICK)
+    assert [(r["theory"], r["oracle"]) for r in cv.rows] == [(False, False)]
+    assert live_lanes[:LANE_POOL] == list(range(1, LANE_POOL + 1))
+    live_lanes.clear()
+    # predicted at d = 2 and won by the first lane, which runs alone
+    cv = cross_validate_split(QUAD, Character({g: 0.5 + 1 / 6 for g in QUAD.elements}),
+                              ["g1", "g2"], [2], QUICK)
+    assert [(r["theory"], r["oracle"]) for r in cv.rows] == [(True, True)]
+    assert live_lanes == [1]
+
+
+def _read_lanes(monkeypatch, flip):
+    """Rows of two cross-validations, and (seed, exit, bytes of the
+    projections or None) of every lane they read, with the hint that sets
+    the pool's starting width as given or flipped."""
+    read = []
+    run_lanes, search = oracle._run_lanes, oracle.search_numeric
+
+    def recorded(p, chi, cfg, lanes, width=1):
+        seeds = []
+
+        def pulled():
+            for ranks, rng in lanes:
+                seeds.append(tuple(rng.bit_generator.seed_seq.entropy))
+                yield ranks, rng
+        for i, (exit, fam) in enumerate(run_lanes(p, chi, cfg, pulled(), width)):
+            read.append((seeds[i], exit, None if fam is None else np.stack(
+                [fam.projections[g] for g in p.elements]).tobytes()))
+            yield exit, fam
+
+    def hinted(p, chi, cfg, listing=None, expected=True):
+        return search(p, chi, cfg, listing, expected != flip)
+
+    monkeypatch.setattr(oracle, "_run_lanes", recorded)
+    monkeypatch.setattr(oracle, "search_numeric", hinted)
+    rows = [cross_validate_split(QUAD, ZERO_CAP, ["g1", "g2"], range(2, 7), QUICK).rows,
+            cross_validate_split(QUAD, Character({g: 0.5 + 1 / 6 for g in QUAD.elements}),
+                                 ["g1", "g2"], [1, 2, 3], QUICK).rows]
+    monkeypatch.undo()
+    return rows, read
+
+
+def test_pool_hint_changes_no_row_and_no_lane(monkeypatch):
+    rows, read = _read_lanes(monkeypatch, flip=False)
+    assert _read_lanes(monkeypatch, flip=True) == (rows, read)
+    assert len(read) > 2 * LANE_POOL
 
 
 def test_pool_doubles_so_a_search_won_by_its_second_lane_starts_three(live_lanes):
@@ -760,9 +857,19 @@ def test_search_logs_one_debug_line(caplog):
         search_numeric(QUAD, POINT_SIX, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         "search d=3: 40 profiles listed, 24 refuted by the trace identity, "
-        "12 by the norm bounds, 3 by symmetry, 1 lanes started, "
-        "1 lanes run (1 accepted, 0 step_tol, 0 stall, 0 max_iterations), "
-        "found=True"]
+        "12 by the norm bounds, 3 by symmetry, 0 as all 0 or n, pool of 1 at "
+        "first, 1 lanes started, 1 lanes run (1 accepted, 0 step_tol, 0 stall, "
+        "0 max_iterations), found=True"]
+    caplog.clear()
+    # the zero-cap quad at d = 5, refuted by the theory: (0, 0, 5, 5) goes
+    # as all 0 or n, and its complement (5, 5, 0, 0) by symmetry
+    with caplog.at_level(logging.DEBUG, logger="orthoposet.oracle"):
+        cross_validate_split(QUAD, ZERO_CAP, ["g1", "g2"], [5], QUICK)
+    assert [r.getMessage() for r in caplog.records] == [
+        "search d=5: 6 profiles listed, 0 refuted by the trace identity, "
+        "0 by the norm bounds, 3 by symmetry, 1 as all 0 or n, pool of 8 at "
+        "first, 8 lanes started, 8 lanes run (8 accepted, 0 step_tol, 0 stall, "
+        "0 max_iterations), found=False"]
 
 
 def test_search_finds_the_three_point_family():
