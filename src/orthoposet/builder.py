@@ -60,12 +60,18 @@ class ProjectionFamily:
             total = total + self.character[g] * self.projections[g]
         return total
 
-    def to_dict(self):
+    def _arrays(self):
+        "to_dict(), but each projection a float64 (n, n, 2) array of [re, im]"
         cs = {g: np.asarray(m, dtype=complex) for g, m in self.projections.items()}
         return {"dimension": int(self.dimension),
-                "projections": {g: np.stack([c.real, c.imag], axis=-1).tolist()
+                "projections": {g: np.stack([c.real, c.imag], axis=-1)
                                 for g, c in cs.items()},
                 "character": self.character.to_dict()}
+
+    def to_dict(self):
+        doc = self._arrays()
+        doc["projections"] = {g: m.tolist() for g, m in doc["projections"].items()}
+        return doc
 
     @classmethod
     def from_dict(cls, doc, poset):

@@ -60,7 +60,7 @@ def _check(fam, tol):
 
 def _family_record(fam, tol):
     report = _check(fam, tol)
-    return {"family": fam.to_dict(),
+    return {"family": fam._arrays(),
             "verification": report.to_dict()}, report.passed
 
 
@@ -160,42 +160,37 @@ def _pad(level):
     return "\n" + "  " * level
 
 
-def _matrix(m, level):
-    """m as json.dumps(indent=2) writes it `level` deep, if m is a list of
-    nonempty rows of [re, im] pairs of finite floats; else None."""
+def _pairs(a, level):
+    """a as json.dumps(a.tolist(), indent=2) writes it `level` deep, if a is
+    a float64 array of shape (r, c, 2), r, c >= 1, with finite entries; else None."""
+    if (a.dtype != np.float64 or a.ndim != 3 or a.shape[2] != 2 or not a.size
+            or not np.isfinite(a).all()):
+        return None
     p1, p2, p3 = _pad(level + 1), _pad(level + 2), _pad(level + 3)
-    pair = "[" + p3 + "%r," + p3 + "%r" + p2 + "]"
-    rows = []
-    for row in m:
-        if type(row) is not list or not row:
-            return None
-        for entry in row:
-            if (type(entry) is not list or len(entry) != 2
-                    or type(entry[0]) is not float or type(entry[1]) is not float):
-                return None
-        rows.append("[" + p2 + ("," + p2).join([pair % (x, y) for x, y in row])
-                    + p1 + "]")
-    text = "[" + p1 + ("," + p1).join(rows) + _pad(level) + "]"
-    # a finite float's repr has no "n"; nan and inf are json.dumps's to write
-    return None if "n" in text else text
+    pair = "[" + p3 + "%s," + p3 + "%s" + p2 + "]"
+    row = "[" + p2 + ("," + p2).join([pair] * a.shape[1]) + p1 + "]"
+    layout = "[" + p1 + ("," + p1).join([row] * a.shape[0]) + _pad(level) + "]"
+    # most entries of a projection are +0.0, which json writes as 0.0
+    flat = a.ravel()
+    words = ["0.0"] * flat.size
+    nonzero = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    for i, x in zip(nonzero.tolist(), flat[nonzero].tolist()):
+        words[i] = float.__repr__(x)
+    return layout % tuple(words)
 
 
 def _write(obj, level, put):
-    """put the pieces of json.dumps(obj, indent=2) as it reads `level` deep.
+    """put the pieces of json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    as it reads `level` deep.
 
     CPython runs its pure-Python encoder whenever indent is set, and a solve
-    reply is almost all matrices of [re, im] floats (a family's
-    projections). So lists and dicts with str keys are walked, each such
-    matrix is written in one piece, and strings, finite floats, ints, bools
-    and None are written as json writes them. json.dumps writes the rest:
-    NaN and infinities, empty containers, and containers of other types or
-    with other keys.
+    reply is almost all arrays of [re, im] floats (a family's projections).
+    So lists and dicts with str keys are walked, each such array is written
+    in one piece, any other array as its tolist(), and strings, finite floats,
+    ints, bools and None as json writes them. json.dumps writes the rest: NaN
+    and infinities, empty containers, and other types or keys.
     """
     if type(obj) is list and obj:
-        text = _matrix(obj, level)
-        if text is not None:
-            put(text)
-            return
         put("[")
         for i, value in enumerate(obj):
             put(("," if i else "") + _pad(level + 1))
@@ -208,6 +203,12 @@ def _write(obj, level, put):
                 + ": ")
             _write(value, level + 1, put)
         put(_pad(level) + "}")
+    elif isinstance(obj, np.ndarray):
+        text = _pairs(obj, level)
+        if text is None:
+            _write(obj.tolist(), level, put)
+        else:
+            put(text)
     elif type(obj) is str:
         put(encode_basestring_ascii(obj))
     elif type(obj) is float and math.isfinite(obj):
@@ -218,14 +219,15 @@ def _write(obj, level, put):
         put("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (list, tuple, dict)) and obj:
         # a line break in json.dumps's text is always structure, never in a string
-        put(json.dumps(obj, indent=2).replace("\n", _pad(level)))
+        put(json.dumps(obj, indent=2, default=np.ndarray.tolist).replace(
+            "\n", _pad(level)))
     else:
         # a scalar or an empty container reads the same without indent
-        put(json.dumps(obj))
+        put(json.dumps(obj, default=np.ndarray.tolist))
 
 
 def _dumps(obj):
-    "json.dumps(obj, indent=2), byte for byte"
+    "json.dumps(obj, indent=2, default=np.ndarray.tolist), byte for byte"
     pieces = []
     _write(obj, 0, pieces.append)
     return "".join(pieces)
@@ -237,7 +239,7 @@ def _print(report, fmt):
         return
     for key, value in report.items():
         if isinstance(value, (list, dict)):
-            value = json.dumps(value)
+            value = json.dumps(value, default=np.ndarray.tolist)
         sys.stdout.write("%s: %s\n" % (key, value))
 
 

@@ -40,7 +40,10 @@ class VerificationReport:
         self.passed = self.max_residual <= self.tol
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        return {"residuals": dict(self.residuals), "max_residual": self.max_residual,
+                "commutant_dim": self.commutant_dim, "irreducible": self.irreducible,
+                "essential": self.essential, "forced_elements": list(self.forced_elements),
+                "tol": self.tol, "passed": self.passed}
 
 
 def _entry_norm(m):

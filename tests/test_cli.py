@@ -22,7 +22,7 @@ import pytest
 from orthoposet import cli, oracle
 from orthoposet.builder import BuilderError
 from orthoposet.cli import (EXIT_NO_REPRESENTATION, EXIT_OK, EXIT_VALIDATION,
-                            EXIT_VERIFICATION, _dumps, _matrix, build_parser,
+                            EXIT_VERIFICATION, _dumps, _pairs, build_parser,
                             cmd_solve, main)
 from orthoposet.poset import Poset
 from orthoposet.spectrum import Character
@@ -1112,9 +1112,9 @@ def test_oracle_lists_each_dimension_once(tmp_path, capsys, monkeypatch):
 
 # floats that json writes in every form: signed zero, subnormal, huge,
 # long reprs, and the non-finite ones it spells NaN and Infinity
-FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e16, -1e16, 1.5e-7, 5e-324,
-          2.2250738585072014e-308, 1.7976931348623157e308, 123456789.12345678,
-          math.nan, math.inf, -math.inf]
+FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e16, -1e16, 1.5e-7, 1e-05, 5e-324,
+          2.2250738585072014e-308, 1.7976931348623157e308, 1e308, -1e308,
+          123456789.12345678, math.nan, math.inf, -math.inf]
 KEYS = ["plain", "", 'say "hi"', "back\\slash", "tab\there", "nul\x00",
         "bell\x07", "line\nbreak", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600",
         "\u2028"]
@@ -1146,12 +1146,52 @@ def random_matrix(rng):
     return m
 
 
+# another dtype, shape or size: arrays the writer leaves to their tolist()
+SPOIL_ARRAY = [
+    lambda a: np.clip(a, -1e38, 1e38).astype(np.float32),
+    lambda a: np.arange(a.size).reshape(a.shape), lambda a: a != 0.0,
+    lambda a: a.astype(complex), lambda a: a[..., 0],
+    lambda a: np.concatenate([a, a[..., :1]], axis=-1), lambda a: a[:0],
+    lambda a: a[:, :0], lambda a: np.array(a.flat[0])]
+
+
+def random_array(rng):
+    """A float64 (r, c, 2) array, most entries +0.0 and the rest finite,
+    at times transposed, and at times spoiled by a NaN or an infinity, or
+    by another dtype or shape."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    a = np.array([random_float(rng) if rng.random() < 0.3 else 0.0
+                  for _ in range(rows * cols * 2)]).reshape(rows, cols, 2)
+    a[~np.isfinite(a)] = 0.5
+    if rng.random() < 0.2:
+        a = a.transpose(1, 0, 2)
+    if rng.random() < 0.2:
+        a[rng.randrange(len(a)), 0, rng.randrange(2)] = rng.choice(FLOATS[-3:])
+    elif rng.random() < 0.3:
+        a = rng.choice(SPOIL_ARRAY)(a)
+    return a
+
+
+def assert_writes_as_json(doc):
+    "_dumps(doc) is json.dumps's text for doc, or fails as json.dumps does"
+    try:
+        text = json.dumps(doc, indent=2, default=np.ndarray.tolist)
+    except TypeError:
+        # a complex array, which json cannot write
+        with pytest.raises(TypeError):
+            _dumps(doc)
+        return
+    assert _dumps(doc) == text, doc
+
+
 def random_document(rng, depth=0):
     roll = rng.random()
     if depth >= 4 or roll < 0.3:
         return random_float(rng) if rng.random() < 0.5 else rng.choice(SCALARS)
-    if roll < 0.45:
+    if roll < 0.4:
         return random_matrix(rng)
+    if roll < 0.45:
+        return random_array(rng)
     if roll < 0.5:
         return rng.choice([[], {}, (), [[]], [{}], {"k": []}])
     size = rng.randint(1, 4)
@@ -1172,40 +1212,60 @@ def test_writer_matches_json_dumps_byte_for_byte():
     docs = [random_document(rng) for _ in range(3000)]
     docs += [FLOATS, KEYS, SCALARS, {k: k for k in KEYS}, [[[0.5, -0.0]]],
              {"projections": {"g1": [[[1.0, 0.0], [0.0, 0.0]],
-                                     [[0.0, 0.0], [1.0, 0.0]]]}}]
+                                     [[0.0, 0.0], [1.0, 0.0]]]}},
+             {"projections": {"g1": np.eye(2)[..., None] * [1.0, 0.0]}},
+             (np.array(FLOATS[:-3] * 2).reshape(3, -1, 2), {1: np.eye(1)})]
     for doc in docs:
-        assert _dumps(doc) == json.dumps(doc, indent=2), doc
+        assert_writes_as_json(doc)
 
 
 @pytest.mark.parametrize("m, direct", [
-    ([[[0.5, -0.0]]], True),
-    ([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]], True),  # ragged rows
-    ([[[1.0, 2.0], [3.0, math.nan]]], False),
-    ([[[1.0, 2.0], [-math.inf, 0.0]]], False),
-    ([[[1.0, 2.0], [3, 4.0]]], False),
-    ([[[1.0, 2.0], [3.0, 4.0, 5.0]]], False),
-    ([[[1.0, 2.0]], []], False),
-    ([[(1.0, 2.0)]], False),
-    ([[[True, 2.0]]], False),
+    (np.array([[[0.5, -0.0]]]), True),
+    (np.arange(12.0).reshape(3, 2, 2).transpose(1, 0, 2), True),  # not contiguous
+    (np.array([[[1.0, 2.0], [3.0, math.nan]]]), False),
+    (np.array([[[1.0, 2.0], [-math.inf, 0.0]]]), False),
+    (np.array([[[1, 2], [3, 4]]]), False),
+    (np.zeros((2, 2, 3)), False),
+    (np.zeros((2, 0, 2)), False),
+    (np.array([[[0.1, 2.0]]], dtype=np.float32), False),
+    (np.array([[[True, False]]]), False),
+    (np.array([[[1.0, 2.0]]], dtype=complex), False),
+    (np.zeros((2, 2)), False),
+    (np.zeros((0, 2, 2)), False),
+    (np.array(0.5), False),
+    (np.array([[[1.0, 2.0], [3.0, math.inf]]]), False),
+    (np.array([[[-0.0, 5e-324], [1e-05, 1e16]], [[1e308, -1e308], [0.0, 0.1]]]), True),
 ])
 def test_writer_writes_only_finite_float_matrices_itself(m, direct):
-    # everything else, whatever the shape, goes to json.dumps
-    assert (_matrix(m, 2) is not None) == direct
-    assert _dumps({"m": m}) == json.dumps({"m": m}, indent=2)
+    # the writer writes a finite float64 (r, c, 2) array itself, and any
+    # other array as its tolist(); json cannot write a complex one
+    assert (_pairs(m, 2) is not None) == direct
+    assert_writes_as_json({"m": m})
 
 
-@pytest.mark.parametrize("weight, dimension", [(0.6, 3), (0.504, 63)])
-def test_solve_prints_json_dumps_of_its_report(tmp_path, capsys, weight,
-                                               dimension):
+@pytest.mark.parametrize("weight, extra, dimensions", [
+    (0.6, [], [3] * 4), (0.504, [], [63] * 4),
+    # the continuous series at a phase off the real line
+    (0.5, ["--c", "0.25", "--gamma", "0.6,0.8"], [2] + [1] * 6)],
+    ids=["0.6-3", "0.504-63", "0.5-c-gamma"])
+def test_solve_prints_json_dumps_of_its_report(tmp_path, capsys, weight, extra,
+                                               dimensions):
     poset = write_json(tmp_path, "p.json", ANTICHAIN4)
     character = write_json(tmp_path, "c.json", {"weights": {
         g: weight for g in ANTICHAIN4["elements"]}})
     argv = ["solve", "--poset", poset, "--character", character, "--split",
-            "g1,g2"]
+            "g1,g2"] + extra
     report, code = cmd_solve(build_parser().parse_args(argv))
-    assert [rec["family"]["dimension"] for rec in report["families"]] == [
-        dimension] * 4
-    assert run(capsys, argv) == (code, json.dumps(report, indent=2) + "\n", "")
+    assert [rec["family"]["dimension"] for rec in report["families"]] == dimensions
+    out = json.dumps(report, indent=2, default=np.ndarray.tolist) + "\n"
+    assert run(capsys, argv) == (code, out, "")
+    if extra:
+        # a family with nonzero imaginary parts, in both formats
+        assert any(m[..., 1].any() for rec in report["families"]
+                   for m in rec["family"]["projections"].values())
+        text = run(capsys, argv + ["--format", "text"])[1]
+        line = "families: %s" % json.dumps(json.loads(out)["families"])
+        assert line in text.splitlines()
 
 
 def test_solve_records_a_chain_the_builder_rejects(tmp_path, capsys, monkeypatch):
@@ -1243,7 +1303,7 @@ README_COMMANDS = {
     "solve": ["solve", "--poset", "quad.json", "--character", "chi.json",
               "--split", "g1,g2"],
     "solve --c": ["solve", "--poset", "quad.json", "--character", "half.json",
-                  "--split", "g1,g2", "--c", "0.25"],
+                  "--split", "g1,g2", "--c", "0.25", "--gamma", "0.6,0.8"],
     "oracle": ["oracle", "--poset", "quad.json", "--character", "chi.json",
                "--split", "g1,g2", "--dims", "1..3"],
     "verify": ["verify", "family.json", "--poset", "quad.json"],
