@@ -5,8 +5,6 @@ import functools
 import json
 import math
 import sys
-# the escaping json.dumps applies to every str, keys included
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -160,16 +158,20 @@ def _pad(level):
     return "\n" + "  " * level
 
 
-def _pairs(a, level):
+def _pairs(a, level, layouts):
     """a as json.dumps(a.tolist(), indent=2) writes it `level` deep, if a is
-    a float64 array of shape (r, c, 2), r, c >= 1, with finite entries; else None."""
+    a float64 array of shape (r, c, 2), r, c >= 1, with finite entries; else
+    None. layouts keeps the % layout of each (shape, level) it has met."""
     if (a.dtype != np.float64 or a.ndim != 3 or a.shape[2] != 2 or not a.size
             or not np.isfinite(a).all()):
         return None
-    p1, p2, p3 = _pad(level + 1), _pad(level + 2), _pad(level + 3)
-    pair = "[" + p3 + "%s," + p3 + "%s" + p2 + "]"
-    row = "[" + p2 + ("," + p2).join([pair] * a.shape[1]) + p1 + "]"
-    layout = "[" + p1 + ("," + p1).join([row] * a.shape[0]) + _pad(level) + "]"
+    layout = layouts.get((a.shape, level))
+    if layout is None:
+        p1, p2, p3 = _pad(level + 1), _pad(level + 2), _pad(level + 3)
+        pair = "[" + p3 + "%s," + p3 + "%s" + p2 + "]"
+        row = "[" + p2 + ("," + p2).join([pair] * a.shape[1]) + p1 + "]"
+        layout = "[" + p1 + ("," + p1).join([row] * a.shape[0]) + _pad(level) + "]"
+        layouts[a.shape, level] = layout
     # most entries of a projection are +0.0, which json writes as 0.0
     flat = a.ravel()
     words = ["0.0"] * flat.size
@@ -179,57 +181,37 @@ def _pairs(a, level):
     return layout % tuple(words)
 
 
-def _write(obj, level, put):
-    """put the pieces of json.dumps(obj, indent=2, default=np.ndarray.tolist)
-    as it reads `level` deep.
+def _dumps(obj):
+    """json.dumps(obj, indent=2, default=np.ndarray.tolist), byte for byte.
 
     CPython runs its pure-Python encoder whenever indent is set, and a solve
     reply is almost all arrays of [re, im] floats (a family's projections).
-    So lists and dicts with str keys are walked, each such array is written
-    in one piece, any other array as its tolist(), and strings, finite floats,
-    ints, bools and None as json writes them. json.dumps writes the rest: NaN
-    and infinities, empty containers, and other types or keys.
+    So json writes the reply with a placeholder string for each array, and
+    each array is written in one piece at its placeholder's depth.
     """
-    if type(obj) is list and obj:
-        put("[")
-        for i, value in enumerate(obj):
-            put(("," if i else "") + _pad(level + 1))
-            _write(value, level + 1, put)
-        put(_pad(level) + "]")
-    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
-        put("{")
-        for i, (key, value) in enumerate(obj.items()):
-            put(("," if i else "") + _pad(level + 1) + encode_basestring_ascii(key)
-                + ": ")
-            _write(value, level + 1, put)
-        put(_pad(level) + "}")
-    elif isinstance(obj, np.ndarray):
-        text = _pairs(obj, level)
+    arrays = []
+
+    def stash(value):
+        if not isinstance(value, np.ndarray):
+            # raises the TypeError that default=np.ndarray.tolist raises
+            return np.ndarray.tolist(value)
+        arrays.append(value)
+        return "\x00"
+
+    parts = json.dumps(obj, indent=2, default=stash).split('"\\u0000"')
+    if len(parts) != len(arrays) + 1:
+        # a string or a key of obj reads as the placeholder too
+        return json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    layouts, pieces = {}, [parts[0]]
+    for a, part in zip(arrays, parts[1:]):
+        # a line break in json's text is always structure, never in a string
+        line = pieces[-1].rpartition("\n")[2]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        text = _pairs(a, level, layouts)
         if text is None:
-            _write(obj.tolist(), level, put)
-        else:
-            put(text)
-    elif type(obj) is str:
-        put(encode_basestring_ascii(obj))
-    elif type(obj) is float and math.isfinite(obj):
-        put(float.__repr__(obj))
-    elif type(obj) is int:
-        put(int.__repr__(obj))
-    elif obj is None or type(obj) is bool:
-        put("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (list, tuple, dict)) and obj:
-        # a line break in json.dumps's text is always structure, never in a string
-        put(json.dumps(obj, indent=2, default=np.ndarray.tolist).replace(
-            "\n", _pad(level)))
-    else:
-        # a scalar or an empty container reads the same without indent
-        put(json.dumps(obj, default=np.ndarray.tolist))
-
-
-def _dumps(obj):
-    "json.dumps(obj, indent=2, default=np.ndarray.tolist), byte for byte"
-    pieces = []
-    _write(obj, 0, pieces.append)
+            text = json.dumps(a.tolist(), indent=2, default=np.ndarray.tolist
+                              ).replace("\n", _pad(level))
+        pieces += [text, part]
     return "".join(pieces)
 
 

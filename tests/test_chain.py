@@ -233,6 +233,24 @@ def test_part_swap_at_zero_cap_swaps_lambda_and_mu():
         assert chains(pred, False) == chains(swapped, True), (chi, split)
 
 
+def shape_sweep(rng):
+    """(p, chi, split) for every shape on 2 to 5 points, each split that
+    check_split and check_one_parameter accept, and 24 weight draws from
+    rng in tenths and eighths; chi is a dict."""
+    for n in range(2, 6):
+        for p in generate_posets(n):
+            for r in range(1, n):
+                for split in itertools.combinations(p.elements, r):
+                    try:
+                        for part in check_split(p, split):
+                            check_one_parameter(p.induced(part))
+                    except PosetError:
+                        continue
+                    for den in (10, 8) * 12:
+                        yield p, {g: rng.randrange(1, 3 * den // 2 + 1) / den
+                                  for g in p.elements}, split
+
+
 def test_relabeling_keeps_chains_and_0_1_solutions():
     # shuffling and renaming the elements of every shape on 2 to 5 points
     # changes neither the chains nor the 0/1 solutions of any split
@@ -249,30 +267,49 @@ def test_relabeling_keeps_chains_and_0_1_solutions():
 
     rng = random.Random(28)
     inputs = 0
-    for n in range(2, 6):
-        for p in generate_posets(n):
-            identity = dict(zip(p.elements, p.elements))
-            for r in range(1, n):
-                for split in itertools.combinations(p.elements, r):
-                    try:
-                        for part in check_split(p, split):
-                            check_one_parameter(p.induced(part))
-                    except PosetError:
-                        continue
-                    for den in (10, 8) * 12:
-                        chi = {g: rng.randrange(1, 3 * den // 2 + 1) / den
-                               for g in p.elements}
-                        order = rng.sample(p.elements, n)
-                        new = dict(zip(order, rng.sample(["v%d" % i for i in range(10)], n)))
-                        back = {v: g for g, v in new.items()}
-                        q = Poset([new[g] for g in order],
-                                  [(new[g], new[h]) for g, h in p.relations])
-                        chi_q = Character({new[g]: chi[g] for g in order})
-                        assert (outcome(p, Character(chi), split, identity)
-                                == outcome(q, chi_q, [new[g] for g in split], back)), \
-                            (p, chi, split)
-                        inputs += 1
+    for p, chi, split in shape_sweep(rng):
+        identity = dict(zip(p.elements, p.elements))
+        order = rng.sample(p.elements, len(p.elements))
+        new = dict(zip(order, rng.sample(["v%d" % i for i in range(10)], len(order))))
+        back = {v: g for g, v in new.items()}
+        q = Poset([new[g] for g in order],
+                  [(new[g], new[h]) for g, h in p.relations])
+        chi_q = Character({new[g]: chi[g] for g in order})
+        assert (outcome(p, Character(chi), split, identity)
+                == outcome(q, chi_q, [new[g] for g in split], back)), \
+            (p, chi, split)
+        inputs += 1
     assert inputs == 46 * 24
+
+
+def test_a_chain_ending_in_delta1_is_reached_from_its_other_end():
+    # run from its last lambda, a kept chain that ends discrete in delta1
+    # walks back to its first, lambda and mu reversed; chains that end in
+    # delta2 are test_predict_finds_chains_with_both_ends_in_delta2's
+    def contexts():
+        for k in range(4, 61, 2):
+            yield quad(*[0.5 + 1 / k] * 4)
+        for p, chi, split in shape_sweep(random.Random(28)):
+            try:
+                pred = predict(p, Character(chi), split)
+            except (ChainEngineError, PosetError):
+                continue
+            if pred.mode == "chains":
+                yield pred.context
+
+    checked = 0
+    for ctx in contexts():
+        for ch in enumerate_irreducibles(ctx):
+            if ch.termination != DISCRETE_IN_DELTA1:
+                continue
+            back = run_chain(ctx, ch.lambdas[-1])
+            slack = 10 * ctx.tol
+            assert (back.dimension, back.termination) == (ch.dimension, ch.termination)
+            assert np.allclose(back.lambdas, ch.lambdas[::-1], rtol=0, atol=slack), ch
+            assert np.allclose(back.mus, ch.mus[::-1], rtol=0, atol=slack), ch
+            checked += 1
+    # seven from the quads, at k = 6, 14, ..., 54, and five from the sweep
+    assert checked == 7 + 5
 
 
 def test_dimension_bound_values():

@@ -1177,7 +1177,7 @@ def assert_writes_as_json(doc):
     try:
         text = json.dumps(doc, indent=2, default=np.ndarray.tolist)
     except TypeError:
-        # a complex array, which json cannot write
+        # a complex array or another object json cannot write
         with pytest.raises(TypeError):
             _dumps(doc)
         return
@@ -1215,6 +1215,16 @@ def test_writer_matches_json_dumps_byte_for_byte():
                                      [[0.0, 0.0], [1.0, 0.0]]]}},
              {"projections": {"g1": np.eye(2)[..., None] * [1.0, 0.0]}},
              (np.array(FLOATS[:-3] * 2).reshape(3, -1, 2), {1: np.eye(1)})]
+    pairs = np.eye(2)[..., None] * [0.5, -0.25]
+    # strings and keys that read as the writer's placeholder for an array
+    docs += [[pairs, text] for text in ("\x00", 'a"\x00')]
+    docs += [{text: pairs, "m": [pairs]} for text in ("\x00", 'a"\x00')]
+    # arrays at depth 0, in a tuple, under keys json turns into strings, and
+    # one shape at two depths
+    docs += [pairs, np.eye(3), (pairs, [pairs]), {1: pairs, None: pairs, 2.5: [pairs]},
+             {"a": pairs, "b": {"c": pairs}, "d": [pairs, np.zeros((2, 2, 2))]}]
+    # objects json cannot write, next to an array
+    docs += [[pairs, object()], {"m": pairs, "n": np.int64(3)}, np.int64(3)]
     for doc in docs:
         assert_writes_as_json(doc)
 
@@ -1239,7 +1249,7 @@ def test_writer_matches_json_dumps_byte_for_byte():
 def test_writer_writes_only_finite_float_matrices_itself(m, direct):
     # the writer writes a finite float64 (r, c, 2) array itself, and any
     # other array as its tolist(); json cannot write a complex one
-    assert (_pairs(m, 2) is not None) == direct
+    assert (_pairs(m, 2, {}) is not None) == direct
     assert_writes_as_json({"m": m})
 
 

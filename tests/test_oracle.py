@@ -269,6 +269,7 @@ def _twin_orbit(classes, ranks):
     return orbit
 
 
+@pytest.mark.blas_bits
 def test_twin_first_keeps_the_first_profile_of_each_orbit():
     cases = plain = dropped = mirrored = 0
     for k in range(1, 5):
@@ -307,6 +308,7 @@ def test_twin_first_keeps_the_first_profile_of_each_orbit():
     assert plain >= 100 and dropped >= 1000 and mirrored >= 1, (plain, dropped, mirrored)
 
 
+@pytest.mark.blas_bits
 def test_twin_swap_maps_a_family_onto_the_swapped_profile():
     cfg = dataclasses.replace(QUICK, dimension=3, rank_profile=(2, 1, 1, 1))
     fam = search_numeric(QUAD, POINT_SIX, cfg)
@@ -321,6 +323,7 @@ def test_twin_swap_maps_a_family_onto_the_swapped_profile():
         == [True, False]
 
 
+@pytest.mark.blas_bits
 def test_complement_maps_a_family_onto_the_mirrored_profile():
     # at d = 1 the zero-cap quad has two profiles, and no twins relate them
     profiles = rank_profiles(QUAD, ZERO_CAP, 1).tolist()
@@ -336,6 +339,7 @@ def test_complement_maps_a_family_onto_the_mirrored_profile():
     assert orbit_first(QUAD, ZERO_CAP, profiles, 1).tolist() == [True, False]
 
 
+@pytest.mark.blas_bits
 def test_complement_orbit_needs_an_antichain_of_weight_two():
     profiles = [(0, 0, 1, 1), (1, 1, 0, 0)]
     # one relation: I - P reverses it
@@ -348,6 +352,7 @@ def test_complement_orbit_needs_an_antichain_of_weight_two():
 
 
 @pytest.mark.parametrize("a, b", [(0.3719, 0.6143), (0.7268, 0.4537)])
+@pytest.mark.blas_bits
 def test_lanes_search_one_complement_of_each_zero_cap_pair(a, b):
     # profiles (r, r, d - r, d - r) pair off as r <-> d - r; the first of
     # each pair is kept, and then the pair (0, 0, d, d) ~ (d, d, 0, 0)
@@ -646,6 +651,7 @@ def _lanes(p, chi, cfg):
             for restart, pidx in itertools.product(range(cfg.restarts), feasible)]
 
 
+@pytest.mark.blas_bits
 def test_pooled_lanes_match_the_one_lane_loop():
     exits = collections.Counter()
     longest = 0
@@ -674,6 +680,7 @@ def _lane_answers(p, chi, cfg):
             for exit, fam in _run_lanes(p, chi, cfg, _lanes(p, chi, cfg))]
 
 
+@pytest.mark.blas_bits
 def test_pool_size_does_not_change_answers(monkeypatch):
     searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
                 for p, chi, d in POOL_CASES.values()]
@@ -704,6 +711,7 @@ def _searched_lanes(monkeypatch, p, chi, cfg):
     return table
 
 
+@pytest.mark.blas_bits
 def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch):
     searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
                 for p, chi, d in POOL_CASES.values()]
@@ -732,6 +740,7 @@ def _serial_search(p, chi, cfg):
 
 
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
+@pytest.mark.blas_bits
 def test_search_matches_a_serial_scan(case):
     p, chi, d = POOL_CASES[case]
     for iterations in (2000, 60):
@@ -743,6 +752,7 @@ def test_search_matches_a_serial_scan(case):
             assert np.array_equal(got.projections[g], want.projections[g])
 
 
+@pytest.mark.blas_bits
 def test_search_takes_a_winner_past_a_full_pool():
     p, chi, d = POOL_CASES["quad-half-d2"]
     cfg = SearchConfig(dimension=d, restarts=2)
@@ -771,6 +781,7 @@ def live_lanes(monkeypatch):
     return counts
 
 
+@pytest.mark.blas_bits
 def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
     chi = Character({g: 0.5 + 1 / 6 for g in QUAD.elements})
     fam = search_numeric(QUAD, chi, SearchConfig(dimension=2))
@@ -779,6 +790,7 @@ def test_search_won_by_its_first_lane_starts_one_lane(live_lanes):
     assert live_lanes == [1]
 
 
+@pytest.mark.blas_bits
 def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
     p, chi, d = POOL_CASES["zero-cap-d5"]
     # 2 of the 6 profiles are searched, so 12 lanes at 6 restarts
@@ -790,6 +802,7 @@ def test_exhaustive_search_widens_to_the_full_pool(live_lanes):
     assert max(live_lanes) == LANE_POOL
 
 
+@pytest.mark.blas_bits
 def test_cross_validate_starts_a_refuted_search_at_the_full_pool(live_lanes):
     # the theory refutes the zero-cap quad at d = 5: every lane is read,
     # so the full pool starts before any lane ends
@@ -835,12 +848,14 @@ def _read_lanes(monkeypatch, flip):
     return rows, read
 
 
+@pytest.mark.blas_bits
 def test_pool_hint_changes_no_row_and_no_lane(monkeypatch):
     rows, read = _read_lanes(monkeypatch, flip=False)
     assert _read_lanes(monkeypatch, flip=True) == (rows, read)
     assert len(read) > 2 * LANE_POOL
 
 
+@pytest.mark.blas_bits
 def test_pool_doubles_so_a_search_won_by_its_second_lane_starts_three(live_lanes):
     p, chi, d = POOL_CASES["a6-four-chain-d4"]
     fam = search_numeric(p, chi, SearchConfig(dimension=d, restarts=4))
