@@ -1,5 +1,6 @@
 """Numerical existence oracle independent of the constructive route."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -33,6 +34,7 @@ MAX_PROFILE_ROWS = 2 ** 22
 # more flat states between sweeps; the largest state the tests and the
 # benchmark search with has 36,000 (six elements at dimension 5)
 MAX_STATE_ENTRIES = 2 ** 24
+_Outcome = collections.namedtuple("_Outcome", "pidx restart exit family report started")
 
 
 class OracleError(ValueError):
@@ -265,17 +267,23 @@ def _lane(cfg, start):
 def _run_lanes(p, chi, cfg, lanes, width=1):
     """_lane from random starts, in a pool of width, 2 width, ... up to LANE_POOL lanes.
 
-    lanes yields (ranks, rng) in scan order. Each step stacks the points
-    the lanes in the pool ask for and sweeps them at once, and a lane that
-    returns makes room for the next. Yields (exit, family) for every lane
-    in scan order; family is None unless the lane was accepted. At width 1
-    the first lane runs alone, as a search often stops at it; each time the
-    caller resumes past a yielded lane, the pool doubles, up to LANE_POOL,
-    so a search that stops early starts few lanes it never reads. A search
-    expected to read every lane starts at width LANE_POOL. Every step of
-    the sweep is a stack of per-lane, per-matrix operations, so a lane
-    computes the same bits in any pool.
+    lanes lists (pidx, ranks); a lane runs on each, for each restart, in
+    (restart, entry) order from the seed [seed, pidx, restart]. Each step
+    stacks the points the lanes in the pool ask for and sweeps them at
+    once, and a lane that returns makes room for the next. Yields an
+    _Outcome per lane in scan order: pidx, restart, exit, family (None
+    unless accepted), report (check_all's, run only on a family as it is
+    yielded, never on a lane not read) and the lanes started so far. At
+    width 1 the first lane runs alone, as a search often stops at it; each
+    time the caller resumes past a yielded outcome, the pool doubles, up
+    to LANE_POOL, so a search that stops early starts few lanes it never
+    reads. A search expected to read every lane starts at width LANE_POOL.
+    Every step of the sweep is a stack of per-lane, per-matrix operations,
+    so a lane computes the same bits in any pool.
     """
+    # no lane, no pool: the state below is allocated before the first lane
+    if not lanes:
+        return
     els = p.elements
     k, n = len(els), cfg.dimension
     index = {g: i for i, g in enumerate(els)}
@@ -336,12 +344,15 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
 
     pool = []  # (scan index, ranks, lane, the point it asks for)
     done = {}  # exits of lanes that the scan has not reached yet
-    source = enumerate(lanes)
-    scanned = 0
+    source = itertools.product(range(cfg.restarts), lanes)
+    started = scanned = 0
     changed = True
     while True:
         while scanned in done:
-            yield done.pop(scanned)
+            reason, fam = done.pop(scanned)
+            restart, entry = divmod(scanned, len(lanes))
+            yield _Outcome(lanes[entry][0], restart, reason, fam,
+                           None if fam is None else check_all(fam, ACCEPT_TOL), started)
             # the caller passed this lane by, so the search goes on
             width = min(2 * width, LANE_POOL)
             scanned += 1
@@ -349,10 +360,12 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
             nxt = next(source, None)
             if nxt is None:
                 break
-            i, (ranks, rng) = nxt
+            restart, (pidx, ranks) = nxt
+            rng = np.random.default_rng([cfg.seed, pidx, restart])
             lane = _lane(cfg, np.stack([_random_projection(rng, n, r)
                                         for r in ranks]).ravel().view(float))
-            pool.append((i, ranks, lane, next(lane)))
+            pool.append((started, ranks, lane, next(lane)))
+            started += 1
             changed = True
         if not pool:
             return
@@ -431,37 +444,28 @@ def _lanes(p, chi, cfg):
 def search_numeric(p, chi, cfg, listing=None, expected=True):
     """First family found by rank-profile sweeps of alternating projections.
 
-    Lanes run in (restart, profile) order with the seed [seed, pidx,
-    restart], pidx indexing the full profile list; profiles that fail
-    trace_feasible or norm_feasible, that orbit_first drops, or whose
-    ranks are all 0 or n at n >= 2 are skipped without changing any other
-    lane. The scan takes the first lane whose family passes check_all and
-    is irreducible. A search that _lanes refuses raises OracleError before
-    any lane runs. listing is _lanes(p, chi, cfg) if the caller has already
-    made it. expected=False says that the caller's theory expects no
-    family, so the search will likely read every lane: its pool starts at
-    LANE_POOL lanes, not 1. It changes only the schedule, never the answer.
+    The search reads _run_lanes' outcomes over the lanes of _lanes, in
+    (restart, profile) order with the seed [seed, pidx, restart], pidx
+    indexing the full profile list; profiles that fail trace_feasible or
+    norm_feasible, that orbit_first drops, or whose ranks are all 0 or n
+    at n >= 2 are skipped without changing any other lane. It returns the
+    family of the first outcome that passes check_all and is irreducible.
+    A search that _lanes refuses raises OracleError before any lane runs.
+    listing is _lanes(p, chi, cfg) if the caller has already made it.
+    expected=False says that the caller's theory expects no family, so the
+    search will likely read every lane: its pool starts at LANE_POOL
+    lanes, not 1. It changes only the schedule, never the answer.
     """
     listed, traced, normed, orbits, lanes = _lanes(p, chi, cfg) if listing is None else listing
     width = 1 if expected else LANE_POOL
-    started = 0
-
-    def starts():
-        nonlocal started
-        for restart, (pidx, ranks) in itertools.product(range(cfg.restarts), lanes):
-            started += 1
-            yield ranks, np.random.default_rng([cfg.seed, pidx, restart])
-
-    found = None
+    found, started = None, 0
     exits = dict.fromkeys(("accepted", "step_tol", "stall", "max_iterations"), 0)
-    # no lane, no pool: _run_lanes allocates its state before the first lane
-    for reason, fam in _run_lanes(p, chi, cfg, starts(), width) if lanes else ():
-        exits[reason] += 1
-        if fam is not None:
-            report = check_all(fam, ACCEPT_TOL)
-            if report.passed and report.irreducible:
-                found = fam
-                break
+    for out in _run_lanes(p, chi, cfg, lanes, width):
+        exits[out.exit] += 1
+        started = out.started
+        if out.report is not None and out.report.passed and out.report.irreducible:
+            found = out.family
+            break
     # imported here: at the top it added 6 ms to every CLI call, solve included
     import logging
     logging.getLogger("orthoposet.oracle").debug(

@@ -409,11 +409,6 @@ def test_lanes_keep_zero_one_profiles_at_dimension_one():
     assert _profile(fam) == (0, 1, 1, 1)
 
 
-def _search_once(p, chi, ranks, rng, cfg):
-    """One lane of _run_lanes: the family its start reaches, or None."""
-    return next(_run_lanes(p, chi, cfg, [(ranks, rng)]))[1]
-
-
 def _planted_character(rng, p, d):
     """Weights with an exact-trace monotone profile; half give unit up-sets."""
     ups = p.up_sets()
@@ -442,32 +437,25 @@ def test_trace_identity_passes_every_searched_family():
             profiles = rank_profiles(p, chi, d)
             refuted += int((~trace_feasible(p, chi, profiles, d)).sum())
             pruned += int((~norm_feasible(p, chi, profiles, d)).sum())
-            for pidx, ranks in enumerate(profiles):
-                fam = _search_once(p, chi, ranks, np.random.default_rng([k, pidx]), cfg)
-                if fam is not None and check_all(fam).passed:
-                    assert _profile(fam) == tuple(ranks.tolist())
-                    _assert_profile_passes(fam)
+            for out in _run_lanes(p, chi, cfg, list(enumerate(profiles))):
+                if out.report is not None and out.report.passed:
+                    assert _profile(out.family) == tuple(profiles[out.pidx].tolist())
+                    _assert_profile_passes(out.family)
                     found += 1
     assert found >= 20 and refuted >= 10 and pruned >= 10, (found, refuted, pruned)
 
 
 def test_search_keeps_the_seed_of_each_surviving_lane():
     cfg = dataclasses.replace(QUICK, dimension=3)
-    profiles = rank_profiles(QUAD, POINT_SIX, 3)
-    feasible = trace_feasible(QUAD, POINT_SIX, profiles, 3)
-    # the first surviving lane, in (restart, profile) order, whose family
-    # verifies and is irreducible
-    for restart, pidx in itertools.product(range(cfg.restarts),
-                                           np.flatnonzero(feasible)):
-        want = _search_once(QUAD, POINT_SIX, profiles[pidx],
-                            np.random.default_rng([cfg.seed, pidx, restart]), cfg)
-        report = None if want is None else check_all(want, ACCEPT_TOL)
-        if report is not None and report.passed and report.irreducible:
-            break
-    assert not feasible[:pidx].all()  # a refuted profile comes before it
+    # the first outcome over the profiles that pass the trace identity
+    lanes = _lanes(QUAD, POINT_SIX, cfg)
+    want = next(filter(_passes, _run_lanes(QUAD, POINT_SIX, cfg, lanes)))
+    # a refuted profile comes before it, so its seed's pidx is not its
+    # place among the lanes
+    assert want.pidx > [pidx for pidx, _ in lanes].index(want.pidx)
     got = search_numeric(QUAD, POINT_SIX, cfg)
     for g in QUAD.elements:
-        assert np.array_equal(got.projections[g], want.projections[g])
+        assert np.array_equal(got.projections[g], want.family.projections[g])
 
 
 def test_search_runs_only_the_given_rank_profile(monkeypatch):
@@ -475,8 +463,7 @@ def test_search_runs_only_the_given_rank_profile(monkeypatch):
     run_lanes = oracle._run_lanes
 
     def recorded(p, chi, cfg, lanes, width=1):
-        lanes = list(lanes)
-        given.extend(tuple(ranks.tolist()) for ranks, _ in lanes)
+        given.extend((pidx, tuple(ranks.tolist())) for pidx, ranks in lanes)
         return run_lanes(p, chi, cfg, lanes, width)
 
     monkeypatch.setattr(oracle, "_run_lanes", recorded)
@@ -484,7 +471,7 @@ def test_search_runs_only_the_given_rank_profile(monkeypatch):
     # the last of the four profiles the full search keeps at d = 3
     fam = search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(2, 1, 1, 1)))
     assert _profile(fam) == (2, 1, 1, 1)
-    assert given == [(2, 1, 1, 1)] * cfg.restarts
+    assert given == [(0, (2, 1, 1, 1))]
     given.clear()
     # refuted by the trace identity: no lane runs
     assert search_numeric(QUAD, POINT_SIX, dataclasses.replace(cfg, rank_profile=(0, 0, 2, 3))) \
@@ -644,11 +631,18 @@ def _reference_lane(p, chi, ranks, rng, cfg):
 
 
 def _lanes(p, chi, cfg):
-    """(ranks, rng) of every lane search_numeric runs, in scan order."""
+    """(pidx, ranks) of every profile that passes the trace identity."""
     profiles = rank_profiles(p, chi, cfg.dimension)
-    feasible = np.flatnonzero(trace_feasible(p, chi, profiles, cfg.dimension))
-    return [(profiles[pidx], np.random.default_rng([cfg.seed, pidx, restart]))
-            for restart, pidx in itertools.product(range(cfg.restarts), feasible)]
+    return [(pidx, profiles[pidx]) for pidx in
+            np.flatnonzero(trace_feasible(p, chi, profiles, cfg.dimension))]
+
+
+def _passes(out):
+    return out.report is not None and out.report.passed and out.report.irreducible
+
+
+def _bits(p, fam):
+    return None if fam is None else np.stack([fam.projections[g] for g in p.elements]).tobytes()
 
 
 @pytest.mark.blas_bits
@@ -658,94 +652,83 @@ def test_pooled_lanes_match_the_one_lane_loop():
     for p, chi, d in POOL_CASES.values():
         for iterations in (2000, 60):
             cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
-            pooled = list(_run_lanes(p, chi, cfg, _lanes(p, chi, cfg)))
             lanes = _lanes(p, chi, cfg)
-            assert len(pooled) == len(lanes)
-            for (exit, fam), (ranks, rng) in zip(pooled, lanes):
-                want_exit, want = _reference_lane(p, chi, ranks, rng, cfg)
-                assert exit == want_exit
-                assert (fam is None) == (want is None)
-                for i, g in enumerate(p.elements if fam else ()):
-                    assert np.array_equal(fam.projections[g], want[i])
-                exits[exit] += 1
+            profiles = dict(lanes)
+            pooled = list(_run_lanes(p, chi, cfg, lanes))
+            assert [(out.restart, out.pidx) for out in pooled] == [
+                (restart, pidx) for restart in range(cfg.restarts) for pidx, _ in lanes]
+            for out in pooled:
+                rng = np.random.default_rng([cfg.seed, out.pidx, out.restart])
+                want_exit, want = _reference_lane(p, chi, profiles[out.pidx], rng, cfg)
+                assert out.exit == want_exit
+                assert (out.family is None) == (want is None)
+                for i, g in enumerate(p.elements if out.family else ()):
+                    assert np.array_equal(out.family.projections[g], want[i])
+                exits[out.exit] += 1
             longest = max(longest, len(pooled))
     assert set(exits) == {"accepted", "step_tol", "stall", "max_iterations"}
     assert longest > LANE_POOL
 
 
-def _lane_answers(p, chi, cfg):
-    """(exit, bytes of the projections or None) of every lane, in scan order."""
-    return [(exit, None if fam is None else
-             np.stack([fam.projections[g] for g in p.elements]).tobytes())
-            for exit, fam in _run_lanes(p, chi, cfg, _lanes(p, chi, cfg))]
+def _lane_answers(p, chi, cfg, lanes):
+    """((pidx, restart), (exit, bytes of the projections or None)) of every
+    lane, in scan order."""
+    return [((out.pidx, out.restart), (out.exit, _bits(p, out.family)))
+            for out in _run_lanes(p, chi, cfg, lanes)]
 
 
 @pytest.mark.blas_bits
 def test_pool_size_does_not_change_answers(monkeypatch):
     searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
                 for p, chi, d in POOL_CASES.values()]
-    want = [_lane_answers(*search) for search in searches]
+    want = [_lane_answers(*search, _lanes(*search)) for search in searches]
     assert max(map(len, want)) > LANE_POOL
     for pool in (1, 3):
         monkeypatch.setattr(oracle, "LANE_POOL", pool)
         for search, answers in zip(searches, want):
-            assert _lane_answers(*search) == answers, pool
+            assert _lane_answers(*search, _lanes(*search)) == answers, pool
 
 
-def _searched_lanes(monkeypatch, p, chi, cfg):
-    """{seed: (exit, bytes of the projections or None)} of every lane that
-    search_numeric starts, each run to its end."""
-    table = {}
-
-    def recorded(p, chi, cfg, lanes, width=1):
-        lanes = list(lanes)
-        answers = list(_run_lanes(p, chi, cfg, lanes, width))
-        for (_, rng), (exit, fam) in zip(lanes, answers):
-            proj = None if fam is None else np.stack(
-                [fam.projections[g] for g in p.elements]).tobytes()
-            table[tuple(rng.bit_generator.seed_seq.entropy)] = (exit, proj)
-        return iter(answers)
-
-    monkeypatch.setattr(oracle, "_run_lanes", recorded)
-    search_numeric(p, chi, cfg)
-    return table
+def _searched_lanes(p, chi, cfg):
+    """{(pidx, restart): (exit, bytes of the projections or None)} of every
+    lane that search_numeric lists, each run to its end."""
+    return dict(_lane_answers(p, chi, cfg, oracle._lanes(p, chi, cfg)[-1]))
 
 
 @pytest.mark.blas_bits
 def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch):
     searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
                 for p, chi, d in POOL_CASES.values()]
-    kept = [_searched_lanes(monkeypatch, *search) for search in searches]
+    kept = [_searched_lanes(*search) for search in searches]
     monkeypatch.setattr(oracle, "orbit_first",
                         lambda p, chi, profiles, dimension: np.ones(len(profiles), dtype=bool))
     dropped = 0
     for search, lanes in zip(searches, kept):
-        every = _searched_lanes(monkeypatch, *search)
+        every = _searched_lanes(*search)
         assert lanes.items() <= every.items(), search
         dropped += len(every) - len(lanes)
     assert dropped >= 20, dropped
 
 
-def _serial_search(p, chi, cfg):
-    """(family, lanes scanned) by _search_once on each lane, then check_all."""
+def _serial_search(monkeypatch, p, chi, cfg):
+    """(family, lanes scanned) of the first outcome that passes, in a pool
+    of one lane at a time."""
     scanned = 0
-    for ranks, rng in _lanes(p, chi, cfg):
-        scanned += 1
-        fam = _search_once(p, chi, ranks, rng, cfg)
-        if fam is not None:
-            report = check_all(fam, ACCEPT_TOL)
-            if report.passed and report.irreducible:
-                return fam, scanned
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "LANE_POOL", 1)
+        for scanned, out in enumerate(_run_lanes(p, chi, cfg, _lanes(p, chi, cfg)), 1):
+            if _passes(out):
+                return out.family, scanned
     return None, scanned
 
 
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 @pytest.mark.blas_bits
-def test_search_matches_a_serial_scan(case):
+def test_search_matches_a_serial_scan(monkeypatch, case):
     p, chi, d = POOL_CASES[case]
     for iterations in (2000, 60):
         cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
-        want, _ = _serial_search(p, chi, cfg)
+        want, _ = _serial_search(monkeypatch, p, chi, cfg)
         got = search_numeric(p, chi, cfg)
         assert (got is None) == (want is None), iterations
         for g in p.elements if got else ():
@@ -753,10 +736,10 @@ def test_search_matches_a_serial_scan(case):
 
 
 @pytest.mark.blas_bits
-def test_search_takes_a_winner_past_a_full_pool():
+def test_search_takes_a_winner_past_a_full_pool(monkeypatch):
     p, chi, d = POOL_CASES["quad-half-d2"]
     cfg = SearchConfig(dimension=d, restarts=2)
-    want, scanned = _serial_search(p, chi, cfg)
+    want, scanned = _serial_search(monkeypatch, p, chi, cfg)
     assert scanned > LANE_POOL and commutant_dim(want) == 1
     got = search_numeric(p, chi, cfg)
     for g in p.elements:
@@ -818,23 +801,16 @@ def test_cross_validate_starts_a_refuted_search_at_the_full_pool(live_lanes):
 
 
 def _read_lanes(monkeypatch, flip):
-    """Rows of two cross-validations, and (seed, exit, bytes of the
-    projections or None) of every lane they read, with the hint that sets
-    the pool's starting width as given or flipped."""
+    """Rows of two cross-validations, and (pidx, restart, exit, bytes of
+    the projections or None) of every lane they read, with the hint that
+    sets the pool's starting width as given or flipped."""
     read = []
     run_lanes, search = oracle._run_lanes, oracle.search_numeric
 
     def recorded(p, chi, cfg, lanes, width=1):
-        seeds = []
-
-        def pulled():
-            for ranks, rng in lanes:
-                seeds.append(tuple(rng.bit_generator.seed_seq.entropy))
-                yield ranks, rng
-        for i, (exit, fam) in enumerate(run_lanes(p, chi, cfg, pulled(), width)):
-            read.append((seeds[i], exit, None if fam is None else np.stack(
-                [fam.projections[g] for g in p.elements]).tobytes()))
-            yield exit, fam
+        for out in run_lanes(p, chi, cfg, lanes, width):
+            read.append((out.pidx, out.restart, out.exit, _bits(p, out.family)))
+            yield out
 
     def hinted(p, chi, cfg, listing=None, expected=True):
         return search(p, chi, cfg, listing, expected != flip)
@@ -864,6 +840,91 @@ def test_pool_doubles_so_a_search_won_by_its_second_lane_starts_three(live_lanes
     # lane 0 alone, then lanes 1 and 2 in a pool of 2; lane 1 wins, so no
     # later lane starts
     assert live_lanes == [1, 1, 2]
+
+
+@pytest.mark.blas_bits
+def test_check_all_runs_only_on_the_lanes_read(monkeypatch):
+    checked, built, read = [], [], []
+    check, family, run_lanes = oracle.check_all, oracle.ProjectionFamily, oracle._run_lanes
+
+    def counted_check(fam, tol):
+        checked.append(fam)
+        return check(fam, tol)
+
+    def counted_family(*args):
+        # every accepted lane builds its family, read or not
+        built.append(args)
+        return family(*args)
+
+    def recorded(*args):
+        for out in run_lanes(*args):
+            read.append(out)
+            yield out
+
+    monkeypatch.setattr(oracle, "check_all", counted_check)
+    monkeypatch.setattr(oracle, "ProjectionFamily", counted_family)
+    monkeypatch.setattr(oracle, "_run_lanes", recorded)
+    # the full pool of 8 starts at once, and the first lane read wins
+    for seed in (0, 1):
+        checked.clear()
+        cfg = SearchConfig(3, restarts=8, seed=seed)
+        assert search_numeric(QUAD, POINT_SIX, cfg, expected=False) is not None
+        assert len(checked) == 1
+    p, chi, d = POOL_CASES["a6-four-chain-d4"]
+    for expected in (True, False):
+        checked.clear()
+        read.clear()
+        assert search_numeric(p, chi, SearchConfig(d, restarts=4), expected=expected)
+        assert len(checked) == sum(out.exit == "accepted" for out in read)
+    # the four searches read one accepted lane each, and more were accepted
+    assert len(built) > 4
+
+
+def _equivalent(f, g):
+    """Whether irreducible f and g of one dimension are unitarily
+    equivalent: f (+) g then has commutant M_2, of dimension 4, not 2."""
+    z = np.zeros((f.dimension, f.dimension))
+    return commutant_dim(ProjectionFamily(f.poset, f.character, {
+        e: np.block([[f.projections[e], z], [z, g.projections[e]]])
+        for e in f.poset.elements})) == 4
+
+
+def _classes(families):
+    """The first family of each unitary equivalence class."""
+    kept = []
+    for f in families:
+        if not any(_equivalent(f, g) for g in kept):
+            kept.append(f)
+    return kept
+
+
+MISSED_IN_DELTA2 = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="chains with both ends discrete "
+    "in Delta2 are not enumerated (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("weights, d, classes", [
+    ((0.6, 0.6, 0.6, 0.6), 3, 4),
+    ((0.6, 0.6, 0.8, 0.5), 3, 1),
+    pytest.param((0.5 + 1 / 6,) * 4, 2, 2, marks=MISSED_IN_DELTA2),
+    pytest.param((0.5 + 1 / 14,) * 4, 4, 2, marks=MISSED_IN_DELTA2),
+    pytest.param((0.6, 0.6, 0.8, 0.5), 2, 0, marks=MISSED_IN_DELTA2),
+])
+def test_census_finds_no_class_the_theory_misses(weights, d, classes):
+    chi = Character(dict(zip(QUAD.elements, weights)))
+    built = _classes([fam for ch in predict(QUAD, chi, ["g1", "g2"]).chains
+                      if ch.dimension == d for fam in build_from_chain(ch)])
+    assert len(built) == classes
+    # every lane on every profile that passes both bounds: orbit_first
+    # would keep one profile of each orbit, and so one class of several
+    profiles = rank_profiles(QUAD, chi, d)
+    kept = np.flatnonzero(trace_feasible(QUAD, chi, profiles, d))
+    kept = kept[norm_feasible(QUAD, chi, profiles[kept], d)]
+    cfg = SearchConfig(d, restarts=2, max_iterations=2000, seed=0)
+    found = _classes([out.family for out in _run_lanes(
+        QUAD, chi, cfg, [(pidx, profiles[pidx]) for pidx in kept], LANE_POOL) if _passes(out)])
+    assert found
+    assert [f for f in found if not any(_equivalent(f, g) for g in built)] == []
 
 
 def test_search_logs_one_debug_line(caplog):
