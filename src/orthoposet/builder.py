@@ -174,7 +174,7 @@ def disjoint_union(p1, p2):
     shared = set(p1.elements) & set(p2.elements)
     if shared:
         raise BuilderError("parts share elements %r" % (sorted(shared),))
-    return Poset(p1.elements + p2.elements, list(p1.relations) + list(p2.relations))
+    return p1._beside(p2)
 
 
 def build_from_chain(chain):

@@ -59,8 +59,11 @@ class Poset:
 
     The order is held as closed up/down bitmasks per element, bit j of
     _up[i] meaning elements[i] < elements[j]; the element list fixes matrix
-    row ordering downstream. relations (the closure) and hasse (the cover
-    pairs) are frozensets of element pairs, built on first use.
+    row ordering downstream. The constructor checks its relations and
+    closes them, once per input order; subposets, duals and disjoint unions
+    are cut, swapped or shifted from these closed masks, with no closure of
+    their own. relations (the closure) and hasse (the cover pairs) are
+    frozensets of element pairs, built on first use.
     """
 
     def __init__(self, elements, relations=()):
@@ -79,6 +82,15 @@ class Poset:
             down[j] |= 1 << i
         self._up = _close(up, self.elements)
         self._down = _close(down, self.elements)
+
+    @classmethod
+    def _from_masks(cls, elements, up, down):
+        "the poset on distinct elements whose up/down masks are already closed"
+        p = cls.__new__(cls)
+        p.elements = tuple(elements)
+        p._index = {g: i for i, g in enumerate(p.elements)}
+        p._up, p._down = up, down
+        return p
 
     @functools.cached_property
     def relations(self):
@@ -109,9 +121,37 @@ class Poset:
         return self._names(self._down[self._index[g]])
 
     def induced(self, subset):
+        """The subposet on the elements of subset, in this poset's order.
+
+        Each mask drops the bits left out: one shift and mask per run of
+        consecutive kept indices. Names outside the poset are ignored.
+        """
         keep = set(subset)
-        return Poset([g for g in self.elements if g in keep],
-                     [(g, h) for g, h in self.relations if g in keep and h in keep])
+        kept = [i for i, g in enumerate(self.elements) if g in keep]
+        runs, at = [], 0  # (first index, width mask, new first index)
+        for _, run in itertools.groupby(enumerate(kept), lambda t: t[1] - t[0]):
+            run = [i for _, i in run]
+            runs.append((run[0], (1 << len(run)) - 1, at))
+            at += len(run)
+
+        def squeeze(mask):
+            out = 0
+            for first, width_mask, new in runs:
+                out |= (mask >> first & width_mask) << new
+            return out
+
+        return Poset._from_masks([self.elements[i] for i in kept],
+                                 [squeeze(self._up[i]) for i in kept],
+                                 [squeeze(self._down[i]) for i in kept])
+
+    def _beside(self, other):
+        """This poset and other side by side, no element of one related to
+        one of the other; other's masks move up past this poset's elements.
+        The two must share no element."""
+        shift = len(self.elements)
+        return Poset._from_masks(self.elements + other.elements,
+                                 self._up + [m << shift for m in other._up],
+                                 self._down + [m << shift for m in other._down])
 
     def up_sets(self):
         """All upward-closed subsets, as frozensets, in 0/1 product-scan order.
@@ -137,10 +177,10 @@ class Poset:
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements
-                and self.relations == other.relations)
+                and self._up == other._up)
 
     def __hash__(self):
-        return hash((self.elements, self.relations))
+        return hash((self.elements, tuple(self._up)))
 
     def __repr__(self):
         rel = sorted(self.hasse)
@@ -265,14 +305,16 @@ def check_split(p, s1_elements):
     s2 = [g for g in p.elements if g not in s1]
     if not s2 or not s1:
         raise PosetError("both parts must be nonempty")
-    crossing = sorted((g, h) for g, h in p.hasse if (g in s1) != (h in s1))
-    if crossing:
-        raise PosetError("relation %r < %r joins the two parts" % crossing[0])
+    part = sum(1 << p._index[g] for g in s1)
+    if any((p._up[i] | p._down[i]) & ~part for i in _bits(part)):
+        # some cover pair on a path between the parts crosses; name the least
+        crossing = min((g, h) for g, h in p.hasse if (g in s1) != (h in s1))
+        raise PosetError("relation %r < %r joins the two parts" % crossing)
     return s1, s2
 
 
 def dual(p):
-    return Poset(p.elements, [(h, g) for g, h in p.relations])
+    return Poset._from_masks(p.elements, p._down, p._up)
 
 
 def is_isomorphic(p, q):

@@ -538,10 +538,10 @@ ENDS = {g: 0.5 + EPS for g in ("g1", "g2", "g3", "g4")}
 # (poset, character, dimension), mostly the searches of the oracle workloads
 POOL_CASES = {
     "quad-d3": (QUAD, POINT_SIX, 3),
-    "quad-d4": (QUAD, POINT_SIX, 4),
+    "quad-sixth-d4": (QUAD, Character({g: 0.5 + 1 / 6 for g in QUAD.elements}), 4),
     "zero-cap-d5": (QUAD, ZERO_CAP, 5),
-    "a4-two-sided-d5": (A4_TWO_SIDED, Character(
-        dict(ENDS, g5=EPS / 2, g6=0.5 - 2.5 * EPS)), 5),
+    "a4-two-sided-d3": (A4_TWO_SIDED, Character(
+        dict(ENDS, g5=EPS / 2, g6=0.5 - 2.5 * EPS)), 3),
     "a6-four-chain-d4": (A6_FOUR_CHAIN, Character(
         dict(ENDS, g5=EPS / 2, g6=1 / 3 - 7 * EPS / 3)), 4),
     # the first irreducible family comes after more than LANE_POOL lanes
@@ -631,10 +631,14 @@ def _reference_lane(p, chi, ranks, rng, cfg):
 
 
 def _lanes(p, chi, cfg):
-    """(pidx, ranks) of every profile that passes the trace identity."""
+    """(pidx, ranks) of every profile that passes the trace identity; a
+    search with none would leave the tests that compare lanes nothing to
+    compare."""
     profiles = rank_profiles(p, chi, cfg.dimension)
-    return [(pidx, profiles[pidx]) for pidx in
-            np.flatnonzero(trace_feasible(p, chi, profiles, cfg.dimension))]
+    lanes = [(pidx, profiles[pidx]) for pidx in
+             np.flatnonzero(trace_feasible(p, chi, profiles, cfg.dimension))]
+    assert lanes, "the search starts no lane"
+    return lanes
 
 
 def _passes(out):
@@ -692,7 +696,9 @@ def test_pool_size_does_not_change_answers(monkeypatch):
 def _searched_lanes(p, chi, cfg):
     """{(pidx, restart): (exit, bytes of the projections or None)} of every
     lane that search_numeric lists, each run to its end."""
-    return dict(_lane_answers(p, chi, cfg, oracle._lanes(p, chi, cfg)[-1]))
+    lanes = oracle._lanes(p, chi, cfg)[-1]
+    assert lanes, "the search starts no lane"
+    return dict(_lane_answers(p, chi, cfg, lanes))
 
 
 @pytest.mark.blas_bits

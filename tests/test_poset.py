@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from orthoposet.builder import disjoint_union
 from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
                               TWO_WIDTH_TAME, WILD, Poset,
-                              PosetError, classify, decompose, dual,
-                              essential_catalog_match,
+                              PosetError, check_split, classify, decompose,
+                              dual, essential_catalog_match,
                               generate_posets, is_isomorphic,
                               split_two_one_parameter, width)
 
@@ -98,9 +99,10 @@ def shuffled_dags(count, max_elements, rng):
         yield order, rels
 
 
-def assert_core_matches_reference(elements, rels):
-    p = Poset(elements, rels)
+def assert_order_matches_reference(p, elements, rels):
+    "p is the order on elements that the reference closes from rels"
     relations, hasse = ref_closure(elements, rels)
+    assert p.elements == tuple(elements)
     assert p.relations == relations
     assert p.hasse == hasse
     for g in elements:
@@ -108,6 +110,14 @@ def assert_core_matches_reference(elements, rels):
         assert p.down_set(g) == frozenset(a for a, h in relations if h == g)
         for h in elements:
             assert p.less(g, h) == ((g, h) in relations)
+    return relations
+
+
+def assert_core_matches_reference(elements, rels):
+    p = Poset(elements, rels)
+    relations = assert_order_matches_reference(p, elements, rels)
+    for g in elements:
+        for h in elements:
             assert p.comparable(g, h) == ref_comparable(p, g, h)
     assert p.up_sets() == ref_up_sets(p)
     assert width(p) == ref_width(p)
@@ -366,6 +376,49 @@ def test_core_matches_reference_on_shuffled_random_dags():
         assert_core_matches_reference(elements, rels)
 
 
+def assert_derived_orders_match_reference(elements, rels):
+    """Subposets on every subset, the dual and a disjoint union of p, each
+    checked against the reference closure of the relations they keep; and
+    check_split on every subset names the least crossing cover pair."""
+    p = Poset(elements, rels)
+    relations, hasse = ref_closure(elements, rels)
+    for bits in range(1 << len(elements)):
+        sub = [g for i, g in enumerate(elements) if bits >> i & 1]
+        rest = [g for g in elements if g not in sub]
+        # induced keeps p's order, whatever the order of its argument
+        assert_order_matches_reference(
+            p.induced(sub[::-1]), sub,
+            [(g, h) for g, h in relations if g in sub and h in sub])
+        if not sub or not rest:
+            continue
+        crossing = sorted((g, h) for g, h in hasse if (g in sub) != (h in sub))
+        if crossing:
+            with pytest.raises(PosetError, match="^%s$" % re.escape(
+                    "relation %r < %r joins the two parts" % crossing[0])):
+                check_split(p, sub)
+        else:
+            assert check_split(p, sub) == (set(sub), rest)
+    assert_order_matches_reference(dual(p), elements, [(h, g) for g, h in relations])
+    # the second copy lists its elements in reverse
+    first = Poset(["a" + g for g in elements], [("a" + g, "a" + h) for g, h in rels])
+    second = Poset(["b" + g for g in reversed(elements)], [("b" + g, "b" + h) for g, h in rels])
+    assert_order_matches_reference(
+        disjoint_union(first, second), first.elements + second.elements,
+        sorted(first.relations) + sorted(second.relations))
+
+
+def test_derived_orders_match_reference_on_all_small_classes():
+    for n in range(MAX_ELEMENTS + 1):
+        for p in generate_posets(n):
+            assert_derived_orders_match_reference(p.elements, sorted(p.hasse))
+
+
+def test_derived_orders_match_reference_on_shuffled_random_dags():
+    rng = random.Random(15)
+    for elements, rels in shuffled_dags(60, 7, rng):
+        assert_derived_orders_match_reference(elements, rels)
+
+
 def test_empty_poset_is_a_chain():
     empty = Poset([])
     assert classify(empty) == CHAIN_TAME
@@ -396,6 +449,30 @@ def test_long_chain_is_built_and_classified_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_long_chain_subposets_duals_and_unions_reuse_the_closed_masks():
+    # closing any of these again would cost seconds and tens of megabytes
+    names = ["c%d" % i for i in range(2000)]
+    others = ["d%d" % i for i in range(2000)]
+    p = Poset(names, list(zip(names, names[1:])))
+    q = Poset(others, list(zip(others, others[1:])))
+    # (derived order, its least element, its greatest, the length of the chain)
+    cases = [(lambda: p.induced(names[500:1500]), "c500", "c1499", 1000),
+             (lambda: dual(p), "c1999", "c0", 2000),
+             (lambda: disjoint_union(p, q), "d0", "d1999", 2000)]
+    for derive, bottom, top, length in cases:
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            r = derive()
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.5 and peak < 10e6, (bottom, seconds, peak)
+        assert len(r.up_set(bottom)) == len(r.down_set(top)) == length - 1
+        assert r.less(bottom, top) and not r.less(top, bottom)
 
 
 def test_width_of_a_long_fence_follows_long_paths():

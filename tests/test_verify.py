@@ -227,6 +227,16 @@ def test_long_chain_families_verify_at_large_dimension(exact_path):
     assert exact_path == []
 
 
+def test_ladder_families_pass_at_the_default_tolerance_at_large_dimension():
+    # four weights 1/2 + 1/k give one chain, of dimension k/2 + 1
+    for k, dimension in ((256, 129), (512, 257)):
+        families = quad_families(0.5 + 1 / k)
+        assert [fam.dimension for fam in families] == [dimension]
+        for fam in families:
+            report = check_all(fam)
+            assert report.passed and report.commutant_dim == 1, (k, report.max_residual)
+
+
 def test_block_system_refuses_above_its_bound():
     # F (+) F (+) F at n = 189: 63 clusters of 3 give 4 * 189^2 * 567 entries
     big = quad_families(0.504)[0]
