@@ -226,7 +226,8 @@ def _lane(cfg, start):
     """
     x = start
     # the last `depth` steps of x and of f, newest last, one per column
-    steps_x, steps_f = np.zeros((2, len(start), ANDERSON_MEMORY))
+    steps = np.zeros((2, len(start), ANDERSON_MEMORY))
+    steps_x, steps_f = steps
     depth, x_prev, f_prev = 0, None, None
     window = np.inf
     kept = None
@@ -245,8 +246,9 @@ def _lane(cfg, start):
                 return "stall", None
             window = res
         if f_prev is not None:
-            steps_x[:, :-1], steps_f[:, :-1] = steps_x[:, 1:], steps_f[:, 1:]
-            steps_x[:, -1], steps_f[:, -1] = x - x_prev, f - f_prev
+            steps[:, :, :-1] = steps[:, :, 1:]
+            np.subtract(x, x_prev, out=steps_x[:, -1])
+            np.subtract(f, f_prev, out=steps_f[:, -1])
             depth = min(depth + 1, ANDERSON_MEMORY)
         x_prev, f_prev = x, f
         if depth:
@@ -279,7 +281,11 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
     to LANE_POOL, so a search that stops early starts few lanes it never
     reads. A search expected to read every lane starts at width LANE_POOL.
     Every step of the sweep is a stack of per-lane, per-matrix operations,
-    so a lane computes the same bits in any pool.
+    so a lane computes the same bits in any pool. A lane's residual covers
+    the orthoscalar and order axioms only: every matrix the sweep rounds is
+    exactly 0, exactly I or V V* with V orthonormal from eigh, so
+    idempotence holds by construction, to rounding, and check_all checks it
+    on every family a caller reads.
     """
     # no lane, no pool: the state below is allocated before the first lane
     if not lanes:
@@ -308,7 +314,10 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
 
         full and mid index the (lane, element) pairs of rank n and of rank
         strictly between 0 and n, mid sorted by rank; groups holds (rank,
-        start, stop) for each run of mid.
+        start, stop) for each run of mid. A residual is the larger of
+        |sum alpha_g P_g - I| and |P_g P_h - P_g| over the relations g < h;
+        |P_g P_g - P_g| is left out, as each P_g is a projection by
+        construction.
         """
         m = y.view(complex).reshape(len(y), k, n, n)
         proj = (m + m.conj().transpose(0, 1, 3, 2)) / 2.0
@@ -320,9 +329,10 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
         for children, via in squeezes:
             h = free[:, via]
             squeezed[:, children] = h @ squeezed[:, children] @ h
-        out = np.zeros_like(free)
+        out = np.zeros(free.shape, complex)
         flat = out.reshape(-1, n, n)
-        flat[full] = eye
+        if len(full):
+            flat[full] = eye
         if len(mid):
             # nearest projection of the prescribed rank to each Hermitian
             # part; free is Hermitian to the bit, a squeezed part is not
@@ -332,14 +342,13 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
             vecs = np.linalg.eigh(m)[1]
             for rank, start, stop in groups:
                 v = vecs[start:stop, :, n - rank:]
-                m[start:stop] = v @ v.conj().transpose(0, 2, 1)
+                np.matmul(v, v.conj().transpose(0, 2, 1), out=m[start:stop])
             flat[mid] = m
-        res = np.maximum(
-            np.abs((alpha * out).sum(axis=1) - eye).max(axis=(1, 2)),
-            np.abs(out @ out - out).max(axis=(1, 2, 3)))
+        res = np.abs((alpha * out).sum(axis=1) - eye).max(axis=(1, 2))
         if len(lo):
-            np.maximum(res, np.abs(out[:, lo] @ out[:, hi] - out[:, lo])
-                       .max(axis=(1, 2, 3)), out=res)
+            below = out[:, lo]
+            np.maximum(res, np.abs(below @ out[:, hi] - below).max(axis=(1, 2, 3)),
+                       out=res)
         return out, res
 
     pool = []  # (scan index, ranks, lane, the point it asks for)
@@ -377,7 +386,7 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
             values, starts = np.unique(pair_ranks[mid], return_index=True)
             groups = list(zip(values.tolist(), starts.tolist(),
                               starts[1:].tolist() + [len(mid)]))
-        swept, res = sweep(np.stack([point for *_, point in pool]),
+        swept, res = sweep(np.array([point for *_, point in pool]),
                            full, mid, groups)
         live = []
         for (i, ranks, lane, _), row, r in zip(pool, swept, res):

@@ -153,26 +153,43 @@ class Poset:
                                  self._up + [m << shift for m in other._up],
                                  self._down + [m << shift for m in other._down])
 
-    def up_sets(self):
-        """All upward-closed subsets, as frozensets, in 0/1 product-scan order.
+    def up_sets(self, weights=None, low=-math.inf, high=math.inf):
+        """Upward-closed subsets, as frozensets, in 0/1 product-scan order.
 
         Depth-first over the elements, "out" before "in"; taking an element
         takes its up-set and leaving it out drops its down-set, so every
-        branch ends in an up-set.
+        branch ends in an up-set, and each branch point is the first element
+        still undecided. With weights, one per element in element order and
+        none negative, a branch stops once what it took weighs more than
+        high or all it can still take weighs less than low, so the walk
+        costs in proportion to the up-sets near [low, high], not to all of
+        them. Its sums are running ones: a caller that needs a set's exact
+        weight sums it again.
         """
-        n, result = len(self.elements), []
-        stack = [(0, 0, 0)]  # (next element, taken mask, left-out mask)
+        everything, result = (1 << len(self.elements)) - 1, []
+
+        def weight(mask):
+            return sum(weights[j] for j in _bits(mask)) if weights else 0.0
+
+        # (taken mask, left-out mask, weight taken, weight still undecided)
+        stack = [(0, 0, 0.0, weight(everything))]
         while stack:
-            i, take, drop = stack.pop()
-            if i == n:
+            take, drop, took, left = stack.pop()
+            if took > high or took + left < low:
+                continue
+            undecided = everything & ~(take | drop)
+            if not undecided:
                 result.append(self._names(take))
                 continue
-            bit = 1 << i
-            # "in" goes on the stack first so that "out" is explored first
-            if not drop & bit:
-                stack.append((i + 1, take | bit | self._up[i], drop))
-            if not take & bit:
-                stack.append((i + 1, take, drop | bit | self._down[i]))
+            bit = undecided & -undecided
+            i = bit.bit_length() - 1
+            # "in" goes on the stack first so that "out" is explored first;
+            # either way the bits that join are all still undecided
+            new = (bit | self._up[i]) & ~take
+            gain = weight(new)
+            stack.append((take | new, drop, took + gain, left - gain))
+            new = (bit | self._down[i]) & ~drop
+            stack.append((take, drop | new, took, left - weight(new)))
         return result
 
     def __eq__(self, other):

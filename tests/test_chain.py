@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED,
                               ChainContext, ChainEngineError, NoRepresentation,
-                              ZeroLambdaCap, dimension_bound,
+                              ZeroLambdaCap, dimension_bound, enumerate_dim1,
                               enumerate_irreducibles,
                               lambda_zero_case, predict, run_chain,
                               run_degeneracy_filter)
 from orthoposet.oracle import SearchConfig, search_numeric
 from orthoposet.poset import (Poset, PosetError, check_one_parameter, check_split,
                               generate_posets)
-from orthoposet.spectrum import Character
+from orthoposet.spectrum import DEFAULT_TOL, Character
 
 EXACT = 1e-12
 
@@ -310,6 +310,29 @@ def test_a_chain_ending_in_delta1_is_reached_from_its_other_end():
             checked += 1
     # seven from the quads, at k = 6, 14, ..., 54, and five from the sweep
     assert checked == 7 + 5
+
+
+def test_enumerate_dim1_matches_a_brute_force_listing():
+    # every 0/1 vector of every shape on 1 to 5 points that is upward closed
+    # and weighs one, against the weight-pruned walk; weights in tenths,
+    # eighths and sixths make unit sums common, and 1 or more pins
+    rng = random.Random(33)
+    inputs = solutions = 0
+    for k in range(1, 6):
+        for p in generate_posets(k):
+            for _ in range(40):
+                den = rng.choice((10, 8, 6))
+                chi = Character({g: rng.randrange(1, 3 * den // 2 + 1) / den
+                                 for g in p.elements})
+                want = [bits for bits in itertools.product((0, 1), repeat=k)
+                        if all(bits[j] for i, j in itertools.permutations(range(k), 2)
+                               if bits[i] and p.less(p.elements[i], p.elements[j]))
+                        and abs(sum(chi[g] for g, b in zip(p.elements, bits) if b) - 1.0)
+                        <= DEFAULT_TOL]
+                assert enumerate_dim1(p, chi) == want, (p, chi)
+                inputs += 1
+                solutions += len(want)
+    assert inputs == 3480 and solutions > 1000, solutions
 
 
 def test_dimension_bound_values():

@@ -369,6 +369,29 @@ def test_solve_with_many_pinned_elements_returns_promptly(tmp_path, capsys):
     assert [r["family"]["dimension"] for r in json.loads(out)["families"]] == [3] * 4
 
 
+def test_solve_on_two_long_chains_lists_only_unit_weight_up_sets(tmp_path, capsys):
+    # two 200-element chains at weights 1/400 have 201^2 up-sets, and the
+    # screen forces every element; only the whole poset weighs one, and a
+    # walk that listed every up-set first took over 6 s here
+    n = 200
+    chains = [["%s%d" % (c, i) for i in range(n)] for c in "ab"]
+    elements = [g for pair in zip(*chains) for g in pair]
+    poset = write_json(tmp_path, "p.json", {"elements": elements, "relations": [
+        [g, h] for chain in chains for g, h in zip(chain, chain[1:])]})
+    character = write_json(tmp_path, "c.json", {"weights": dict.fromkeys(elements, 1 / (2 * n))})
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["solve", "--poset", poset, "--character", character,
+                                "--split", ",".join(chains[0])])
+    assert time.perf_counter() - t0 < 3.0
+    assert code == EXIT_OK
+    reply = json.loads(out)
+    assert reply["mode"] == "scalar"
+    assert reply["filter"]["forced"] == [[g, "I"] for g in elements]
+    [record] = reply["families"]
+    assert record["verification"]["passed"]
+    assert record["family"]["projections"] == dict.fromkeys(elements, [[[1.0, 0.0]]])
+
+
 def solve_families_verify_on_input(tmp_path, capsys, elements, relations,
                                    weights, split, extra=()):
     """Run solve, then verify every family it prints against the input poset.

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from orthoposet import oracle
-from orthoposet.builder import ProjectionFamily, build_from_chain
-from orthoposet.chain import (ChainContext, enumerate_dim1,
+from orthoposet.builder import ProjectionFamily, build_from_chain, dualize
+from orthoposet.chain import (ChainContext, NoRepresentation, enumerate_dim1,
                               enumerate_irreducibles, predict)
+from orthoposet.cli import _on_input
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
                                OracleError, SearchConfig, _random_projection,
@@ -21,9 +22,10 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                cross_validate_split, norm_feasible,
                                orbit_first, rank_profiles, search_numeric,
                                trace_feasible)
-from orthoposet.poset import Poset, generate_posets
-from orthoposet.spectrum import Character, SpectrumError
+from orthoposet.poset import Poset, dual, generate_posets
+from orthoposet.spectrum import DEFAULT_TOL, Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
+from test_chain import shape_sweep
 
 QUAD = Poset(["g1", "g2", "g3", "g4"], [])
 CHAIN2 = Poset(["x", "y"], [("x", "y")])
@@ -674,6 +676,25 @@ def test_pooled_lanes_match_the_one_lane_loop():
     assert longest > LANE_POOL
 
 
+@pytest.mark.blas_bits
+def test_lanes_match_the_one_lane_loop_at_dimension_16():
+    # the pooled residual leaves out |P P - P|, which the reference keeps:
+    # every matrix a sweep rounds is 0, I or V V* with V orthonormal, so
+    # that term stays at rounding level and decides nothing
+    cfg = SearchConfig(dimension=16, restarts=2, rank_profile=(8, 8, 8, 8))
+    lanes = oracle._lanes(QUAD, ZERO_CAP, cfg)[-1]
+    pooled = list(_run_lanes(QUAD, ZERO_CAP, cfg, lanes))
+    assert len(pooled) == 2
+    for out in pooled:
+        rng = np.random.default_rng([cfg.seed, out.pidx, out.restart])
+        want_exit, want = _reference_lane(QUAD, ZERO_CAP, (8, 8, 8, 8), rng, cfg)
+        assert out.exit == want_exit == "accepted"
+        for i, g in enumerate(QUAD.elements):
+            proj = out.family.projections[g]
+            assert np.array_equal(proj, want[i])
+            assert np.abs(proj @ proj - proj).max() < 1e-13
+
+
 def _lane_answers(p, chi, cfg, lanes):
     """((pidx, restart), (exit, bytes of the projections or None)) of every
     lane, in scan order."""
@@ -931,6 +952,66 @@ def test_census_finds_no_class_the_theory_misses(weights, d, classes):
         QUAD, chi, cfg, [(pidx, profiles[pidx]) for pidx in kept], LANE_POOL) if _passes(out)])
     assert found
     assert [f for f in found if not any(_equivalent(f, g) for g in built)] == []
+
+
+def _solve_families(p, chi, split):
+    """The irreducible families solve builds: each 0/1 solution as a 1x1
+    family and every chain's families, with P_g = 0 for each element a
+    chain family leaves out."""
+    try:
+        pred = predict(p, chi, split)
+    except NoRepresentation:
+        return []
+    chi = pred.character
+    fams = [ProjectionFamily(p, chi, {g: np.eye(1) * b for g, b in zip(p.elements, bits)})
+            for bits in pred.scalar]
+    fams += [_on_input(fam, p, chi) for ch in pred.chains for fam in build_from_chain(ch)]
+    return [fam for fam in fams if commutant_dim(fam) == 1]
+
+
+def _dual_mismatch(p, weights, split):
+    """Whether dualize maps the families of (p, alpha, split) onto those of
+    (dual(p), alpha / (total - 1), split) other than one for one, up to
+    unitary equivalence."""
+    chi = Character(weights)
+    dual_chi = Character({g: w / (chi.total - 1.0) for g, w in chi.weights.items()})
+    left = _solve_families(dual(p), dual_chi, split)
+    for fam in map(dualize, _solve_families(p, chi, split)):
+        match = next((i for i, g in enumerate(left)
+                      if g.dimension == fam.dimension and _equivalent(fam, g)), None)
+        if match is None:
+            return True
+        del left[match]
+    return bool(left)
+
+
+# the dual side of each lacks a dimension-2 family
+DUAL_MISSES = [
+    (Poset(["e0", "e1", "e2", "e3"], []),
+     {"e0": 0.875, "e1": 0.875, "e2": 1.25, "e3": 0.25}, ("e0", "e3")),
+    (Poset(["e0", "e1", "e2", "e3", "e4"], [("e0", "e1"), ("e0", "e2")]),
+     {"e0": 0.7, "e1": 0.9, "e2": 0.4, "e3": 1.3, "e4": 0.7}, ("e0", "e1", "e2")),
+]
+
+
+@pytest.mark.parametrize("p, weights, split", [
+    pytest.param(*case, marks=MISSED_IN_DELTA2) for case in DUAL_MISSES])
+def test_dualize_matches_the_families_of_the_dual_input(p, weights, split):
+    assert not _dual_mismatch(p, weights, split)
+
+
+def test_dualize_matches_the_dual_families_over_the_shape_sweep():
+    # every input of shape_sweep whose weights total more than 1; its
+    # chains reach dimension 3
+    inputs, mismatched = 0, []
+    for p, weights, split in shape_sweep(random.Random(7)):
+        if Character(weights).total <= 1.0 + DEFAULT_TOL:
+            continue
+        inputs += 1
+        if _dual_mismatch(p, weights, split):
+            mismatched.append((p, weights, split))
+    assert inputs == 1077
+    assert [case for case in mismatched if case not in DUAL_MISSES] == []
 
 
 def test_search_logs_one_debug_line(caplog):
