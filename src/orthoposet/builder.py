@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from .chain import ESCAPED, c_range
-from .poset import CATALOG, Poset, decompose, is_isomorphic
+from .chain import DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2, ESCAPED, c_range
+from .poset import CATALOG, Poset, decompose, disjoint_union, is_isomorphic
 from .poset import dual as dual_poset
 from .spectrum import (CONTINUOUS, DEFAULT_TOL, DISCRETE, Character,
                        SpectrumError, json_float, membership, restore_epsilon)
@@ -170,13 +170,6 @@ class _PartPlan:
         return m
 
 
-def disjoint_union(p1, p2):
-    shared = set(p1.elements) & set(p2.elements)
-    if shared:
-        raise BuilderError("parts share elements %r" % (sorted(shared),))
-    return p1._beside(p2)
-
-
 def build_from_chain(chain):
     """Assemble every projection family realizing a terminated chain.
 
@@ -272,15 +265,15 @@ def lift_to_catalog(target, chain):
     tops1 = _top_singleton_weights(ctx.part1, ctx.chi1)
     if target == "a2":
         a5 = tops1[0]
-        ok = (chain.termination == "DiscreteInDelta1"
+        ok = (chain.termination == DISCRETE_IN_DELTA1
               and any(abs(last_lam - v) <= slack for v in (a5, a1 + a5, a2 + a5)))
-        ok = ok or (chain.termination == "DiscreteInDelta2"
+        ok = ok or (chain.termination == DISCRETE_IN_DELTA2
                     and any(abs(last_mu - v) <= slack for v in (0.0, a3, a4)))
     elif target == "a4":
-        ok = chain.termination == "DiscreteInDelta2" and abs(last_mu) <= slack
+        ok = chain.termination == DISCRETE_IN_DELTA2 and abs(last_mu) <= slack
     else:
         a6 = tops1[-1]
-        ok = chain.termination == "DiscreteInDelta1" and abs(last_lam - a6) <= slack
+        ok = chain.termination == DISCRETE_IN_DELTA1 and abs(last_lam - a6) <= slack
     if not ok:
         raise BuilderError("chain ends (%r, %r, %s); not a %s shape"
                            % (last_lam, last_mu, chain.termination, target))

@@ -113,7 +113,7 @@ def run_chain(ctx, lambda0):
     "Walk the link/reflection recurrence from a discrete point of delta1."
     tol, cap = ctx.tol, ctx.lambda_cap
     if abs(cap) <= tol:
-        raise ZeroLambdaCap("lambda_cap %r is zero within tol" % (cap,))
+        raise ZeroLambdaCap("lambda_cap %r is zero within tol; use lambda_zero_case" % (cap,))
     if membership(ctx.delta1, lambda0, tol) != DISCRETE:
         raise ChainEngineError("lambda0 = %r is not a discrete point of delta1" % (lambda0,))
     chain = _walk(ctx, lambda0, False, MAX_STEPS)
@@ -176,9 +176,8 @@ def lambda_zero_case(ctx):
 
 
 def enumerate_irreducibles(ctx):
-    """All terminating chains from discrete starting points, reversals merged."""
-    if abs(ctx.lambda_cap) <= ctx.tol:
-        raise ZeroLambdaCap("use lambda_zero_case")
+    """All terminating chains from discrete starting points, reversals merged.
+    At a zero lambda_cap, run_chain raises ZeroLambdaCap on delta1's 0.0."""
     chains = [run_chain(ctx, lam0) for lam0 in ctx.delta1.discrete]
     kept = _merge_reversals(ch for ch in chains if ch.termination != ESCAPED)
     kept.sort(key=lambda ch: ch.start_point)

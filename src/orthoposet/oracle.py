@@ -7,8 +7,9 @@ import math
 
 import numpy as np
 
-from .builder import ProjectionFamily, disjoint_union
+from .builder import ProjectionFamily
 from .chain import NoRepresentation, predict
+from .poset import disjoint_union
 from .spectrum import CONTINUOUS, DEFAULT_TOL, Character, membership
 from .verify import VERIFY_TOL as ACCEPT_TOL, check_all
 
@@ -191,8 +192,6 @@ def orbit_first(p, chi, profiles, dimension):
     for i, g in enumerate(els):
         classes.setdefault((chi[g], p.up_set(g), p.down_set(g)), []).append(i)
     twins = [c for c in classes.values() if len(c) > 1]
-    if not twins and not mirror:
-        return np.ones(len(r), dtype=bool)
     names = [r, dimension - r] if mirror else [r]
     for name, c in itertools.product(names, twins):
         name[:, c] = np.sort(name[:, c], axis=1)

@@ -110,10 +110,6 @@ class Poset:
     def less(self, g, h):
         return bool(self._up[self._index[g]] >> self._index[h] & 1)
 
-    def comparable(self, g, h):
-        i, j = self._index[g], self._index[h]
-        return i == j or bool((self._up[i] | self._down[i]) >> j & 1)
-
     def up_set(self, g):
         return self._names(self._up[self._index[g]])
 
@@ -143,15 +139,6 @@ class Poset:
         return Poset._from_masks([self.elements[i] for i in kept],
                                  [squeeze(self._up[i]) for i in kept],
                                  [squeeze(self._down[i]) for i in kept])
-
-    def _beside(self, other):
-        """This poset and other side by side, no element of one related to
-        one of the other; other's masks move up past this poset's elements.
-        The two must share no element."""
-        shift = len(self.elements)
-        return Poset._from_masks(self.elements + other.elements,
-                                 self._up + [m << shift for m in other._up],
-                                 self._down + [m << shift for m in other._down])
 
     def up_sets(self, weights=None, low=-math.inf, high=math.inf):
         """Upward-closed subsets, as frozensets, in 0/1 product-scan order.
@@ -332,6 +319,18 @@ def check_split(p, s1_elements):
 
 def dual(p):
     return Poset._from_masks(p.elements, p._down, p._up)
+
+
+def disjoint_union(p1, p2):
+    """p1 and p2 side by side, no element of one related to one of the
+    other; p2's masks move up past p1's elements."""
+    shared = set(p1.elements) & set(p2.elements)
+    if shared:
+        raise PosetError("parts share elements %r" % (sorted(shared),))
+    shift = len(p1.elements)
+    return Poset._from_masks(p1.elements + p2.elements,
+                             p1._up + [m << shift for m in p2._up],
+                             p1._down + [m << shift for m in p2._down])
 
 
 def is_isomorphic(p, q):

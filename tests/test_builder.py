@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from orthoposet.builder import (MINUS, PLUS, BuilderError, ProjectionFamily,
                                 basic_pair, build_from_chain,
-                                build_quadruple_continuous, disjoint_union,
-                                dualize, lift_to_catalog)
+                                build_quadruple_continuous, dualize,
+                                lift_to_catalog)
 from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
                               ChainContext, EigenChain,
                               enumerate_irreducibles, run_chain)
-from orthoposet.poset import Poset, dual, is_isomorphic
+from orthoposet.poset import Poset, PosetError, disjoint_union, dual, is_isomorphic
 from orthoposet.spectrum import Character
 from orthoposet.verify import check_all, check_essential, spectrum_match
 
@@ -135,7 +135,7 @@ def test_continuous_series_phase_changes_geometry():
 
 
 def test_disjoint_union_rejects_shared_elements():
-    with pytest.raises(BuilderError):
+    with pytest.raises(PosetError):
         disjoint_union(P1, Poset(["g2", "g9"], []))
 
 

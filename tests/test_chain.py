@@ -69,10 +69,10 @@ def test_chain_requires_discrete_start():
 
 
 def test_chain_rejects_zero_cap():
-    with pytest.raises(ZeroLambdaCap):
-        run_chain(quad(0.5, 0.5, 0.5, 0.5), 0.0)
-    with pytest.raises(ZeroLambdaCap):
-        enumerate_irreducibles(quad(0.5, 0.5, 0.5, 0.5))
+    ctx = quad(0.5, 0.5, 0.5, 0.5)
+    for run in (lambda: run_chain(ctx, 0.0), lambda: enumerate_irreducibles(ctx)):
+        with pytest.raises(ZeroLambdaCap, match="use lambda_zero_case"):
+            run()
 
 
 def test_step_limit():
@@ -233,22 +233,27 @@ def test_part_swap_at_zero_cap_swaps_lambda_and_mu():
         assert chains(pred, False) == chains(swapped, True), (chi, split)
 
 
+def valid_splits(p):
+    "each split of p that check_split and check_one_parameter accept"
+    for r in range(1, len(p.elements)):
+        for split in itertools.combinations(p.elements, r):
+            try:
+                for part in check_split(p, split):
+                    check_one_parameter(p.induced(part))
+            except PosetError:
+                continue
+            yield split
+
+
 def shape_sweep(rng):
-    """(p, chi, split) for every shape on 2 to 5 points, each split that
-    check_split and check_one_parameter accept, and 24 weight draws from
-    rng in tenths and eighths; chi is a dict."""
+    """(p, chi, split) for every shape on 2 to 5 points, each valid split,
+    and 24 weight draws from rng in tenths and eighths; chi is a dict."""
     for n in range(2, 6):
         for p in generate_posets(n):
-            for r in range(1, n):
-                for split in itertools.combinations(p.elements, r):
-                    try:
-                        for part in check_split(p, split):
-                            check_one_parameter(p.induced(part))
-                    except PosetError:
-                        continue
-                    for den in (10, 8) * 12:
-                        yield p, {g: rng.randrange(1, 3 * den // 2 + 1) / den
-                                  for g in p.elements}, split
+            for split in valid_splits(p):
+                for den in (10, 8) * 12:
+                    yield p, {g: rng.randrange(1, 3 * den // 2 + 1) / den
+                              for g in p.elements}, split
 
 
 def test_relabeling_keeps_chains_and_0_1_solutions():

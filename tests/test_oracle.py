@@ -25,7 +25,7 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
 from orthoposet.poset import Poset, dual, generate_posets
 from orthoposet.spectrum import DEFAULT_TOL, Character, SpectrumError
 from orthoposet.verify import check_all, commutant_dim
-from test_chain import shape_sweep
+from test_chain import shape_sweep, valid_splits
 
 QUAD = Poset(["g1", "g2", "g3", "g4"], [])
 CHAIN2 = Poset(["x", "y"], [("x", "y")])
@@ -282,7 +282,7 @@ def test_twin_first_keeps_the_first_profile_of_each_orbit():
                 # twins by pairwise checks: equal weights, and every third
                 # element compares with both alike
                 classes = {tuple(j for j, h in enumerate(els) if h == g or (
-                    chi[g] == chi[h] and not p.comparable(g, h)
+                    chi[g] == chi[h] and not p.less(g, h) and not p.less(h, g)
                     and all(p.less(x, g) == p.less(x, h) and p.less(g, x) == p.less(h, x)
                             for x in els if x not in (g, h))))
                     for g in els}
@@ -351,6 +351,13 @@ def test_complement_orbit_needs_an_antichain_of_weight_two():
     for shift in (1e-9, -1e-9, 0.01):
         chi = Character(dict(ZERO_CAP.weights, g4=ZERO_CAP["g4"] + shift))
         assert orbit_first(QUAD, chi, profiles, 1).tolist() == [True, True], shift
+
+
+def test_orbit_first_keeps_one_copy_of_a_repeated_profile():
+    # distinct weights of total 1.1: no twins and no complement orbit
+    chi = Character(dict(zip(QUAD.elements, (0.1, 0.2, 0.3, 0.5))))
+    profiles = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    assert orbit_first(QUAD, chi, profiles, 1).tolist() == [True, True, False]
 
 
 @pytest.mark.parametrize("a, b", [(0.3719, 0.6143), (0.7268, 0.4537)])
@@ -1012,6 +1019,90 @@ def test_dualize_matches_the_dual_families_over_the_shape_sweep():
             mismatched.append((p, weights, split))
     assert inputs == 1077
     assert [case for case in mismatched if case not in DUAL_MISSES] == []
+
+
+def _in_series(fam, p, chi, split):
+    """Whether fam lies in the continuous series of (p, chi, split): its
+    layer-one spectrum over split is a reflection pair inside Delta_1."""
+    try:
+        pred = predict(p, chi, split)
+    except NoRepresentation:
+        return False
+    if pred.two_point is None or pred.two_point.c_interval is None:
+        return False
+    return _spectrum_matched(pred, np.sort(np.linalg.eigvalsh(fam.weighted_sum(split))), [])
+
+
+def _split_mismatch(p, weights, splits):
+    """Whether some two splits of p give families that do not match one for
+    one up to unitary equivalence, and how many families matched only by
+    lying in the other split's continuous series."""
+    chi = Character(weights)
+    by_split = [(split, _solve_families(p, chi, split)) for split in splits]
+    in_series = 0
+    for (a, fams), (b, left) in itertools.combinations(by_split, 2):
+        left, unmatched = list(left), []
+        for fam in fams:
+            match = next((i for i, g in enumerate(left)
+                          if g.dimension == fam.dimension and _equivalent(fam, g)), None)
+            if match is None:
+                unmatched.append((fam, b))
+            else:
+                del left[match]
+        for fam, other in unmatched + [(g, a) for g in left]:
+            if not _in_series(fam, p, chi, other):
+                return True, in_series
+            in_series += 1
+    return False, in_series
+
+
+def _splits_up_to_complement(p):
+    splits = []
+    for split in valid_splits(p):
+        if tuple(g for g in p.elements if g not in split) not in splits:
+            splits.append(split)
+    return splits
+
+
+ANTICHAIN3 = Poset(["e0", "e1", "e2"], [])
+ANTICHAIN4 = Poset(["e0", "e1", "e2", "e3"], [])
+
+# in each, one split finds a dimension-2 family that another split misses
+SPLIT_MISSES = [(0.625, 0.375, 0.125, 0.75), (0.25, 0.25, 0.25, 0.625),
+                (0.6, 0.2, 0.5, 0.5), (0.2, 0.4, 0.5, 0.4)]
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param(weights, marks=MISSED_IN_DELTA2) for weights in SPLIT_MISSES])
+def test_every_split_of_the_antichain_gives_its_families(weights):
+    weights = dict(zip(ANTICHAIN4.elements, weights))
+    assert not _split_mismatch(ANTICHAIN4, weights, _splits_up_to_complement(ANTICHAIN4))[0]
+
+
+def test_discrete_families_of_one_split_lie_in_the_others_continuous_series():
+    # total 2: each split's discrete two-point families are in the other
+    # splits' continuous series, and nothing else is left unmatched
+    weights = dict(zip(ANTICHAIN4.elements, (0.625, 0.875, 0.25, 0.25)))
+    mismatched, in_series = _split_mismatch(
+        ANTICHAIN4, weights, _splits_up_to_complement(ANTICHAIN4))
+    assert not mismatched and in_series > 0
+
+
+def test_every_valid_split_gives_the_same_families():
+    # on 3 to 6 points only the antichains on 3 and 4 have two splits
+    shapes = [(p, splits) for n in range(3, 7) for p in generate_posets(n)
+              for splits in [_splits_up_to_complement(p)] if len(splits) > 1]
+    assert [p for p, _ in shapes] == [ANTICHAIN3, ANTICHAIN4]
+    rng = random.Random(3)
+    inputs, mismatched = 0, []
+    for p, splits in shapes:
+        for den in (10, 8) * 100:
+            weights = {g: rng.randrange(1, 3 * den // 2 + 1) / den for g in p.elements}
+            inputs += 1
+            if _split_mismatch(p, weights, splits)[0]:
+                mismatched.append(tuple(weights.values()))
+    assert inputs == 400
+    assert [w for w in mismatched if w not in SPLIT_MISSES] == []
 
 
 def test_search_logs_one_debug_line(caplog):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from orthoposet.builder import disjoint_union
 from orthoposet.poset import (A8, CATALOG, CHAIN_TAME, ONE_PARAMETER,
                               TWO_WIDTH_TAME, WILD, Poset,
                               PosetError, check_split, classify, decompose,
-                              dual, essential_catalog_match,
+                              disjoint_union, dual, essential_catalog_match,
                               generate_posets, is_isomorphic,
                               split_two_one_parameter, width)
 
@@ -118,7 +117,7 @@ def assert_core_matches_reference(elements, rels):
     relations = assert_order_matches_reference(p, elements, rels)
     for g in elements:
         for h in elements:
-            assert p.comparable(g, h) == ref_comparable(p, g, h)
+            assert (g == h or p.less(g, h) or p.less(h, g)) == ref_comparable(p, g, h)
     assert p.up_sets() == ref_up_sets(p)
     assert width(p) == ref_width(p)
     assert classify(p) == ref_classify(p)
@@ -417,6 +416,22 @@ def test_derived_orders_match_reference_on_shuffled_random_dags():
     rng = random.Random(15)
     for elements, rels in shuffled_dags(60, 7, rng):
         assert_derived_orders_match_reference(elements, rels)
+
+
+def test_equal_posets_hash_equal():
+    p = Poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    other = Poset(["x", "y"], [("x", "y")])
+    same = [p,
+            # the relations in another order, and as their closure
+            Poset(p.elements, [("b", "c"), ("a", "b")]),
+            Poset(p.elements, sorted(p.relations, reverse=True)),
+            dual(dual(p)),
+            disjoint_union(p, other).induced(p.elements),
+            disjoint_union(other, p).induced(p.elements)]
+    assert all(q == p and hash(q) == hash(p) for q in same)
+    assert len(set(same)) == 1
+    assert len({q: i for i, q in enumerate(same)}) == 1
+    assert len(set(same + [dual(p), other])) == 3
 
 
 def test_empty_poset_is_a_chain():
