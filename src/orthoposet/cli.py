@@ -161,24 +161,35 @@ def _pad(level):
 def _pairs(a, level, layouts):
     """a as json.dumps(a.tolist(), indent=2) writes it `level` deep, if a is
     a float64 array of shape (r, c, 2), r, c >= 1, with finite entries; else
-    None. layouts keeps the % layout of each (shape, level) it has met."""
+    None. layouts keeps, for each (shape, level) it has met, the text of an
+    all-zero array and the offset of each entry in it."""
     if (a.dtype != np.float64 or a.ndim != 3 or a.shape[2] != 2 or not a.size
             or not np.isfinite(a).all()):
         return None
     layout = layouts.get((a.shape, level))
     if layout is None:
         p1, p2, p3 = _pad(level + 1), _pad(level + 2), _pad(level + 3)
-        pair = "[" + p3 + "%s," + p3 + "%s" + p2 + "]"
+        pair = "[" + p3 + "0.0," + p3 + "0.0" + p2 + "]"
         row = "[" + p2 + ("," + p2).join([pair] * a.shape[1]) + p1 + "]"
-        layout = "[" + p1 + ("," + p1).join([row] * a.shape[0]) + _pad(level) + "]"
+        text = "[" + p1 + ("," + p1).join([row] * a.shape[0]) + _pad(level) + "]"
+        # the only "." of a row are those of its words "0.0", one an entry,
+        # and row i starts at 1 + len(p1) + i (len(row) + 1 + len(p1))
+        dots = np.flatnonzero(np.frombuffer(row.encode(), np.uint8) == ord(".")) - 1
+        rows = (1 + len(p1)) + (len(row) + 1 + len(p1)) * np.arange(a.shape[0])
+        layout = text, (rows[:, None] + dots).ravel()
         layouts[a.shape, level] = layout
-    # most entries of a projection are +0.0, which json writes as 0.0
+    text, starts = layout
+    # most entries of a projection are +0.0, which json writes as 0.0: each
+    # other entry's word is spliced in, and the zeros between two of them
+    # are copied as one slice of the all-zero text
     flat = a.ravel()
-    words = ["0.0"] * flat.size
     nonzero = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    for i, x in zip(nonzero.tolist(), flat[nonzero].tolist()):
-        words[i] = float.__repr__(x)
-    return layout % tuple(words)
+    pieces, end = [], 0
+    for start, x in zip(starts[nonzero].tolist(), flat[nonzero].tolist()):
+        pieces += (text[end:start], float.__repr__(x))
+        end = start + 3
+    pieces.append(text[end:])
+    return "".join(pieces)
 
 
 def _dumps(obj):

@@ -1,6 +1,7 @@
 """Numerical certification: axioms, irreducibility, essentiality, spectra."""
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -50,30 +51,87 @@ def _entry_norm(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def _stack(fam):
+    "the projections as one (|G|, n, n) array, in the dtype that holds them all"
+    return np.array(list(fam.projections.values()))
+
+
+def _max_entries(ms):
+    "the largest |entry| of each matrix of the stack ms"
+    return np.abs(ms).max(axis=(1, 2), initial=0.0)
+
+
+def _product_residuals(a, b, real):
+    """max |A B - A| for each pair (A, B) of the stacks a and b.
+
+    numpy takes the product of two real matrices in real arithmetic, whose
+    bits differ from the complex product's; real marks the pairs of two
+    real matrices, which are taken from the real parts of complex stacks.
+    """
+    if not np.iscomplexobj(a) or not real.any():
+        return _max_entries(a @ b - a)
+    out = np.empty(len(a))
+    for take, x, y in ((real, a.real, b.real), (~real, a, b)):
+        x = x[take]
+        out[take] = _max_entries(x @ y[take] - x)
+    return out
+
+
+def _pair_chunks(fam, pairs):
+    """Index arrays (lo, hi) into fam's stack for the pairs (g, h) in order,
+    as many pairs at a time as hold FOLD_ENTRIES matrix entries (at least one)."""
+    at = {g: i for i, g in enumerate(fam.projections)}.__getitem__
+    step = max(1, FOLD_ENTRIES // max(1, fam.dimension ** 2))
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        yield (np.fromiter(map(at, map(operator.itemgetter(0), chunk)), np.intp, len(chunk)),
+               np.fromiter(map(at, map(operator.itemgetter(1), chunk)), np.intp, len(chunk)))
+
+
 def _forced(fam, tol):
     "elements whose projection is within tol of 0 or of I"
-    eye = np.eye(fam.dimension)
-    return [g for g, p in fam.projections.items()
-            if _entry_norm(p) <= tol or _entry_norm(p - eye) <= tol]
+    ps = _stack(fam)
+    near = np.minimum(_max_entries(ps), _max_entries(ps - np.eye(fam.dimension))) <= tol
+    return [g for g, f in zip(fam.projections, near.tolist()) if f]
 
 
 def check_all(fam, tol=VERIFY_TOL):
-    """Residuals of every axiom plus the structural verdicts in one report."""
+    """Residuals of every axiom plus the structural verdicts in one report.
+
+    Every residual of a projection or a relation comes from one stacked
+    (|G|, n, n) array of the projections, the order residuals
+    |P_g P_h - P_g| over the sorted relations in chunks of at most
+    FOLD_ENTRIES entries; the weighted-sum identity is checked on
+    fam.weighted_sum().
+    """
+    residuals = _residuals(fam)
+    forced = _forced(fam, tol)
+    return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
+                              not forced and _no_equal_pair(fam, tol), forced, tol)
+
+
+def _residuals(fam):
+    "check_all's residuals; the stack is freed before commutant_dim makes its own"
     n = fam.dimension
-    residuals = {}
     for g, p in fam.projections.items():
         if p.shape != (n, n):
             raise VerifierError("projection for %r has shape %r, expected %r"
                                  % (g, p.shape, (n, n)))
-        residuals["hermitian[%s]" % g] = _entry_norm(p - p.conj().T)
-        residuals["idempotent[%s]" % g] = _entry_norm(p @ p - p)
-    for g, h in sorted(fam.poset.relations):
-        residuals["order[%s<%s]" % (g, h)] = _entry_norm(
-            fam.projections[g] @ fam.projections[h] - fam.projections[g])
+    ps = _stack(fam)
+    real = np.array([not np.iscomplexobj(p) for p in fam.projections.values()])
+    residuals = {}
+    for g, hermitian, idempotent in zip(
+            fam.projections, _max_entries(ps - ps.conj().swapaxes(1, 2)).tolist(),
+            _product_residuals(ps, ps, real).tolist()):
+        residuals["hermitian[%s]" % g] = hermitian
+        residuals["idempotent[%s]" % g] = idempotent
+    relations = sorted(fam.poset.relations)
+    order = []
+    for lo, hi in _pair_chunks(fam, relations):
+        order += _product_residuals(ps[lo], ps[hi], real[lo] & real[hi]).tolist()
+    residuals.update(zip(map("order[%s<%s]".__mod__, relations), order))
     residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(n))
-    forced = _forced(fam, tol)
-    return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
-                              not forced and _no_equal_pair(fam, tol), forced, tol)
+    return residuals
 
 
 def commutant_dim(fam, residual=0.0):
@@ -95,18 +153,19 @@ def commutant_dim(fam, residual=0.0):
     100 real). A system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES
     is refused.
     """
-    ps = np.array(list(fam.projections.values()))
-    n = fam.dimension
-    c = np.modf(np.arange(1, len(ps) + 1) * GOLDEN_FRACTION)[0]
-    w, v = np.linalg.eigh(np.tensordot(c, ps, axes=1))
+    ps = _stack(fam)
+    k, n = len(ps), fam.dimension
+    c = np.modf(np.arange(1, k + 1) * GOLDEN_FRACTION)[0]
+    w, v = np.linalg.eigh(np.dot(c, ps.reshape(k, -1)).reshape(n, n))
     scale = np.max(np.abs(w))
     tau = NULLSPACE_RTOL * scale
     real = max(tau, RESIDUAL_COUPLING * np.sqrt(residual) * scale)
     b = v.conj().T @ ps @ v
     gaps = np.diff(w)
     merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else np.inf
+    label = np.zeros(n, dtype=np.intp)
     while True:
-        label = np.r_[0, np.cumsum(gaps > merge)]
+        np.cumsum(gaps > merge, out=label[1:])
         if label[-1] == n - 1:
             coupling = np.max(np.abs(b), axis=0)
             coupling = np.maximum(coupling, coupling.T)
@@ -177,8 +236,9 @@ def check_essential(fam, tol=VERIFY_TOL):
 
 
 def _no_equal_pair(fam, tol):
-    return not any(_entry_norm(fam.projections[g] - fam.projections[h]) <= tol
-                   for g, h in fam.poset.relations)
+    ps = _stack(fam)
+    return not any((_max_entries(ps[lo] - ps[hi]) <= tol).any()
+                   for lo, hi in _pair_chunks(fam, list(fam.poset.relations)))
 
 
 def spectrum_match(fam, chain, tol=VERIFY_TOL):

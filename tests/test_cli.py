@@ -1248,6 +1248,20 @@ def test_writer_matches_json_dumps_byte_for_byte():
              {"a": pairs, "b": {"c": pairs}, "d": [pairs, np.zeros((2, 2, 2))]}]
     # objects json cannot write, next to an array
     docs += [[pairs, object()], {"m": pairs, "n": np.int64(3)}, np.int64(3)]
+    # the writer copies each run of zeros between two other entries in one
+    # piece: -0.0 at the first and the last entry, other entries at the ends
+    # of rows, one entry, and no entry that is not zero, at depths 0 to 4
+    signed = np.zeros((3, 4, 2))
+    signed[0, 0, 0] = signed[-1, -1, -1] = -0.0
+    ends = np.zeros((3, 4, 2))
+    ends[:, 0, 0], ends[:, -1, 1], ends[1, -1, 0] = 0.25, -1.5, 1e-300
+    arrays = [signed, ends, np.zeros((1, 1, 2)), np.array([[[-0.0, 0.5]]]),
+              np.array([[[0.0, -0.0]]]), np.zeros((4, 3, 2))]
+    for doc in arrays:
+        for level in range(5):
+            docs.append(doc)
+            doc = [doc] if level % 2 else {"m": doc}
+    docs.append(arrays)
     for doc in docs:
         assert_writes_as_json(doc)
 
