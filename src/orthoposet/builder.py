@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -39,16 +40,24 @@ def basic_pair(tau, sign=PLUS):
 class ProjectionFamily:
     """Projection matrices indexed by poset elements, with their character.
 
-    split records the two one-parameter parts the family was built from,
-    as a pair of element tuples; block_params the 2x2 offsets per layer.
+    stack holds the matrices as one (|G|, n, n) array of one dtype, in the
+    order given, and projections is a read-only mapping from each element
+    to its row of it. split records the two one-parameter parts the family
+    was built from, as a pair of element tuples; block_params the 2x2
+    offsets per layer.
     """
 
     def __init__(self, poset, character, projections, split=None, block_params=None):
+        shapes = {np.shape(m) for m in projections.values()}
+        shape = next(iter(shapes), ())
+        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
+            raise BuilderError("projections must be square matrices of one size, got %r"
+                               % (sorted(shapes),))
         self.poset = poset
         self.character = character
-        self.projections = {g: np.asarray(m) for g, m in projections.items()}
-        first = next(iter(self.projections.values()))
-        self.dimension = first.shape[0]
+        self.stack = np.array(list(projections.values()))
+        self.projections = types.MappingProxyType(dict(zip(projections, self.stack)))
+        self.dimension = shape[0]
         self.split = split
         self.block_params = block_params or {}
 
@@ -60,16 +69,15 @@ class ProjectionFamily:
             total = total + self.character[g] * self.projections[g]
         return total
 
-    def _arrays(self):
+    def to_arrays(self):
         "to_dict(), but each projection a float64 (n, n, 2) array of [re, im]"
-        cs = {g: np.asarray(m, dtype=complex) for g, m in self.projections.items()}
+        pairs = np.asarray(self.stack, complex).view(float).reshape(self.stack.shape + (2,))
         return {"dimension": int(self.dimension),
-                "projections": {g: np.stack([c.real, c.imag], axis=-1)
-                                for g, c in cs.items()},
+                "projections": dict(zip(self.projections, pairs)),
                 "character": self.character.to_dict()}
 
     def to_dict(self):
-        doc = self._arrays()
+        doc = self.to_arrays()
         doc["projections"] = {g: m.tolist() for g, m in doc["projections"].items()}
         return doc
 
@@ -94,13 +102,8 @@ class ProjectionFamily:
         missing = [g for g in poset.elements if g not in character]
         if missing:
             raise BuilderError("family character misses weights for %r" % (missing,))
-        shapes = {m.shape for m in projections.values()}
-        shape = next(iter(shapes))
-        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
-            raise BuilderError("projections must be square matrices of one size, got %r"
-                               % (sorted(shapes),))
-        projections = {g: m.real if np.all(m.imag == 0) else m
-                       for g, m in projections.items()}
+        if not any(m.imag.any() for m in projections.values()):
+            projections = {g: m.real for g, m in projections.items()}
         return cls(poset, character, projections)
 
 

@@ -58,7 +58,7 @@ def _check(fam, tol):
 
 def _family_record(fam, tol):
     report = _check(fam, tol)
-    return {"family": fam._arrays(),
+    return {"family": fam.to_arrays(),
             "verification": report.to_dict()}, report.passed
 
 

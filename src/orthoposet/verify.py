@@ -51,30 +51,9 @@ def _entry_norm(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def _stack(fam):
-    "the projections as one (|G|, n, n) array, in the dtype that holds them all"
-    return np.array(list(fam.projections.values()))
-
-
 def _max_entries(ms):
     "the largest |entry| of each matrix of the stack ms"
     return np.abs(ms).max(axis=(1, 2), initial=0.0)
-
-
-def _product_residuals(a, b, real):
-    """max |A B - A| for each pair (A, B) of the stacks a and b.
-
-    numpy takes the product of two real matrices in real arithmetic, whose
-    bits differ from the complex product's; real marks the pairs of two
-    real matrices, which are taken from the real parts of complex stacks.
-    """
-    if not np.iscomplexobj(a) or not real.any():
-        return _max_entries(a @ b - a)
-    out = np.empty(len(a))
-    for take, x, y in ((real, a.real, b.real), (~real, a, b)):
-        x = x[take]
-        out[take] = _max_entries(x @ y[take] - x)
-    return out
 
 
 def _pair_chunks(fam, pairs):
@@ -90,7 +69,7 @@ def _pair_chunks(fam, pairs):
 
 def _forced(fam, tol):
     "elements whose projection is within tol of 0 or of I"
-    ps = _stack(fam)
+    ps = fam.stack
     near = np.minimum(_max_entries(ps), _max_entries(ps - np.eye(fam.dimension))) <= tol
     return [g for g, f in zip(fam.projections, near.tolist()) if f]
 
@@ -98,40 +77,28 @@ def _forced(fam, tol):
 def check_all(fam, tol=VERIFY_TOL):
     """Residuals of every axiom plus the structural verdicts in one report.
 
-    Every residual of a projection or a relation comes from one stacked
-    (|G|, n, n) array of the projections, the order residuals
-    |P_g P_h - P_g| over the sorted relations in chunks of at most
-    FOLD_ENTRIES entries; the weighted-sum identity is checked on
-    fam.weighted_sum().
+    Every residual of a projection or a relation comes from the family's
+    (|G|, n, n) stack, the order residuals |P_g P_h - P_g| over the sorted
+    relations in chunks of at most FOLD_ENTRIES entries; the weighted-sum
+    identity is checked on fam.weighted_sum().
     """
-    residuals = _residuals(fam)
-    forced = _forced(fam, tol)
-    return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
-                              not forced and _no_equal_pair(fam, tol), forced, tol)
-
-
-def _residuals(fam):
-    "check_all's residuals; the stack is freed before commutant_dim makes its own"
-    n = fam.dimension
-    for g, p in fam.projections.items():
-        if p.shape != (n, n):
-            raise VerifierError("projection for %r has shape %r, expected %r"
-                                 % (g, p.shape, (n, n)))
-    ps = _stack(fam)
-    real = np.array([not np.iscomplexobj(p) for p in fam.projections.values()])
+    ps = fam.stack
     residuals = {}
     for g, hermitian, idempotent in zip(
             fam.projections, _max_entries(ps - ps.conj().swapaxes(1, 2)).tolist(),
-            _product_residuals(ps, ps, real).tolist()):
+            _max_entries(ps @ ps - ps).tolist()):
         residuals["hermitian[%s]" % g] = hermitian
         residuals["idempotent[%s]" % g] = idempotent
     relations = sorted(fam.poset.relations)
     order = []
     for lo, hi in _pair_chunks(fam, relations):
-        order += _product_residuals(ps[lo], ps[hi], real[lo] & real[hi]).tolist()
+        a = ps[lo]
+        order += _max_entries(a @ ps[hi] - a).tolist()
     residuals.update(zip(map("order[%s<%s]".__mod__, relations), order))
-    residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(n))
-    return residuals
+    residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(fam.dimension))
+    forced = _forced(fam, tol)
+    return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
+                              not forced and _no_equal_pair(fam, tol), forced, tol)
 
 
 def commutant_dim(fam, residual=0.0):
@@ -153,7 +120,7 @@ def commutant_dim(fam, residual=0.0):
     100 real). A system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES
     is refused.
     """
-    ps = _stack(fam)
+    ps = fam.stack
     k, n = len(ps), fam.dimension
     c = np.modf(np.arange(1, k + 1) * GOLDEN_FRACTION)[0]
     w, v = np.linalg.eigh(np.dot(c, ps.reshape(k, -1)).reshape(n, n))
@@ -236,7 +203,7 @@ def check_essential(fam, tol=VERIFY_TOL):
 
 
 def _no_equal_pair(fam, tol):
-    ps = _stack(fam)
+    ps = fam.stack
     return not any((_max_entries(ps[lo] - ps[hi]) <= tol).any()
                    for lo, hi in _pair_chunks(fam, list(fam.poset.relations)))
 

@@ -95,6 +95,28 @@ def test_family_json_round_trip():
         assert np.allclose(back.projections[g], fam.projections[g], atol=0)
 
 
+def test_family_holds_one_stack_of_one_dtype():
+    mixed = ProjectionFamily(P1, Character({"g1": 0.5, "g2": 0.5}),
+                             {"g1": np.eye(2), "g2": np.eye(2) * (1 + 0j)})
+    assert mixed.stack.shape == (2, 2, 2) and mixed.stack.dtype == np.complex128
+    assert list(mixed.projections) == ["g1", "g2"]
+    for g, row in zip(mixed.projections, mixed.stack):
+        assert mixed.projections[g].dtype == np.complex128
+        assert np.shares_memory(mixed.projections[g], mixed.stack)
+        assert np.array_equal(mixed.projections[g], row)
+    with pytest.raises(TypeError):
+        mixed.projections["g1"] = np.zeros((2, 2))
+    with pytest.raises(BuilderError, match="square matrices of one size, got \\[\\]"):
+        ProjectionFamily(P1, Character({"g1": 0.5, "g2": 0.5}), {})
+    # a document read back is real only if no entry has an imaginary part
+    real = build_quadruple_continuous((0.5,) * 4, 0.25, 1.0)
+    assert ProjectionFamily.from_dict(real.to_dict(), real.poset).stack.dtype == np.float64
+    twisted = build_quadruple_continuous((0.5,) * 4, 0.25, 1j)
+    back = ProjectionFamily.from_dict(twisted.to_dict(), twisted.poset)
+    assert back.stack.dtype == np.complex128
+    assert np.array_equal(back.stack, twisted.stack)
+
+
 def test_continuous_series_validation():
     with pytest.raises(BuilderError, match="need 2"):
         build_quadruple_continuous((0.5, 0.5, 0.5, 0.6), 0.25, 1.0)

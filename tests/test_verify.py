@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from orthoposet import cli, verify
-from orthoposet.builder import (PLUS, ProjectionFamily, basic_pair,
-                                build_from_chain)
+from orthoposet.builder import (PLUS, BuilderError, ProjectionFamily,
+                                basic_pair, build_from_chain)
 from orthoposet.chain import (ChainContext, EigenChain,
                               enumerate_irreducibles, lambda_zero_case,
                               predict, run_chain)
@@ -134,10 +134,9 @@ def test_each_defect_lands_in_its_residual():
 
 
 def test_shape_mismatch_raises():
-    fam = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
-                           {"x": np.eye(2), "y": np.eye(3)})
-    with pytest.raises(VerifierError, match="has shape"):
-        check_all(fam)
+    with pytest.raises(BuilderError, match="square matrices of one size"):
+        ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
+                         {"x": np.eye(2), "y": np.eye(3)})
 
 
 def test_commutant_dimensions():
@@ -189,9 +188,11 @@ def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
     # graph to join the summands, but the block system sees two of them
     near = direct_sum([diamond_family(0.05), diamond_family(0.05 + 1e-4)], 0)
     rng = np.random.default_rng(3)
+    perturbed = {}
     for g, p in near.projections.items():
         e = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        near.projections[g] = p + 1e-10 * (e + e.conj().T)
+        perturbed[g] = p + 1e-10 * (e + e.conj().T)
+    near = ProjectionFamily(near.poset, near.character, perturbed)
     assert commutant_dim(near) == kronecker_commutant_dim(near) == 2
     assert exact_path == [6]
 
@@ -228,6 +229,19 @@ def test_long_chain_families_verify_at_large_dimension(exact_path):
     assert fam.dimension == 251
     report = check_all(fam, 1e-10)
     assert report.passed and report.irreducible
+    # at n = 501 one copy of the family's stack is 8 MB: check_all reads
+    # the family's own stack and peaks at about 26 MB, and one more copy
+    # of it would pass the bound
+    fam = quad_families(0.501)[0]
+    assert fam.dimension == 501
+    tracemalloc.start()
+    try:
+        report = check_all(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.irreducible
+    assert peak < 30e6
     assert exact_path == []
 
 
@@ -403,7 +417,8 @@ def _reference_check_all(fam, tol):
 def cli_checked_families(monkeypatch, tmp_path, runs):
     """(family, tol) of every check_all call the CLI makes on these runs,
     each (elements, relations, weights, split, extra flags); every family
-    solve prints is also verified again from its file."""
+    solve prints is also verified again from its file, with exactly the
+    residuals solve printed for it (keys, order and bits)."""
     seen = []
     monkeypatch.setattr(cli, "check_all",
                         lambda fam, tol: seen.append((fam, tol)) or check_all(fam, tol))
@@ -423,8 +438,12 @@ def cli_checked_families(monkeypatch, tmp_path, runs):
             family = str(tmp_path / ("family-%d-%d.json" % (i, j)))
             with open(family, "w", encoding="utf-8") as fh:
                 json.dump(record["family"], fh)
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as reply:
                 assert cli.main(["verify", family, "--poset", poset]) == 0
+            got = json.loads(reply.getvalue())["residuals"]
+            want = record["verification"]["residuals"]
+            assert [(k, v.hex()) for k, v in got.items()] == \
+                [(k, v.hex()) for k, v in want.items()]
     return seen
 
 
@@ -448,8 +467,9 @@ def bit_test_families(monkeypatch, tmp_path):
                      dict(weights, z=1.25), split + ["z"], []))
     # the continuous series, complex at this phase, on the quad and on the
     # quad with a heavy loose element and a pinned chain below the first
-    # pair: solve pads each element it leaves out with a float64 zero matrix,
-    # and verify reads back every matrix without an imaginary part as real
+    # pair: solve pads each element it leaves out with a zero matrix, which
+    # the family upcasts, and verify reads the family back as real only if
+    # no entry of any matrix has an imaginary part
     half = dict.fromkeys(quad, 0.5)
     continuous = ["--c", "0.25", "--gamma", "0.6,0.8"]
     runs.append((quad, [], half, quad[:2], continuous))
@@ -458,8 +478,7 @@ def bit_test_families(monkeypatch, tmp_path):
                  ["--c", "0.2", "--gamma", "0,1"]))
     fams = cli_checked_families(monkeypatch, tmp_path, runs)
     # the forced and equal-pair fixtures, and random real and complex
-    # matrices on a chain, in the dtype each was given; at n = 20 OpenBLAS
-    # gives the real product of two real matrices other bits than the complex
+    # matrices on a chain, which the family holds as one complex stack
     rng = np.random.default_rng(35)
     mixed = {g: rng.standard_normal((20, 20)) for g in "abcd"}
     mixed["b"] = mixed["b"] + 1j * rng.standard_normal((20, 20))
@@ -476,8 +495,11 @@ def bit_test_families(monkeypatch, tmp_path):
 @pytest.mark.blas_bits
 def test_stacked_verifier_keeps_every_bit_of_the_per_matrix_loop(monkeypatch, tmp_path):
     fams = bit_test_families(monkeypatch, tmp_path)
-    kinds = {frozenset(p.dtype for p in fam.projections.values()) for fam, _ in fams}
-    assert frozenset([np.dtype(float), np.dtype(complex)]) in kinds
+    # a family holds one dtype: the float64 zero pads of a complex family
+    # are upcast, and both dtypes occur
+    kinds = [{p.dtype for p in fam.projections.values()} for fam, _ in fams]
+    assert all(kind == {fam.stack.dtype} for kind, (fam, _) in zip(kinds, fams))
+    assert set().union(*kinds) == {np.dtype(float), np.dtype(complex)}
     essential = 0
     for fam, tol in fams:
         report = check_all(fam, tol)
