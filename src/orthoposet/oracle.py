@@ -286,9 +286,6 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
     idempotence holds by construction, to rounding, and check_all checks it
     on every family a caller reads.
     """
-    # no lane, no pool: the state below is allocated before the first lane
-    if not lanes:
-        return
     els = p.elements
     k, n = len(els), cfg.dimension
     index = {g: i for i, g in enumerate(els)}
@@ -301,7 +298,7 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
     # squeeze step j maps each element with more than j parents through its
     # j-th parent
     squeezes = []
-    for j in range(max(map(len, parents))):
+    for j in range(max(map(len, parents), default=0)):
         children = [i for i in range(k) if len(parents[i]) > j]
         squeezes.append((children, [parents[i][j] for i in children]))
     # P_g P_h - P_g over every relation g < h

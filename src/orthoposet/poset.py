@@ -22,36 +22,38 @@ def _bits(mask):
         mask ^= low
 
 
-def _close(up, names):
-    """Transitive closure of per-element successor bitmasks.
-
-    Depth-first: a row is closed as the OR of its successors' closed rows,
-    so the work is one OR per given relation. Raises PosetError when an
-    element is reached again from below itself.
+def _close(up, down, names):
+    """Transitive closure of the successor and predecessor bitmasks in one
+    topological pass: an element is taken once all its successors are, and
+    its up row is then the OR of theirs, one OR per given relation; the down
+    rows close in the reverse order. If some element is never taken, a walk
+    from the first through untaken successors meets an element twice, and
+    PosetError names it and the one given directly below it on the walk.
     """
-    closed, entered = [None] * len(up), [False] * len(up)
-    stack = [(root, root) for root in range(len(up))]  # last first
-    while stack:
-        i, via = stack.pop()  # via: the element that put i on the stack
-        if closed[i] is not None:
-            continue
-        row, todo = up[i], []
+    waiting = [row.bit_count() for row in up]
+    order = [i for i, w in enumerate(waiting) if not w]
+    closed_up, closed_down = up[:], down[:]
+    for i in order:  # order grows as elements are taken
+        row = up[i]
         for j in _bits(up[i]):
-            if closed[j] is None:
-                todo.append(j)
-            else:
-                row |= closed[j]
-        if not todo:
-            closed[i] = row
-        elif entered[i]:
-            # i is open, so it lies below via, and via < i: a cycle
-            raise PosetError("cycle through %r and %r" % (names[i], names[via]))
-        else:
-            # look at i again once the successors in todo are closed
-            entered[i] = True
-            stack.append((i, via))
-            stack.extend((j, i) for j in todo)
-    return closed
+            row |= closed_up[j]
+        closed_up[i] = row
+        for j in _bits(down[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+    if len(order) < len(up):
+        i, walked = next(i for i, w in enumerate(waiting) if w), 0
+        while not walked >> i & 1:
+            walked |= 1 << i
+            below, i = i, next(j for j in _bits(up[i]) if waiting[j])
+        raise PosetError("cycle through %r and %r" % (names[i], names[below]))
+    for i in reversed(order):
+        row = down[i]
+        for j in _bits(down[i]):
+            row |= closed_down[j]
+        closed_down[i] = row
+    return closed_up, closed_down
 
 
 class Poset:
@@ -60,7 +62,7 @@ class Poset:
     The order is held as closed up/down bitmasks per element, bit j of
     _up[i] meaning elements[i] < elements[j]; the element list fixes matrix
     row ordering downstream. The constructor checks its relations and
-    closes them, once per input order; subposets, duals and disjoint unions
+    closes both directions in one pass; subposets, duals and disjoint unions
     are cut, swapped or shifted from these closed masks, with no closure of
     their own. relations (the closure) and hasse (the cover pairs) are
     frozensets of element pairs, built on first use.
@@ -80,8 +82,7 @@ class Poset:
             i, j = self._index[g], self._index[h]
             up[i] |= 1 << j
             down[j] |= 1 << i
-        self._up = _close(up, self.elements)
-        self._down = _close(down, self.elements)
+        self._up, self._down = _close(up, down, self.elements)
 
     @classmethod
     def _from_masks(cls, elements, up, down):

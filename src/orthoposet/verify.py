@@ -78,9 +78,10 @@ def check_all(fam, tol=VERIFY_TOL):
     """Residuals of every axiom plus the structural verdicts in one report.
 
     Every residual of a projection or a relation comes from the family's
-    (|G|, n, n) stack, the order residuals |P_g P_h - P_g| over the sorted
-    relations in chunks of at most FOLD_ENTRIES entries; the weighted-sum
-    identity is checked on fam.weighted_sum().
+    (|G|, n, n) stack; one walk over the sorted relations, FOLD_ENTRIES
+    entries at a time, takes the order residuals |P_g P_h - P_g| and the
+    essential verdict's |P_g - P_h| <= tol. The weighted-sum identity is
+    checked on fam.weighted_sum().
     """
     ps = fam.stack
     residuals = {}
@@ -90,15 +91,16 @@ def check_all(fam, tol=VERIFY_TOL):
         residuals["hermitian[%s]" % g] = hermitian
         residuals["idempotent[%s]" % g] = idempotent
     relations = sorted(fam.poset.relations)
-    order = []
+    order, equal = [], False
     for lo, hi in _pair_chunks(fam, relations):
-        a = ps[lo]
-        order += _max_entries(a @ ps[hi] - a).tolist()
+        a, b = ps[lo], ps[hi]
+        order += _max_entries(a @ b - a).tolist()
+        equal = equal or (_max_entries(a - b) <= tol).any()
     residuals.update(zip(map("order[%s<%s]".__mod__, relations), order))
     residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(fam.dimension))
     forced = _forced(fam, tol)
     return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
-                              not forced and _no_equal_pair(fam, tol), forced, tol)
+                              not forced and not equal, forced, tol)
 
 
 def commutant_dim(fam, residual=0.0):
@@ -165,10 +167,10 @@ def _components(adjacent):
 def _block_singular_values(b, label):
     """Singular values of X -> ([X, B_g])_g over X block-diagonal by label.
 
-    A system of at most FOLD_ENTRIES entries takes one SVD. A larger one is
-    built FOLD_ENTRIES at a time, in rows t = g n + i of the [X, B_g], and
-    each block is folded into the triangle R of a QR decomposition under
-    the blocks before it; the SVD of R gives the same singular values.
+    The system is built about FOLD_ENTRIES entries at a time, in one block
+    when it has no more, in rows t = g n + i of the [X, B_g], and each block
+    is folded into the triangle R of a QR decomposition under the blocks
+    before it; the SVD of R gives the system's singular values.
     """
     n = len(label)
     rows, cols = np.nonzero(label[:, None] == label)
@@ -191,21 +193,13 @@ def _block_singular_values(b, label):
         t, k = np.nonzero(i[:, None] == rows)
         block[t, :, k] = b[g[t], cols[k], :]
         block[:, cols, unknowns] -= b[g[:, None], i[:, None], rows]
-        if step >= len(b) * n:
-            return np.linalg.svd(system, compute_uv=False)
         r = np.linalg.qr(system, mode="r")
     return np.linalg.svd(r, compute_uv=False)
 
 
 def check_essential(fam, tol=VERIFY_TOL):
-    """No projection near 0 or I, no comparable pair of equal projections."""
-    return not _forced(fam, tol) and _no_equal_pair(fam, tol)
-
-
-def _no_equal_pair(fam, tol):
-    ps = fam.stack
-    return not any((_max_entries(ps[lo] - ps[hi]) <= tol).any()
-                   for lo, hi in _pair_chunks(fam, list(fam.poset.relations)))
+    """check_all(fam, tol).essential: no P_g near 0 or I, no P_g near P_h for g < h."""
+    return check_all(fam, tol).essential
 
 
 def spectrum_match(fam, chain, tol=VERIFY_TOL):

@@ -148,6 +148,38 @@ def test_constructor_rejects_bad_input():
         Poset(["x"], [("x", "q")])
 
 
+def ring(names):
+    return list(zip(names, names[1:] + names[:1]))
+
+
+LONG_RING = ["c%05d" % i for i in range(2000)]
+
+
+@pytest.mark.parametrize("elements, relations, cycle", [
+    (["x", "y"], ring(["x", "y"]), {"x", "y"}),
+    (["x", "y", "z"], ring(["x", "y", "z"]), {"x", "y", "z"}),
+    # the walk starts below the ring, at t, and enters it halfway round
+    (["t"] + LONG_RING, [("t", "c01000")] + ring(LONG_RING), set(LONG_RING)),
+], ids=["2-cycle", "3-cycle", "2000-ring-with-a-tail"])
+def test_a_cycle_is_named_by_a_given_relation_on_it(elements, relations, cycle):
+    with pytest.raises(PosetError) as info:
+        Poset(elements, relations)
+    upper, lower = re.fullmatch(r"cycle through '(\w+)' and '(\w+)'",
+                                str(info.value)).groups()
+    assert {upper, lower} <= cycle
+    assert (lower, upper) in relations
+
+
+def test_a_long_ring_is_refused_in_linear_time():
+    # a walk that kept the elements it passed in a list, and looked each
+    # new one up in it, would take quadratic time here
+    names = ["r%05d" % i for i in range(20000)]
+    t0 = time.perf_counter()
+    with pytest.raises(PosetError, match="^cycle through "):
+        Poset(names, ring(names))
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_up_down_sets():
     assert DIAMOND.up_set("a") == frozenset({"b", "c", "d"})
     assert DIAMOND.down_set("d") == frozenset({"a", "b", "c"})

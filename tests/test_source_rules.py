@@ -154,3 +154,28 @@ def test_no_function_calls_itself():
             if node.name in calls:
                 bad.append("%s %s calls itself" % (where(path, node), node.name))
     assert not bad, bad
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # x._name, not a dunder and with x not self or cls, is read only in a
+    # module that defines _name itself: as a def, a class, an assigned name
+    # or an assigned attribute
+    bad = []
+    for path in PACKAGE:
+        nodes = list(ast.walk(tree_of(path)))
+        own = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        own |= {node.attr for node in nodes
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        own |= {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        for node in nodes:
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            name, owner = node.attr, node.value
+            if (name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                    and not (isinstance(owner, ast.Name) and owner.id in ("self", "cls"))
+                    and name not in own):
+                bad.append("%s reads %s, which its module does not define"
+                           % (where(path, node), name))
+    assert not bad, bad

@@ -139,6 +139,7 @@ def test_shape_mismatch_raises():
                          {"x": np.eye(2), "y": np.eye(3)})
 
 
+@pytest.mark.blas_bits
 def test_commutant_dimensions():
     tau = 0.3
     fam = ProjectionFamily(PAIR, Character({"x": 1.0, "y": 1.0}),
@@ -168,6 +169,7 @@ def test_commutant_matches_the_svd_on_built_families(exact_path):
     assert exact_path == []
 
 
+@pytest.mark.blas_bits
 def test_commutant_of_conjugated_direct_sums(exact_path):
     small = quad_families(0.6) + quad_families(0.625) + quad_families(0.5 + 1.0 / 6)
     assert [f.dimension for f in small] == [3, 3, 3, 3, 5, 2, 2]
@@ -182,6 +184,7 @@ def test_commutant_of_conjugated_direct_sums(exact_path):
     assert commutant_dim(fam) == kronecker_commutant_dim(fam) == 5
 
 
+@pytest.mark.blas_bits
 def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
     # F (+) F' with F' a nearby, non-isomorphic family, coupled at 1e-10: the
     # coupling turns A's eigenvectors by about 1e-6, enough for an unguarded
@@ -197,6 +200,7 @@ def test_commutant_rejects_a_near_reducible_coupling_graph(exact_path):
     assert exact_path == [6]
 
 
+@pytest.mark.blas_bits
 def test_commutant_sees_a_coupling_the_axioms_cannot():
     # Q(phi) projects onto (cos phi, sin phi). At theta = 0 the family is
     # I, Q(0), I - Q(0), Q(0): reducible. Turned by theta = 1e-6 it couples
@@ -255,6 +259,7 @@ def test_ladder_families_pass_at_the_default_tolerance_at_large_dimension():
             assert report.passed and report.commutant_dim == 1, (k, report.max_residual)
 
 
+@pytest.mark.blas_bits
 def test_block_system_refuses_above_its_bound():
     # F (+) F (+) F at n = 189: 63 clusters of 3 give 4 * 189^2 * 567 entries
     big = quad_families(0.504)[0]
@@ -266,6 +271,7 @@ def test_block_system_refuses_above_its_bound():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.blas_bits
 def test_exact_path_still_answers_at_n_42():
     # 21 clusters of two eigenvalues: a block system of 4 * 42^2 * 84 entries
     small = quad_families(0.525)[0]
@@ -273,9 +279,10 @@ def test_exact_path_still_answers_at_n_42():
     assert commutant_dim(direct_sum([small, small], 1)) == 4
 
 
+@pytest.mark.blas_bits
 def test_block_system_folds_in_row_blocks(monkeypatch):
     # F (+) F at n = 42, built two (g, i) at a time and folded into R, gives
-    # the singular values of the one SVD
+    # the singular values of the system folded as one block
     small = quad_families(0.525)[0]
     fam = direct_sum([small, small], 1)
     systems, folds = [], []
@@ -293,7 +300,10 @@ def test_block_system_folds_in_row_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", fold)
     assert commutant_dim(fam) == 4
     direct = [solve(b, label) for b, label in systems]
-    assert folds == []
+    # at the default bound each system is one block and takes one QR; the
+    # line above folds each once more
+    assert folds == [(4 * 42 * 42, 84)] * (2 * len(systems))
+    folds.clear()
     monkeypatch.setattr(verify, "FOLD_ENTRIES", 2 ** 12)
     for (b, label), want in zip(systems, direct):
         got = solve(b, label)
@@ -302,6 +312,7 @@ def test_block_system_folds_in_row_blocks(monkeypatch):
     assert commutant_dim(fam) == 4
 
 
+@pytest.mark.blas_bits
 def test_block_system_answers_a_threefold_summand_at_n_63(exact_path):
     small = quad_families(0.525)[0]
     fam = direct_sum([small, small, small], 2)
@@ -316,6 +327,7 @@ def test_block_system_answers_a_threefold_summand_at_n_63(exact_path):
     assert exact_path == [63] * 3
 
 
+@pytest.mark.blas_bits
 def test_commutant_of_repeated_non_isomorphic_summands():
     # F^a (+) G^b with F, G non-isomorphic has commutant M_a (+) M_b
     small = quad_families(0.6) + quad_families(0.625) + quad_families(0.5 + 1.0 / 6)
@@ -344,6 +356,8 @@ def test_forced_elements_and_essentiality():
 
     fam3, _ = three_point_family()
     assert check_essential(fam3)
+    for f, tol in itertools.product((fam, equal, fam3), (1e-8, verify.VERIFY_TOL)):
+        assert check_essential(f, tol) == check_all(f, tol).essential
 
 
 def test_check_all_finds_the_forced_elements_once(monkeypatch):
@@ -418,7 +432,8 @@ def cli_checked_families(monkeypatch, tmp_path, runs):
     """(family, tol) of every check_all call the CLI makes on these runs,
     each (elements, relations, weights, split, extra flags); every family
     solve prints is also verified again from its file, with exactly the
-    residuals solve printed for it (keys, order and bits)."""
+    residuals solve printed for it (keys, order and bits); and on each,
+    check_essential gives check_all's verdict at 1e-8 and at VERIFY_TOL."""
     seen = []
     monkeypatch.setattr(cli, "check_all",
                         lambda fam, tol: seen.append((fam, tol)) or check_all(fam, tol))
@@ -444,6 +459,9 @@ def cli_checked_families(monkeypatch, tmp_path, runs):
             want = record["verification"]["residuals"]
             assert [(k, v.hex()) for k, v in got.items()] == \
                 [(k, v.hex()) for k, v in want.items()]
+    for fam, _ in seen:
+        for tol in (1e-8, verify.VERIFY_TOL):
+            assert check_essential(fam, tol) == check_all(fam, tol).essential
     return seen
 
 
