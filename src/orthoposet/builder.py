@@ -134,20 +134,19 @@ def _layout(values, delta, tol):
 
 
 class _PartPlan:
-    """Per-layer assembly data: pair block offsets and singleton branch choices."""
+    """Per-layer assembly data: pair block offsets, and as the branch choices
+    at each discrete coordinate the part's up-sets whose weight, summed in
+    element order, lies within 10 tol of the coordinate."""
 
     def __init__(self, part, chi, delta, values, tol):
         self.part = part
-        self.chi = chi
         dec = decompose(part)
         self.pair = dec.blocks[dec.pair_index] if dec.pair_index is not None else None
         self.singles, self.blocks = _layout(values, delta, tol)
         self.params = [restore_epsilon(delta, values[i], tol) for i, _ in self.blocks]
         self.choices = {}
-        up_sets = part.up_sets()
         for i in self.singles:
-            fits = [u for u in up_sets
-                    if abs(sum(chi[g] for g in u) - values[i]) <= 10 * tol]
+            fits = part.up_sets(chi, values[i], 10 * tol)
             if not fits:
                 raise BuilderError("no up-set of %r has weight %r"
                                    % (list(part.elements), values[i]))
@@ -241,17 +240,12 @@ def build_quadruple_continuous(alphas, c, gamma, tol=DEFAULT_TOL,
                             dict(zip(names, matrices)), split=parts)
 
 
-def _top_singleton_weights(part, chi):
-    "weights of the singleton blocks above the pair, bottom-to-top"
-    dec = decompose(part)
-    return [chi[b[0]] for b in dec.blocks[dec.pair_index + 1:]]
-
-
 def lift_to_catalog(target, chain):
     """Every family of a chain on the named catalog poset.
 
     The chain must come from a context whose parts union to the target
-    poset, and its ends must have the target's shape.
+    poset (for a2 and a6, the part with elements above its pair first),
+    and its ends must have the target's shape.
     """
     ctx = chain.context
     if target not in ("a2", "a4", "a6"):
@@ -265,7 +259,11 @@ def lift_to_catalog(target, chain):
     d1, d2 = ctx.delta1, ctx.delta2
     a1, a2 = d1.pair_weights
     a3, a4 = d2.pair_weights
-    tops1 = _top_singleton_weights(ctx.part1, ctx.chi1)
+    dec = decompose(ctx.part1)
+    tops1 = [ctx.chi1[b[0]] for b in dec.blocks[dec.pair_index + 1:]]  # above the pair
+    if not tops1 and target != "a4":
+        raise BuilderError("first part %r has nothing above its pair; not a %s shape"
+                           % (list(ctx.part1.elements), target))
     if target == "a2":
         a5 = tops1[0]
         ok = (chain.termination == DISCRETE_IN_DELTA1

@@ -228,23 +228,15 @@ def pinned_set(p, chi, tol=DEFAULT_TOL):
 def enumerate_dim1(p, chi, tol=DEFAULT_TOL):
     """All 0/1 solutions: indicator vectors of up-sets with unit weight.
 
-    Pinned elements are listed only as singletons. The up-sets of the rest
-    come from a walk that drops a branch once what it took weighs more than
-    1 + 2 tol, or all it can still take weighs less than 1 - 2 tol (each
-    widened by the sums' rounding), so its work follows the up-sets near
-    unit weight, not all of them; each set it keeps is then summed again
-    and tested at tol.
+    Pinned elements are listed only as singletons; the other up-sets are
+    those of the rest whose weight, summed in element order, is 1 within tol.
     """
     pinned = pinned_set(p, chi, tol)
     rest = p.induced(g for g in p.elements if g not in pinned)
-    weights = [chi[g] for g in rest.elements]
-    # past 2 tol, room for rounding: the walk's running sums and the final
-    # sum may differ by up to about 4 |G| ulps of the total
-    slack = 2 * tol + 4 * len(weights) * sum(weights) * 2 ** -52
-    ups = rest.up_sets(weights, 1.0 - slack, 1.0 + slack)
-    ups += [frozenset([g]) for g in pinned if not p.up_set(g)]
-    return sorted(tuple(1 if g in u else 0 for g in p.elements) for u in ups
-                  if abs(sum(chi[g] for g in u) - 1.0) <= tol)
+    ups = rest.up_sets(chi, 1.0, tol)
+    ups += [frozenset([g]) for g in pinned
+            if not p.up_set(g) and abs(chi[g] - 1.0) <= tol]
+    return sorted(tuple(1 if g in u else 0 for g in p.elements) for u in ups)
 
 
 @dataclasses.dataclass(eq=False)

@@ -141,33 +141,41 @@ class Poset:
                                  [squeeze(self._up[i]) for i in kept],
                                  [squeeze(self._down[i]) for i in kept])
 
-    def up_sets(self, weights=None, low=-math.inf, high=math.inf):
+    def up_sets(self, weights=None, target=0.0, tol=math.inf):
         """Upward-closed subsets, as frozensets, in 0/1 product-scan order.
 
         Depth-first over the elements, "out" before "in"; taking an element
         takes its up-set and leaving it out drops its down-set, so every
         branch ends in an up-set, and each branch point is the first element
-        still undecided. With weights, one per element in element order and
-        none negative, a branch stops once what it took weighs more than
-        high or all it can still take weighs less than low, so the walk
-        costs in proportion to the up-sets near [low, high], not to all of
-        them. Its sums are running ones: a caller that needs a set's exact
-        weight sums it again.
+        still undecided. With weights, a mapping from elements to weights,
+        none negative, it keeps the up-sets whose weight, summed in element
+        order, lies within tol of target; a branch stops once what it took
+        weighs more than target + tol, or all it can still take weighs less
+        than target - tol, each widened by the running sums' rounding, so
+        the walk costs in proportion to the up-sets near target. Without
+        weights every up-set is listed and nothing is summed.
         """
         everything, result = (1 << len(self.elements)) - 1, []
+        if weights is not None:
+            weights = [weights[g] for g in self.elements]
 
         def weight(mask):
             return sum(weights[j] for j in _bits(mask)) if weights else 0.0
 
+        total = weight(everything)
+        # the running sums and a set's element-order sum differ by at most
+        # about 4 |G| ulps of the total
+        slack = tol + 4 * len(self.elements) * total * 2 ** -52
         # (taken mask, left-out mask, weight taken, weight still undecided)
-        stack = [(0, 0, 0.0, weight(everything))]
+        stack = [(0, 0, 0.0, total)]
         while stack:
             take, drop, took, left = stack.pop()
-            if took > high or took + left < low:
+            if took > target + slack or took + left < target - slack:
                 continue
             undecided = everything & ~(take | drop)
             if not undecided:
-                result.append(self._names(take))
+                if abs(weight(take) - target) <= tol:
+                    result.append(self._names(take))
                 continue
             bit = undecided & -undecided
             i = bit.bit_length() - 1

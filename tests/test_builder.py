@@ -191,6 +191,23 @@ def test_lift_rejects_wrong_shapes():
         lift_to_catalog("a2", fake)
 
 
+def test_lift_rejects_the_bare_pair_as_first_part():
+    # a2 and a6 read the weights above the first part's pair, and a bare
+    # pair has none
+    bare, chi = Poset(["g3", "g4"]), Character({"g3": 0.1, "g4": 0.5})
+    ctx = ChainContext(bare, chi, DIAMOND, Character({"g1": 0.7, "g2": 0.7, "g5": 0.9}))
+    [chain] = enumerate_irreducibles(ctx)
+    assert chain.dimension == 1
+    with pytest.raises(BuilderError, match=r"first part \['g3', 'g4'\] .* not a a2 shape"):
+        lift_to_catalog("a2", chain)
+    tower = Poset(["g1", "g2", "g5", "g6"], [("g1", "g5"), ("g2", "g5"), ("g5", "g6")])
+    ctx = ChainContext(bare, chi, tower,
+                       Character({"g1": 0.7, "g2": 0.7, "g5": 0.9, "g6": 0.3}))
+    fake = EigenChain([0.0], [1.0], DISCRETE_IN_DELTA1, ctx)
+    with pytest.raises(BuilderError, match=r"first part \['g3', 'g4'\] .* not a a6 shape"):
+        lift_to_catalog("a6", fake)
+
+
 def test_dualize_requires_excess_weight():
     fam = ProjectionFamily(Poset(["g1"], []), Character({"g1": 1.0}),
                            {"g1": np.eye(1)})

@@ -392,6 +392,29 @@ def test_solve_on_two_long_chains_lists_only_unit_weight_up_sets(tmp_path, capsy
     assert record["family"]["projections"] == dict.fromkeys(elements, [[[1.0, 0.0]]])
 
 
+def test_unit_weight_at_zero_tolerance_does_not_follow_the_hash_seed(tmp_path):
+    # 0.1 + 0.2 + 0.7 is 1.0 in element order but 0.9999999999999999 in
+    # others, so a sum in set order decided the 0/1 solution by the seed
+    poset = write_json(tmp_path, "p.json", {"elements": ["a", "b", "c"], "relations": []})
+    character = write_json(tmp_path, "c.json", {"weights": {"a": 0.1, "b": 0.2, "c": 0.7}})
+    args = ["--poset", poset, "--character", character, "--split", "a", "--tol", "1e-17"]
+    replies = {}
+    for command in (["solve"], ["oracle", "--dims", "1", "--restarts", "2"]):
+        for hash_seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=str(Path(cli.__file__).parent.parent))
+            done = subprocess.run([sys.executable, "-m", "orthoposet"] + command + args,
+                                  env=env, capture_output=True, text=True)
+            replies.setdefault(command[0], set()).add(
+                (done.returncode, done.stdout, done.stderr))
+    [(code, out, _)] = replies["solve"]
+    assert code == EXIT_OK
+    assert [r["family"]["dimension"] for r in json.loads(out)["families"]] == [1]
+    [(code, out, _)] = replies["oracle"]
+    assert code == EXIT_OK
+    assert json.loads(out)["agree"]
+
+
 def solve_families_verify_on_input(tmp_path, capsys, elements, relations,
                                    weights, split, extra=()):
     """Run solve, then verify every family it prints against the input poset.

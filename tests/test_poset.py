@@ -194,6 +194,37 @@ def test_up_sets_of_chain():
     assert frozenset({"1", "3"}) not in ups
 
 
+TENTHS_AND_EIGHTHS = [k / 10 for k in range(1, 11)] + [k / 8 for k in range(1, 9)]
+
+
+@seed(14)
+@given(picks=st.lists(st.integers(min_value=0, max_value=14), max_size=10),
+       weights=st.lists(st.sampled_from(TENTHS_AND_EIGHTHS), min_size=6, max_size=6),
+       n=st.integers(min_value=1, max_value=6),
+       tol=st.sampled_from([0.0, 1e-12, 0.05]))
+def test_weighted_up_sets_keep_the_element_order_sums_near_target(picks, weights, n, tol):
+    p = random_dag(["e%d" % i for i in range(n)], picks)
+    chi = dict(zip(p.elements, weights))
+    listing = ref_up_sets(p)
+    assert p.up_sets() == listing
+    assert p.up_sets(chi) == listing
+
+    def weight(u):
+        return sum(chi[g] for g in p.elements if g in u)
+
+    for w in sorted({weight(u) for u in listing}):
+        for target in (w, w - tol / 2, w + tol / 2, w - 2 * tol, w + 2 * tol):
+            assert p.up_sets(chi, target, tol) == [
+                u for u in listing if abs(weight(u) - target) <= tol]
+
+
+def test_weighted_up_sets_sum_in_element_order():
+    # 0.1 + 0.2 + 0.7 is 1.0, 0.7 + 0.2 + 0.1 is 0.9999999999999999
+    chi = {"a": 0.1, "b": 0.2, "c": 0.7}
+    assert Poset(["a", "b", "c"]).up_sets(chi, 1.0, 0.0) == [frozenset("abc")]
+    assert Poset(["c", "b", "a"]).up_sets(chi, 1.0, 0.0) == []
+
+
 def test_induced_subposet():
     q = DIAMOND.induced(["a", "d"])
     assert q.elements == ("a", "d")
