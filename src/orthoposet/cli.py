@@ -11,7 +11,6 @@ import numpy as np
 from .builder import (BuilderError, ProjectionFamily, build_from_chain,
                       build_quadruple_continuous)
 from .chain import NoRepresentation, predict
-from .oracle import SearchConfig, cross_validate_split
 from .poset import Poset, decompose, essential_catalog_match, width
 from .spectrum import DEFAULT_TOL, Character, delta_of
 from .verify import VERIFY_TOL, check_all
@@ -122,12 +121,16 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
+    # imported here, so that no other command compiles or holds the oracle
+    from . import oracle
     p = _load(args.poset, Poset.from_dict)
     chi = _load(args.character, Character.from_dict)
-    cfg = SearchConfig(args.dims[0], restarts=args.restarts,
-                       max_iterations=args.iterations, seed=args.seed)
-    return cross_validate_split(p, chi, args.split.split(","), args.dims, cfg,
-                                args.tol).to_dict(), EXIT_OK
+    # a setting left out of argv keeps SearchConfig's default
+    given = {key: value for key, value in vars(args).items()
+             if key in ("restarts", "max_iterations", "seed")}
+    cfg = oracle.SearchConfig(args.dims[0], **given)
+    return oracle.cross_validate_split(p, chi, args.split.split(","), args.dims,
+                                       cfg, args.tol).to_dict(), EXIT_OK
 
 
 def cmd_verify(args):
@@ -137,21 +140,27 @@ def cmd_verify(args):
 
 
 def _parse_dims(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        dims = range(int(lo), int(hi) + 1)
-    else:
-        dims = tuple(int(x) for x in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            dims = range(int(lo), int(hi) + 1)
+        else:
+            dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is neither a range such as 1..4 nor a list such as 1,3" % (text,))
     if not dims:
         raise argparse.ArgumentTypeError("%r names no dimension" % (text,))
     return dims
 
 
 def _parse_gamma(text):
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(float(text), 0.0)
+    try:
+        # RE or RE,IM; a third part is a TypeError
+        return complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            "%r is neither RE nor RE,IM, such as 1 or 0.6,0.8" % (text,))
 
 
 def _pad(level):
@@ -193,12 +202,14 @@ def _pairs(a, level, layouts):
 
 
 def _dumps(obj):
-    """json.dumps(obj, indent=2, default=np.ndarray.tolist), byte for byte.
+    """json.dumps(obj, indent=2, default=np.ndarray.tolist), byte for byte,
+    as the list of its pieces: joined, they are that text.
 
     CPython runs its pure-Python encoder whenever indent is set, and a solve
     reply is almost all arrays of [re, im] floats (a family's projections).
     So json writes the reply with a placeholder string for each array, and
-    each array is written in one piece at its placeholder's depth.
+    each array is written in one piece at its placeholder's depth. The
+    pieces are not joined, so a reply is held once, not again as one string.
     """
     arrays = []
 
@@ -212,7 +223,7 @@ def _dumps(obj):
     parts = json.dumps(obj, indent=2, default=stash).split('"\\u0000"')
     if len(parts) != len(arrays) + 1:
         # a string or a key of obj reads as the placeholder too
-        return json.dumps(obj, indent=2, default=np.ndarray.tolist)
+        return [json.dumps(obj, indent=2, default=np.ndarray.tolist)]
     layouts, pieces = {}, [parts[0]]
     for a, part in zip(arrays, parts[1:]):
         # a line break in json's text is always structure, never in a string
@@ -223,12 +234,17 @@ def _dumps(obj):
             text = json.dumps(a.tolist(), indent=2, default=np.ndarray.tolist
                               ).replace("\n", _pad(level))
         pieces += [text, part]
-    return "".join(pieces)
+    return pieces
 
 
 def _print(report, fmt):
     if fmt == "json":
-        sys.stdout.write(_dumps(report) + "\n")
+        # the whole reply is made before any of it is written, so a reply
+        # json cannot write prints nothing; the newline goes on the last
+        # piece, json's closing text, so a reply with no array is one write
+        pieces = _dumps(report)
+        pieces[-1] += "\n"
+        sys.stdout.writelines(pieces)
         return
     for key, value in report.items():
         if isinstance(value, (list, dict)):
@@ -277,9 +293,11 @@ def build_parser():
     sub.add_argument("--character", required=True)
     sub.add_argument("--split", required=True)
     sub.add_argument("--dims", type=_parse_dims, default=(1, 2, 3, 4))
-    sub.add_argument("--restarts", type=int, default=SearchConfig.restarts)
-    sub.add_argument("--iterations", type=int, default=SearchConfig.max_iterations)
-    sub.add_argument("--seed", type=int, default=SearchConfig.seed)
+    # absent unless given: SearchConfig holds the defaults
+    sub.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--iterations", type=int, dest="max_iterations",
+                     metavar="ITERATIONS", default=argparse.SUPPRESS)
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     _add_common(sub, cmd_oracle)
 
     sub = subs.add_parser("verify", help="re-verify an emitted family file")

@@ -853,6 +853,63 @@ def test_oracle_rejects_empty_dimension_range(tmp_path, capsys):
     assert "names no dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--dims", "1,x"],
+     "argument --dims: '1,x' is neither a range such as 1..4 nor a list such as 1,3"),
+    (["oracle", "--dims", "1..x"],
+     "argument --dims: '1..x' is neither a range such as 1..4 nor a list such as 1,3"),
+    (["solve", "--gamma", "abc"],
+     "argument --gamma: 'abc' is neither RE nor RE,IM, such as 1 or 0.6,0.8"),
+    (["solve", "--gamma", "1,2,3"],
+     "argument --gamma: '1,2,3' is neither RE nor RE,IM, such as 1 or 0.6,0.8"),
+], ids=["dims-list", "dims-range", "gamma-word", "gamma-triple"])
+def test_malformed_dims_and_gamma_name_the_accepted_forms(tmp_path, capsys, argv,
+                                                          message):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--poset", poset, "--character", character, "--split", "g1,g2"])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.endswith(": error: %s\n" % message) and "_parse" not in err
+
+
+def test_oracle_leaves_search_settings_it_is_not_given_to_search_config(tmp_path, capsys):
+    # no search at d = 1: no 0/1 ranks weigh 1 at 0.6 each
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    argv = ["oracle", "--poset", poset, "--character", character, "--split",
+            "g1,g2", "--dims", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    config = json.loads(out)["config"]
+    assert (config["restarts"], config["max_iterations"], config["seed"]) == (64, 5000, 0)
+    assert config == dataclasses.asdict(oracle.SearchConfig(1))
+    code, out, _ = run(capsys, argv + ["--iterations", "7"])
+    assert json.loads(out)["config"] == dataclasses.asdict(
+        oracle.SearchConfig(1, max_iterations=7))
+
+
+def test_only_the_oracle_command_loads_the_oracle(tmp_path):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import orthoposet.cli as cli",
+        "loaded = ['orthoposet.oracle' in sys.modules]",
+        "for command in (['solve'], ['oracle', '--dims', '1']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = cli.main(command + sys.argv[1:])",
+        "    loaded.append((code, 'orthoposet.oracle' in sys.modules))",
+        "print(loaded)"])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script, "--poset", poset,
+                           "--character", character, "--split", "g1,g2"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[False, (0, False), (0, True)]\n"
+
+
 @pytest.mark.parametrize("weight, dims", [(0.6, "3"), (0.7, "1")])
 def test_oracle_rejects_a_negative_seed(tmp_path, capsys, weight, dims):
     # at 0.7 and dimension 1 no lane runs, so numpy never sees the seed
@@ -1219,7 +1276,7 @@ def random_array(rng):
 
 
 def assert_writes_as_json(doc):
-    "_dumps(doc) is json.dumps's text for doc, or fails as json.dumps does"
+    "_dumps(doc)'s pieces join to json.dumps's text for doc, or fail as it does"
     try:
         text = json.dumps(doc, indent=2, default=np.ndarray.tolist)
     except TypeError:
@@ -1227,7 +1284,9 @@ def assert_writes_as_json(doc):
         with pytest.raises(TypeError):
             _dumps(doc)
         return
-    assert _dumps(doc) == text, doc
+    pieces = _dumps(doc)
+    assert all(isinstance(piece, str) for piece in pieces), doc
+    assert "".join(pieces) == text, doc
 
 
 def random_document(rng, depth=0):
@@ -1336,6 +1395,50 @@ def test_solve_prints_json_dumps_of_its_report(tmp_path, capsys, weight, extra,
         text = run(capsys, argv + ["--format", "text"])[1]
         line = "families: %s" % json.dumps(json.loads(out)["families"])
         assert line in text.splitlines()
+
+
+class CountingSink:
+    "a stdout that counts the characters written to it and keeps none"
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_solve_holds_its_reply_once(tmp_path):
+    # quad 1/2 + 1/256: one family of dimension 129, a 5 MB reply. Building,
+    # verifying and writing it peaked at 2.52x the reply when the reply was
+    # joined into one string and copied again with its newline, and at 1.78x
+    # with its pieces written in turn (the same ratios as at dimension 513)
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", {"weights": {
+        g: 0.5 + 1.0 / 256 for g in ANTICHAIN4["elements"]}})
+    argv = ["solve", "--poset", poset, "--character", character, "--split",
+            "g1,g2", "--max-dim", "129"]
+    # a first run, untraced, for what the first run of a process loads
+    with contextlib.redirect_stdout(CountingSink()):
+        main(argv)
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert sink.chars > 4e6
+    assert peak < 2 * sink.chars, peak / sink.chars
 
 
 def test_solve_records_a_chain_the_builder_rejects(tmp_path, capsys, monkeypatch):
