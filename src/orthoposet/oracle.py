@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -64,6 +65,18 @@ class SearchConfig:
             raise OracleError("rank_profile entries must be integers in 0..dimension")
 
 
+@functools.lru_cache(maxsize=16)
+def _order(p):
+    """p's order as a read-only (k, k) boolean matrix, less[i, j] when
+    element i < element j; a listing's filters all read one copy."""
+    index = {g: i for i, g in enumerate(p.elements)}
+    less = np.zeros((len(index), len(index)), dtype=bool)
+    for g, h in p.relations:
+        less[index[g], index[h]] = True
+    less.flags.writeable = False
+    return less
+
+
 def rank_profiles(p, chi, dimension):
     """Monotone rank profiles with the exact weighted trace, as the rows of
     an (m, k) integer array in scan order: nearest the trace, then by ranks.
@@ -73,33 +86,38 @@ def rank_profiles(p, chi, dimension):
     everything else cannot carry a representation and is pruned. Rank
     prefixes grow one element at a time and are dropped as soon as they
     break monotonicity or can no longer reach the trace. A grid that would
-    pass MAX_PROFILE_ROWS raises OracleError before it is allocated.
+    pass MAX_PROFILE_ROWS raises OracleError before it is allocated, the
+    dimension + 1 ranks of the first element included.
     """
     els = p.elements
     k = len(els)
     w = np.array([chi[g] for g in els])
+    less = _order(p).tolist()
     # reach[j]: the most that elements j, j + 1, ... can still add
     reach = dimension * np.append(np.cumsum(w[::-1])[::-1], 0.0)
-    values = np.arange(dimension + 1, dtype=np.min_scalar_type(dimension))
-    grid = np.zeros((1, 0), dtype=values.dtype)
+    grid = np.zeros((1, k), dtype=np.min_scalar_type(dimension))
     partial = np.zeros(1)
-    for j, g in enumerate(els):
-        rows = len(grid)
-        if rows * (dimension + 1) > MAX_PROFILE_ROWS:
+    for j in range(k):
+        if len(grid) * (dimension + 1) > MAX_PROFILE_ROWS:
             raise OracleError(
                 "rank profiles of %d elements at dimension %d need more than "
                 "%d grid rows" % (k, dimension, MAX_PROFILE_ROWS))
-        grid = np.hstack([np.repeat(grid, dimension + 1, axis=0),
-                          np.tile(values, rows)[:, None]])
-        partial = np.repeat(partial, dimension + 1) + w[j] * grid[:, j]
-        keep = ((partial <= dimension + 2 * PROFILE_SLACK)
-                & (partial + reach[j + 1] >= dimension - 2 * PROFILE_SLACK))
-        for i in range(j):
-            if p.less(els[i], g):
-                keep &= grid[:, i] <= grid[:, j]
-            elif p.less(g, els[i]):
-                keep &= grid[:, j] <= grid[:, i]
-        grid, partial = grid[keep], partial[keep]
+        # each prefix, one row, extended by each rank of element j, one column
+        values = np.arange(dimension + 1.0)
+        sums = partial[:, None] + w[j] * values
+        keep = ((sums <= dimension + 2 * PROFILE_SLACK)
+                & (sums + reach[j + 1] >= dimension - 2 * PROFILE_SLACK))
+        # monotone: no rank below those of the earlier elements below j,
+        # none above those of the earlier elements above j
+        below = [i for i in range(j) if less[i][j]]
+        above = [i for i in range(j) if less[j][i]]
+        if below:
+            keep &= grid[:, below].max(axis=1)[:, None] <= values
+        if above:
+            keep &= values <= grid[:, above].min(axis=1)[:, None]
+        rows, ranks = np.nonzero(keep)
+        grid, partial = grid[rows], sums[keep]
+        grid[:, j] = ranks
     slack = np.abs(grid @ w - dimension)
     keep = slack <= PROFILE_SLACK
     grid, slack = grid[keep], slack[keep]
@@ -121,7 +139,7 @@ def trace_feasible(p, chi, profiles, dimension):
     k = len(els)
     r = np.asarray(profiles, dtype=float).reshape(-1, k)
     w = np.array([chi[g] for g in els])
-    less = np.array([[p.less(g, h) for h in els] for g in els], dtype=bool)
+    less = _order(p)
     comparable = less | less.T | np.eye(k, dtype=bool)
     ok = np.ones(len(r), dtype=bool)
     for i in range(k):
@@ -186,11 +204,12 @@ def orbit_first(p, chi, profiles, dimension):
     els = p.elements
     k = len(els)
     r = np.array(profiles, dtype=np.intp).reshape(len(profiles), k)
+    less = _order(p)
     # the weights sum to 2 up to their rounding
     mirror = not p.relations and abs(math.fsum(chi[g] for g in els) - 2) <= k * 2 ** -52
     classes = {}
     for i, g in enumerate(els):
-        classes.setdefault((chi[g], p.up_set(g), p.down_set(g)), []).append(i)
+        classes.setdefault((chi[g], less[i].tobytes(), less[:, i].tobytes()), []).append(i)
     twins = [c for c in classes.values() if len(c) > 1]
     names = [r, dimension - r] if mirror else [r]
     for name, c in itertools.product(names, twins):
@@ -200,19 +219,30 @@ def orbit_first(p, chi, profiles, dimension):
         lo, hi = names
         first = (lo != hi).argmax(axis=1)[:, None]
         r = np.where(np.take_along_axis(hi < lo, first, axis=1), hi, lo)
+    first_row = {}
+    for i, name in enumerate(map(tuple, r.tolist())):
+        first_row.setdefault(name, i)
     keep = np.zeros(len(r), dtype=bool)
-    keep[np.unique(r, axis=0, return_index=True)[1]] = True
+    keep[list(first_row.values())] = True
     return keep
 
 
-def _random_projection(rng, n, rank):
-    if rank == 0:
-        return np.zeros((n, n), dtype=complex)
-    if rank == n:
-        return np.eye(n, dtype=complex)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q = np.linalg.qr(z)[0][:, :rank]
-    return q @ q.conj().T
+def _start(rng, n, ranks):
+    """A lane's first flat state: P_g is 0 at rank 0, I at rank n, and
+    else Q Q* with Q the first rank_g columns of the QR factor of a complex
+    Gaussian matrix. One draw holds the real and the imaginary part of each
+    such matrix, in element order, and one stacked QR factors them all."""
+    ranks = np.asarray(ranks)
+    start = np.zeros((len(ranks), n, n), dtype=complex)
+    start[ranks == n] = np.eye(n)
+    mid = np.flatnonzero((ranks > 0) & (ranks < n))
+    if len(mid):
+        z = rng.standard_normal((len(mid), 2, n, n))
+        q = np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0]
+        for i, qi in zip(mid, q):
+            v = qi[:, :ranks[i]]
+            start[i] = v @ v.conj().T
+    return start.ravel().view(float)
 
 
 def _lane(cfg, start):
@@ -349,7 +379,7 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
 
     pool = []  # (scan index, ranks, lane, the point it asks for)
     done = {}  # exits of lanes that the scan has not reached yet
-    source = itertools.product(range(cfg.restarts), lanes)
+    total = cfg.restarts * len(lanes)
     started = scanned = 0
     changed = True
     while True:
@@ -361,14 +391,11 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
             # the caller passed this lane by, so the search goes on
             width = min(2 * width, LANE_POOL)
             scanned += 1
-        while len(pool) < width:
-            nxt = next(source, None)
-            if nxt is None:
-                break
-            restart, (pidx, ranks) = nxt
-            rng = np.random.default_rng([cfg.seed, pidx, restart])
-            lane = _lane(cfg, np.stack([_random_projection(rng, n, r)
-                                        for r in ranks]).ravel().view(float))
+        while len(pool) < width and started < total:
+            restart, entry = divmod(started, len(lanes))
+            pidx, ranks = lanes[entry]
+            lane = _lane(cfg, _start(np.random.default_rng([cfg.seed, pidx, restart]),
+                                     n, ranks))
             pool.append((started, ranks, lane, next(lane)))
             started += 1
             changed = True
@@ -493,7 +520,8 @@ class CrossValidation:
         self.agree = all(r["agree"] for r in self.rows)
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        return {"rows": [dict(row) for row in self.rows],
+                "config": dataclasses.asdict(self.config), "agree": self.agree}
 
 
 def _spectrum_matched(pred, eigs, predicted):

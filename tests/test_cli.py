@@ -686,6 +686,65 @@ def test_oracle_refuses_an_oversized_profile_grid(tmp_path, capsys):
     assert peak < 100e6
 
 
+# runs main in a fresh interpreter and prints [exit code, peak RSS in kB,
+# stdout]; the peak is the kernel's VmHWM, as ru_maxrss would count the
+# peak of the process that spawned it too
+MEASURED = "\n".join([
+    "import contextlib, io, json, sys",
+    "import orthoposet.cli as cli",
+    "out = io.StringIO()",
+    "with contextlib.redirect_stdout(out):",
+    "    code = cli.main(sys.argv[1:])",
+    "with open('/proc/self/status', encoding='ascii') as fh:",
+    "    peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))",
+    "print(json.dumps([code, peak, out.getvalue()]))"])
+
+
+def run_measured(argv):
+    """(exit code, stdout, stderr, peak RSS in MB, wall seconds) of main(argv)
+    in a child process of its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", MEASURED] + argv,
+                          env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    assert done.returncode == 0, done.stderr
+    code, peak_kb, out = json.loads(done.stdout)
+    return code, out, done.stderr, peak_kb / 1024, seconds
+
+
+@pytest.mark.parametrize("dims", ["50000000", str(10 ** 20)])
+def test_oracle_refuses_the_first_element_of_an_oversized_grid(tmp_path, dims):
+    # the grid's first element alone has dims + 1 ranks: 200 MB of them at
+    # 5e7, and past numpy's largest array at 1e20
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    code, out, err, peak_mb, _ = run_measured(
+        ["oracle", "--poset", poset, "--character", character, "--split", "g1,g2",
+         "--dims", dims])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == ("error: rank profiles of 4 elements at dimension %s need more "
+                   "than 4194304 grid rows\n" % dims)
+    assert peak_mb < 100
+
+
+@pytest.mark.parametrize("restarts", [10 ** 7, 10 ** 23 - 1])
+def test_oracle_without_lanes_takes_any_restart_count(tmp_path, restarts):
+    # quad 0.6 lists no rank profile at dimension 2, so no lane starts and
+    # no restart is counted out
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    character = write_json(tmp_path, "c.json", ALL_SIX_TENTHS)
+    code, out, err, peak_mb, seconds = run_measured(
+        ["oracle", "--poset", poset, "--character", character, "--split", "g1,g2",
+         "--dims", "2", "--restarts", str(restarts)])
+    assert (code, err) == (EXIT_OK, "")
+    reply = json.loads(out)
+    assert reply["rows"] == [{"dimension": 2, "theory": False, "oracle": False,
+                              "agree": True, "spectrum_matched": None}]
+    assert reply["config"]["restarts"] == restarts
+    assert peak_mb < 100 and seconds < 5.0
+
+
 def test_oracle_refuses_a_search_over_the_lane_budget(tmp_path, capsys):
     # two 6-element chains at weights 1/4: 495 of 116,532 rank profiles at
     # dimension 8 pass the trace identity, 31,680 lanes at 64 restarts

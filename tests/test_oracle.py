@@ -17,8 +17,8 @@ from orthoposet.chain import (ChainContext, NoRepresentation, enumerate_dim1,
 from orthoposet.cli import _on_input
 from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                PROFILE_SLACK, STALL_FACTOR, STALL_WINDOW,
-                               OracleError, SearchConfig, _random_projection,
-                               _run_lanes, _spectrum_matched, cross_validate,
+                               OracleError, SearchConfig, _run_lanes, _start,
+                               _spectrum_matched, cross_validate,
                                cross_validate_split, norm_feasible,
                                orbit_first, rank_profiles, search_numeric,
                                trace_feasible)
@@ -360,6 +360,42 @@ def test_orbit_first_keeps_one_copy_of_a_repeated_profile():
     assert orbit_first(QUAD, chi, profiles, 1).tolist() == [True, True, False]
 
 
+def test_orbit_first_keeps_the_first_row_of_each_name():
+    # rows in no order and with repeats: a row is kept exactly when no
+    # earlier row has its name, its ranks sorted within each class of
+    # twins and, on an antichain of weight 2, the lesser of the names of
+    # r and dimension - r
+    rng = random.Random(7)
+    chain_and_twins = Poset(QUAD.elements, [("g1", "g2")])
+    halves = Character({g: 0.5 for g in QUAD.elements})
+    cases = [(QUAD, halves, [[0, 1, 2, 3]], True),
+             (QUAD, POINT_SIX, [[0, 1, 2, 3]], False),
+             (QUAD, ZERO_CAP, [], True),
+             (chain_and_twins, halves, [[2, 3]], False)]
+    dropped = 0
+    for p, chi, twins, mirror in cases:
+        for d in (2, 3):
+            rows = [tuple(rng.randint(0, d) for _ in range(4)) for _ in range(60)]
+
+            def name(ranks):
+                ranks = list(ranks)
+                for c in twins:
+                    for i, r in zip(c, sorted(ranks[i] for i in c)):
+                        ranks[i] = r
+                return tuple(ranks)
+
+            seen, want = set(), []
+            for ranks in rows:
+                key = name(ranks)
+                if mirror:
+                    key = min(key, name(d - r for r in ranks))
+                want.append(key not in seen)
+                seen.add(key)
+            assert orbit_first(p, chi, rows, d).tolist() == want, (p, chi, d)
+            dropped += want.count(False)
+    assert dropped >= 200, dropped
+
+
 @pytest.mark.parametrize("a, b", [(0.3719, 0.6143), (0.7268, 0.4537)])
 @pytest.mark.blas_bits
 def test_lanes_search_one_complement_of_each_zero_cap_pair(a, b):
@@ -561,6 +597,33 @@ POOL_CASES = {
                 Character({"g1": 0.1, "g2": 0.1, "g3": 0.2, "g4": 0.6,
                            "g5": 0.3}), 3),
 }
+
+
+def _random_projection(rng, n, rank):
+    """One element's start as the one-lane loop drew it: its own two
+    Gaussian draws, its own QR and its own product."""
+    if rank == 0:
+        return np.zeros((n, n), dtype=complex)
+    if rank == n:
+        return np.eye(n, dtype=complex)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(z)[0][:, :rank]
+    return q @ q.conj().T
+
+
+@pytest.mark.blas_bits
+def test_stacked_start_matches_the_per_element_start():
+    # one draw and one stacked QR over the elements of rank strictly
+    # between 0 and n give each element the bits of its own draws and QR
+    cases = 0
+    for n in range(1, 9):
+        for ranks in itertools.product(range(n + 1), repeat=3):
+            rng = np.random.default_rng([n, *ranks])
+            want = np.stack([_random_projection(rng, n, r) for r in ranks])
+            got = _start(np.random.default_rng([n, *ranks]), n, np.array(ranks))
+            assert got.tobytes() == want.tobytes(), (n, ranks)
+            cases += 1
+    assert cases == sum((n + 1) ** 3 for n in range(1, 9)) == 2024
 
 
 def _reference_lane(p, chi, ranks, rng, cfg):
