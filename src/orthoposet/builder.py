@@ -27,6 +27,11 @@ def basic_pair(tau, sign=PLUS):
     the same tau has a diagonal weighted sum. The offset may be negative:
     block parameters sweep the whole open interval (-1, 1).
     """
+    return _write_pair(np.zeros((2, 2)), 0, tau, sign)
+
+
+def _write_pair(m, i, tau, sign):
+    "write basic_pair(tau, sign) into m[i:i + 2, i:i + 2] entry by entry; return m"
     if sign not in (PLUS, MINUS):
         raise BuilderError("sign must be %r or %r" % (PLUS, MINUS))
     if not -1.0 < tau < 1.0:
@@ -34,7 +39,10 @@ def basic_pair(tau, sign=PLUS):
     off = math.sqrt(1.0 - tau * tau) / 2.0
     if sign == MINUS:
         off = -off
-    return np.array([[(1.0 + tau) / 2.0, off], [off, (1.0 - tau) / 2.0]])
+    m[i, i] = (1.0 + tau) / 2.0
+    m[i, i + 1] = m[i + 1, i] = off
+    m[i + 1, i + 1] = (1.0 - tau) / 2.0
+    return m
 
 
 class ProjectionFamily:
@@ -161,9 +169,9 @@ class _PartPlan:
         m = np.zeros((n, n))
         for (i, j), (e1, e2) in zip(self.blocks, self.params):
             if g == self.pair[0]:
-                m[i:j + 1, i:j + 1] = basic_pair(e1, PLUS)
+                _write_pair(m, i, e1, PLUS)
             elif g == self.pair[1]:
-                m[i:j + 1, i:j + 1] = basic_pair(e2, MINUS)
+                _write_pair(m, i, e2, MINUS)
             elif self.part.less(self.pair[0], g):
                 m[i, i] = m[j, j] = 1.0
         for i in self.singles:

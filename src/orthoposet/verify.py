@@ -1,6 +1,7 @@
 """Numerical certification: axioms, irreducibility, essentiality, spectra."""
 
 import dataclasses
+import math
 import operator
 
 import numpy as np
@@ -119,28 +120,32 @@ def commutant_dim(fam, residual=0.0):
     can only undercount, so the join gap grows tenfold while the count is
     uncertain: while the graph's edges below 100 tau ||A|| / gap, the accuracy
     of A's eigenvectors, change it, or a singular value lies in (real,
-    100 real). A system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES
-    is refused.
+    100 real). The second graph is counted only when some coupling lies
+    between real and its threshold; otherwise the two graphs are one. A
+    system of |G| n^2 sum m_i^2 entries above MAX_STACK_ENTRIES is refused.
     """
     ps = fam.stack
     k, n = len(ps), fam.dimension
-    c = np.modf(np.arange(1, k + 1) * GOLDEN_FRACTION)[0]
+    c = [math.modf(i * GOLDEN_FRACTION)[0] for i in range(1, k + 1)]
     w, v = np.linalg.eigh(np.dot(c, ps.reshape(k, -1)).reshape(n, n))
-    scale = np.max(np.abs(w))
+    # eigh sorts ascending, so the largest |w| is at one end
+    scale = max(-float(w[0]), float(w[-1]))
     tau = NULLSPACE_RTOL * scale
-    real = max(tau, RESIDUAL_COUPLING * np.sqrt(residual) * scale)
+    real = max(tau, RESIDUAL_COUPLING * math.sqrt(residual) * scale)
     b = v.conj().T @ ps @ v
     gaps = np.diff(w)
-    merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else np.inf
+    merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else math.inf
     label = np.zeros(n, dtype=np.intp)
     while True:
         np.cumsum(gaps > merge, out=label[1:])
         if label[-1] == n - 1:
             coupling = np.max(np.abs(b), axis=0)
             coupling = np.maximum(coupling, coupling.T)
-            count = _components(coupling > real)
-            certain = count == _components(coupling > max(
-                real, 100 * tau * scale / np.min(gaps, initial=np.inf)))
+            adjacent = coupling > real
+            count = _components(adjacent)
+            strict = max(real, 100 * tau * scale / float(gaps.min(initial=math.inf)))
+            certain = (not (adjacent & (coupling <= strict)).any()
+                       or count == _components(coupling > strict))
         else:
             s = _block_singular_values(b, label)
             count = int(np.sum(s <= real))
@@ -152,15 +157,29 @@ def commutant_dim(fam, residual=0.0):
 
 
 def _components(adjacent):
-    """Connected components of the graph with this symmetric adjacency."""
-    unseen = np.ones(len(adjacent), dtype=bool)
+    """Connected components of the graph with this symmetric adjacency.
+
+    Row i is packed once into a Python int whose bit j is adjacent[i, j],
+    and a breadth-first walk takes each front as one mask.
+    """
+    n = len(adjacent)
+    packed = np.packbits(adjacent, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+    unseen = (1 << n) - 1
     count = 0
-    while unseen.any():
+    while unseen:
         count += 1
-        front = np.flatnonzero(unseen)[:1]
-        while len(front):
-            unseen[front] = False
-            front = np.flatnonzero(adjacent[front].any(axis=0) & unseen)
+        front = unseen & -unseen
+        while front:
+            unseen &= ~front
+            reach = 0
+            while front:
+                low = front & -front
+                reach |= rows[low.bit_length() - 1]
+                front ^= low
+            front = reach & unseen
     return count
 
 

@@ -87,6 +87,27 @@ def test_build_rejects_a_continuous_value_without_its_reflection():
         build_from_chain(unreflected)
 
 
+def test_build_rejects_a_discrete_value_that_no_up_set_weighs():
+    # Delta1 comes from weights 0.6, 0.6, so 1.2 is one of its discrete
+    # points; the character changed after it, and no up-set weighs 1.2 now
+    ctx = quad_context(0.6, 0.6, 0.6, 0.6)
+    ctx.chi1 = Character({"g1": 0.6, "g2": 0.7})
+    chain = EigenChain([1.2], [0.0], DISCRETE_IN_DELTA1, ctx)
+    with pytest.raises(BuilderError, match=r"no up-set of \['g1', 'g2'\] has weight 1.2"):
+        build_from_chain(chain)
+
+
+def test_pair_blocks_hold_the_bits_of_basic_pair():
+    ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
+    for fam in build_from_chain(ch):
+        # one pair block per layer: at coordinates 1, 2 of the lambdas and
+        # 0, 1 of the mus
+        for g, sign, k, at in [("g1", PLUS, "p", 1), ("g2", MINUS, "q", 1),
+                               ("g3", PLUS, "r", 0), ("g4", MINUS, "s", 0)]:
+            block = fam.projections[g][at:at + 2, at:at + 2]
+            assert np.array_equal(block, basic_pair(fam.block_params[k][0], sign))
+
+
 def test_family_json_round_trip():
     ch = run_chain(quad_context(0.6, 0.6, 0.6, 0.6), 0.0)
     fam = build_from_chain(ch)[0]

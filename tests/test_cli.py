@@ -1080,6 +1080,28 @@ def test_validation_errors(tmp_path, capsys):
     assert code == EXIT_VALIDATION and "missing weight" in err
 
 
+def test_python_m_runs_main_and_exits_with_its_code(tmp_path, capsys):
+    poset = write_json(tmp_path, "p.json", ANTICHAIN4)
+    six = write_json(tmp_path, "six.json", ALL_SIX_TENTHS)
+    low = write_json(tmp_path, "low.json", {"weights": dict.fromkeys(ANTICHAIN4["elements"], 0.2)})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    codes = []
+    for argv in (["solve", "--poset", poset, "--character", six, "--split", "g1,g2"],
+                 ["solve", "--poset", poset, "--character", low, "--split", "g1,g2"],
+                 ["classify", "--poset", str(tmp_path / "missing.json")],
+                 ["classify", "--no-such-option"]):
+        done = subprocess.run([sys.executable, "-m", "orthoposet"] + argv,
+                              env=env, capture_output=True, text=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+        codes.append(code)
+    assert codes == [EXIT_OK, EXIT_NO_REPRESENTATION, EXIT_VALIDATION, EXIT_VALIDATION]
+
+
 def test_load_reads_utf8_whatever_the_locale(tmp_path):
     poset = tmp_path / "p.json"
     poset.write_bytes(json.dumps({"elements": ["\u00e9", "b"], "relations": []},

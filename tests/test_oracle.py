@@ -765,67 +765,95 @@ def test_lanes_match_the_one_lane_loop_at_dimension_16():
             assert np.abs(proj @ proj - proj).max() < 1e-13
 
 
-def _lane_answers(p, chi, cfg, lanes):
+def _lane_answers(p, outcomes):
     """((pidx, restart), (exit, bytes of the projections or None)) of every
-    lane, in scan order."""
-    return [((out.pidx, out.restart), (out.exit, _bits(p, out.family)))
-            for out in _run_lanes(p, chi, cfg, lanes)]
+    outcome, in scan order."""
+    return [((out.pidx, out.restart), (out.exit, _bits(p, out.family))) for out in outcomes]
+
+
+def _pool_config(case, **kw):
+    return SearchConfig(dimension=POOL_CASES[case][2], restarts=2, **kw)
+
+
+@pytest.fixture(scope="module")
+def lane_stream():
+    """lane_stream(case, cfg, width) iterates over the outcomes of _run_lanes
+    over _lanes of POOL_CASES[case] at LANE_POOL = width. Each stream runs
+    once per module, as far as its readers read it."""
+    read, rest = {}, {}
+
+    def stream(case, cfg, width=LANE_POOL):
+        key = (case, cfg, width)
+        if key not in read:
+            p, chi, _ = POOL_CASES[case]
+            read[key], rest[key] = [], _run_lanes(p, chi, cfg, _lanes(p, chi, cfg))
+        outcomes = read[key]
+        for i in itertools.count():
+            if i == len(outcomes):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(oracle, "LANE_POOL", width)
+                    out = next(rest[key], None)
+                if out is None:
+                    return
+                outcomes.append(out)
+            yield outcomes[i]
+
+    return stream
 
 
 @pytest.mark.blas_bits
-def test_pool_size_does_not_change_answers(monkeypatch):
-    searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
-                for p, chi, d in POOL_CASES.values()]
-    want = [_lane_answers(*search, _lanes(*search)) for search in searches]
-    assert max(map(len, want)) > LANE_POOL
+def test_pool_size_does_not_change_answers(lane_stream):
+    want = {case: _lane_answers(POOL_CASES[case][0], lane_stream(case, _pool_config(case)))
+            for case in POOL_CASES}
+    assert max(map(len, want.values())) > LANE_POOL
     for pool in (1, 3):
-        monkeypatch.setattr(oracle, "LANE_POOL", pool)
-        for search, answers in zip(searches, want):
-            assert _lane_answers(*search, _lanes(*search)) == answers, pool
-
-
-def _searched_lanes(p, chi, cfg):
-    """{(pidx, restart): (exit, bytes of the projections or None)} of every
-    lane that search_numeric lists, each run to its end."""
-    lanes = oracle._lanes(p, chi, cfg)[-1]
-    assert lanes, "the search starts no lane"
-    return dict(_lane_answers(p, chi, cfg, lanes))
+        for case, answers in want.items():
+            got = lane_stream(case, _pool_config(case), pool)
+            assert _lane_answers(POOL_CASES[case][0], got) == answers, pool
 
 
 @pytest.mark.blas_bits
-def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch):
-    searches = [(p, chi, SearchConfig(dimension=d, restarts=2))
-                for p, chi, d in POOL_CASES.values()]
-    kept = [_searched_lanes(*search) for search in searches]
+def test_twin_first_keeps_the_bits_of_every_kept_lane(monkeypatch, lane_stream):
+    # kept: the lanes search_numeric lists, each run to its end; every: the
+    # lanes it lists without the orbit filter, read from the stream over all
+    # the lanes that pass the trace identity
+    kept = {}
+    for case, (p, chi, _) in POOL_CASES.items():
+        cfg = _pool_config(case)
+        lanes = oracle._lanes(p, chi, cfg)[-1]
+        assert lanes, "the search starts no lane"
+        kept[case] = dict(_lane_answers(p, _run_lanes(p, chi, cfg, lanes)))
     monkeypatch.setattr(oracle, "orbit_first",
                         lambda p, chi, profiles, dimension: np.ones(len(profiles), dtype=bool))
     dropped = 0
-    for search, lanes in zip(searches, kept):
-        every = _searched_lanes(*search)
-        assert lanes.items() <= every.items(), search
+    for case, lanes in kept.items():
+        p, chi, _ = POOL_CASES[case]
+        cfg = _pool_config(case)
+        answers = dict(_lane_answers(p, lane_stream(case, cfg)))
+        every = {(pidx, restart): answers[pidx, restart] for restart in range(cfg.restarts)
+                 for pidx, _ in oracle._lanes(p, chi, cfg)[-1]}
+        assert lanes.items() <= every.items(), case
         dropped += len(every) - len(lanes)
     assert dropped >= 20, dropped
 
 
-def _serial_search(monkeypatch, p, chi, cfg):
+def _serial_search(lane_stream, case, cfg):
     """(family, lanes scanned) of the first outcome that passes, in a pool
     of one lane at a time."""
     scanned = 0
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "LANE_POOL", 1)
-        for scanned, out in enumerate(_run_lanes(p, chi, cfg, _lanes(p, chi, cfg)), 1):
-            if _passes(out):
-                return out.family, scanned
+    for scanned, out in enumerate(lane_stream(case, cfg, 1), 1):
+        if _passes(out):
+            return out.family, scanned
     return None, scanned
 
 
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 @pytest.mark.blas_bits
-def test_search_matches_a_serial_scan(monkeypatch, case):
+def test_search_matches_a_serial_scan(lane_stream, case):
     p, chi, d = POOL_CASES[case]
     for iterations in (2000, 60):
         cfg = SearchConfig(dimension=d, restarts=2, max_iterations=iterations)
-        want, _ = _serial_search(monkeypatch, p, chi, cfg)
+        want, _ = _serial_search(lane_stream, case, cfg)
         got = search_numeric(p, chi, cfg)
         assert (got is None) == (want is None), iterations
         for g in p.elements if got else ():
@@ -833,10 +861,10 @@ def test_search_matches_a_serial_scan(monkeypatch, case):
 
 
 @pytest.mark.blas_bits
-def test_search_takes_a_winner_past_a_full_pool(monkeypatch):
-    p, chi, d = POOL_CASES["quad-half-d2"]
-    cfg = SearchConfig(dimension=d, restarts=2)
-    want, scanned = _serial_search(monkeypatch, p, chi, cfg)
+def test_search_takes_a_winner_past_a_full_pool(lane_stream):
+    p, chi, _ = POOL_CASES["quad-half-d2"]
+    cfg = _pool_config("quad-half-d2")
+    want, scanned = _serial_search(lane_stream, "quad-half-d2", cfg)
     assert scanned > LANE_POOL and commutant_dim(want) == 1
     got = search_numeric(p, chi, cfg)
     for g in p.elements:

@@ -158,6 +158,44 @@ def test_commutant_dimensions():
     assert commutant_dim(skew) == kronecker_commutant_dim(skew) == 2
 
 
+def plain_components(adjacent):
+    "components of a symmetric adjacency matrix by a breadth-first walk, vertex by vertex"
+    seen, count = set(), 0
+    for start in range(len(adjacent)):
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            queue = [start]
+            for i in queue:
+                for j in np.flatnonzero(adjacent[i]).tolist():
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+    return count
+
+
+def test_bitmask_components_match_a_plain_walk():
+    rng = np.random.default_rng(5)
+    sizes = (1, 2, 7, 8, 9, 63, 64, 65, 130, 200)
+    # n = 1, and rows of one byte, of several, and past one 64-bit word
+    for n in sizes:
+        # edgeless: n components; complete: one
+        assert verify._components(np.zeros((n, n), dtype=bool)) == n
+        assert verify._components(np.ones((n, n), dtype=bool)) == 1
+    graphs = []
+    for n in sizes:
+        # around 1/n, where a random graph has many components of many sizes
+        for p in (0.3 / n, 1.0 / n, 2.0 / n, 0.2):
+            upper = np.triu(rng.random((n, n)) < p)
+            graphs.append(upper | upper.T)
+        # complete blocks under a random relabelling: one component each
+        label = rng.integers(0, 6, n)
+        graphs.append(label[:, None] == label)
+    counts = [verify._components(a) for a in graphs]
+    assert counts == [plain_components(a) for a in graphs]
+    assert len(set(counts)) > 20
+
+
 def test_commutant_matches_the_svd_on_built_families(exact_path):
     dims = []
     for k in range(4, 41):
