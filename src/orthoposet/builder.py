@@ -48,17 +48,17 @@ def _write_pair(m, i, tau, sign):
 class ProjectionFamily:
     """Projection matrices indexed by poset elements, with their character.
 
-    stack holds the matrices as one (|G|, n, n) array of one dtype, in the
-    order given, and projections is a read-only mapping from each element
-    to its row of it. split records the two one-parameter parts the family
-    was built from, as a pair of element tuples; block_params the 2x2
-    offsets per layer.
+    stack holds the matrices, n >= 1, as one (|G|, n, n) array of one
+    dtype, in the order given, and projections is a read-only mapping from
+    each element to its row of it. split records the two one-parameter
+    parts the family was built from, as a pair of element tuples;
+    block_params the 2x2 offsets per layer.
     """
 
     def __init__(self, poset, character, projections, split=None, block_params=None):
         shapes = {np.shape(m) for m in projections.values()}
         shape = next(iter(shapes), ())
-        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
+        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
             raise BuilderError("projections must be square matrices of one size, got %r"
                                % (sorted(shapes),))
         self.poset = poset

@@ -69,10 +69,8 @@ class SearchConfig:
 def _order(p):
     """p's order as a read-only (k, k) boolean matrix, less[i, j] when
     element i < element j; a listing's filters all read one copy."""
-    index = {g: i for i, g in enumerate(p.elements)}
-    less = np.zeros((len(index), len(index)), dtype=bool)
-    for g, h in p.relations:
-        less[index[g], index[h]] = True
+    less = np.zeros((len(p.elements), len(p.elements)), dtype=bool)
+    less[p.relation_index] = True
     less.flags.writeable = False
     return less
 
@@ -205,8 +203,8 @@ def orbit_first(p, chi, profiles, dimension):
     k = len(els)
     r = np.array(profiles, dtype=np.intp).reshape(len(profiles), k)
     less = _order(p)
-    # the weights sum to 2 up to their rounding
-    mirror = not p.relations and abs(math.fsum(chi[g] for g in els) - 2) <= k * 2 ** -52
+    # an antichain, whose weights sum to 2 up to their rounding
+    mirror = not less.any() and abs(math.fsum(chi[g] for g in els) - 2) <= k * 2 ** -52
     classes = {}
     for i, g in enumerate(els):
         classes.setdefault((chi[g], less[i].tobytes(), less[:, i].tobytes()), []).append(i)
@@ -332,8 +330,7 @@ def _run_lanes(p, chi, cfg, lanes, width=1):
         children = [i for i in range(k) if len(parents[i]) > j]
         squeezes.append((children, [parents[i][j] for i in children]))
     # P_g P_h - P_g over every relation g < h
-    lo, hi = np.array([(index[g], index[h]) for g, h in p.relations],
-                      dtype=np.intp).reshape(-1, 2).T
+    lo, hi = p.relation_index
 
     def sweep(y, full, mid, groups):
         """Projections after one pass from the flat states y, and their residuals.

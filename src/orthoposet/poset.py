@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 
+import numpy as np
+
 CHAIN_TAME = "ChainTame"
 TWO_WIDTH_TAME = "TwoWidthTame"
 ONE_PARAMETER = "OneParameter"
@@ -64,8 +66,8 @@ class Poset:
     row ordering downstream. The constructor checks its relations and
     closes both directions in one pass; subposets, duals and disjoint unions
     are cut, swapped or shifted from these closed masks, with no closure of
-    their own. relations (the closure) and hasse (the cover pairs) are
-    frozensets of element pairs, built on first use.
+    their own. relation_index (the closure in name order), relations (its
+    set of element pairs) and hasse (the cover pairs) are built on first use.
     """
 
     def __init__(self, elements, relations=()):
@@ -94,10 +96,25 @@ class Poset:
         return p
 
     @functools.cached_property
+    def relation_index(self):
+        """The closure as read-only intp arrays (lo, hi), one entry per relation
+        elements[lo[k]] < elements[hi[k]], in the order of sorted(relations):
+        the up masks row by row in name order, each row's bits in name order."""
+        k = len(self.elements)
+        by_name = np.array(sorted(range(k), key=self.elements.__getitem__), dtype=np.intp)
+        rows = []
+        for i in by_name.tolist():
+            bits = np.frombuffer(self._up[i].to_bytes((k + 7) // 8, "little"), np.uint8)
+            rows.append(by_name[np.unpackbits(bits, count=k, bitorder="little")[by_name] == 1])
+        lo = np.repeat(by_name, [len(row) for row in rows])
+        hi = np.concatenate([by_name[:0]] + rows)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
+    @functools.cached_property
     def relations(self):
-        els = self.elements
-        return frozenset((els[i], els[j]) for i, mask in enumerate(self._up)
-                         for j in _bits(mask))
+        els, (lo, hi) = self.elements, self.relation_index
+        return frozenset(zip(map(els.__getitem__, lo.tolist()), map(els.__getitem__, hi.tolist())))
 
     @functools.cached_property
     def hasse(self):
@@ -215,8 +232,9 @@ class Poset:
         return cls(elements, [tuple(pair) for pair in relations])
 
     def to_dict(self):
-        return {"elements": list(self.elements),
-                "relations": [list(p) for p in sorted(self.relations)]}
+        els, (lo, hi) = self.elements, self.relation_index
+        return {"elements": list(els),
+                "relations": [[els[i], els[j]] for i, j in zip(lo.tolist(), hi.tolist())]}
 
 
 class ChainDecomposition:
@@ -344,13 +362,10 @@ def disjoint_union(p1, p2):
 
 def is_isomorphic(p, q):
     "brute-force bijection search; meant for small posets"
-    if len(p.elements) != len(q.elements) or len(p.relations) != len(q.relations):
-        return False
-
     def profile(r):
         return sorted((u.bit_count(), d.bit_count()) for u, d in zip(r._up, r._down))
 
-    if profile(p) != profile(q):
+    if len(p.elements) != len(q.elements) or profile(p) != profile(q):
         return False
     for perm in itertools.permutations(q.elements):
         m = dict(zip(p.elements, perm))
@@ -396,8 +411,6 @@ def generate_posets(n):
     Every candidate is relabeled n! ways, so n above 7 is refused before
     any work, as is a negative n; n = 7 takes about a second.
     """
-    import numpy as np
-
     if n < 0:
         raise PosetError("generate_posets(%d): n must be non-negative" % n)
     if n > 7:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
@@ -48,24 +47,9 @@ class VerificationReport:
                 "tol": self.tol, "passed": self.passed}
 
 
-def _entry_norm(m):
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
 def _max_entries(ms):
-    "the largest |entry| of each matrix of the stack ms"
-    return np.abs(ms).max(axis=(1, 2), initial=0.0)
-
-
-def _pair_chunks(fam, pairs):
-    """Index arrays (lo, hi) into fam's stack for the pairs (g, h) in order,
-    as many pairs at a time as hold FOLD_ENTRIES matrix entries (at least one)."""
-    at = {g: i for i, g in enumerate(fam.projections)}.__getitem__
-    step = max(1, FOLD_ENTRIES // max(1, fam.dimension ** 2))
-    for start in range(0, len(pairs), step):
-        chunk = pairs[start:start + step]
-        yield (np.fromiter(map(at, map(operator.itemgetter(0), chunk)), np.intp, len(chunk)),
-               np.fromiter(map(at, map(operator.itemgetter(1), chunk)), np.intp, len(chunk)))
+    "the largest |entry| of the matrix ms, or of each matrix of the stack ms"
+    return np.abs(ms).max(axis=(-2, -1), initial=0.0)
 
 
 def _forced(fam, tol):
@@ -79,7 +63,7 @@ def check_all(fam, tol=VERIFY_TOL):
     """Residuals of every axiom plus the structural verdicts in one report.
 
     Every residual of a projection or a relation comes from the family's
-    (|G|, n, n) stack; one walk over the sorted relations, FOLD_ENTRIES
+    (|G|, n, n) stack; one walk over the poset's relation_index, FOLD_ENTRIES
     entries at a time, takes the order residuals |P_g P_h - P_g| and the
     essential verdict's |P_g - P_h| <= tol. The weighted-sum identity is
     checked on fam.weighted_sum().
@@ -91,14 +75,19 @@ def check_all(fam, tol=VERIFY_TOL):
             _max_entries(ps @ ps - ps).tolist()):
         residuals["hermitian[%s]" % g] = hermitian
         residuals["idempotent[%s]" % g] = idempotent
-    relations = sorted(fam.poset.relations)
+    els, (lo, hi) = fam.poset.elements, fam.poset.relation_index
+    at = {g: i for i, g in enumerate(fam.projections)}
+    row = np.array([at[g] for g in els], dtype=np.intp)  # poset index -> stack row
+    step = max(1, FOLD_ENTRIES // fam.dimension ** 2)
     order, equal = [], False
-    for lo, hi in _pair_chunks(fam, relations):
-        a, b = ps[lo], ps[hi]
+    for start in range(0, len(lo), step):
+        a, b = ps[row[lo[start:start + step]]], ps[row[hi[start:start + step]]]
         order += _max_entries(a @ b - a).tolist()
         equal = equal or (_max_entries(a - b) <= tol).any()
-    residuals.update(zip(map("order[%s<%s]".__mod__, relations), order))
-    residuals["orthoscalar"] = _entry_norm(fam.weighted_sum() - np.eye(fam.dimension))
+    names = np.array(els, dtype=object)  # so that no int is made per relation
+    pairs = zip(names[lo].tolist(), names[hi].tolist())
+    residuals.update(zip(map("order[%s<%s]".__mod__, pairs), order))
+    residuals["orthoscalar"] = float(_max_entries(fam.weighted_sum() - np.eye(fam.dimension)))
     forced = _forced(fam, tol)
     return VerificationReport(residuals, commutant_dim(fam, max(residuals.values())),
                               not forced and not equal, forced, tol)
@@ -134,7 +123,7 @@ def commutant_dim(fam, residual=0.0):
     real = max(tau, RESIDUAL_COUPLING * math.sqrt(residual) * scale)
     b = v.conj().T @ ps @ v
     gaps = np.diff(w)
-    merge = n * tau if _entry_norm(ps - ps.swapaxes(1, 2).conj()) <= tau else math.inf
+    merge = n * tau if (_max_entries(ps - ps.swapaxes(1, 2).conj()) <= tau).all() else math.inf
     label = np.zeros(n, dtype=np.intp)
     while True:
         np.cumsum(gaps > merge, out=label[1:])

@@ -14,7 +14,7 @@ from orthoposet.chain import (DISCRETE_IN_DELTA1, DISCRETE_IN_DELTA2,
                               enumerate_irreducibles, run_chain)
 from orthoposet.poset import Poset, PosetError, disjoint_union, dual, is_isomorphic
 from orthoposet.spectrum import Character
-from orthoposet.verify import check_all, check_essential, spectrum_match
+from orthoposet.verify import check_all, check_essential, commutant_dim, spectrum_match
 
 EXACT = 1e-12
 
@@ -136,6 +136,14 @@ def test_family_holds_one_stack_of_one_dtype():
     back = ProjectionFamily.from_dict(twisted.to_dict(), twisted.poset)
     assert back.stack.dtype == np.complex128
     assert np.array_equal(back.stack, twisted.stack)
+
+
+def test_family_refuses_zero_dimensional_projections():
+    # the verifier's commutant and residuals would be taken over the zero
+    # space, where commutant_dim raised IndexError
+    with pytest.raises(BuilderError, match="square matrices of one size, got \\[\\(0, 0\\)\\]"):
+        commutant_dim(ProjectionFamily(Poset(["a"], []), Character({"a": 1.0}),
+                                       {"a": np.zeros((0, 0))}))
 
 
 def test_continuous_series_validation():

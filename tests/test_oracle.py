@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import random
 import time
 import tracemalloc
@@ -24,7 +25,7 @@ from orthoposet.oracle import (ACCEPT_TOL, ANDERSON_MEMORY, LANE_POOL,
                                trace_feasible)
 from orthoposet.poset import Poset, dual, generate_posets
 from orthoposet.spectrum import DEFAULT_TOL, Character, SpectrumError
-from orthoposet.verify import check_all, commutant_dim
+from orthoposet.verify import GOLDEN_FRACTION, check_all, commutant_dim
 from test_chain import shape_sweep, valid_splits
 
 QUAD = Poset(["g1", "g2", "g3", "g4"], [])
@@ -1050,6 +1051,56 @@ def test_census_finds_no_class_the_theory_misses(weights, d, classes):
         QUAD, chi, cfg, [(pidx, profiles[pidx]) for pidx in kept], LANE_POOL) if _passes(out)])
     assert found
     assert [f for f in found if not any(_equivalent(f, g) for g in built)] == []
+
+
+def _summands(fam):
+    """fam split by the components of its coupling graph in the eigenbasis
+    V of A = sum c_g P_g, c_g commutant_dim's generic weights: i and j are
+    joined where some |B_g[i, j]| > 1e-6, B_g = V* P_g V, and each summand
+    holds the B_g restricted to one component."""
+    els = fam.poset.elements
+    c = [math.modf(i * GOLDEN_FRACTION)[0] for i in range(1, len(els) + 1)]
+    v = np.linalg.eigh(sum(ci * fam.projections[g] for ci, g in zip(c, els)))[1]
+    b = {g: v.conj().T @ fam.projections[g] @ v for g in els}
+    joined = np.max([np.abs(m) for m in b.values()], axis=0) > 1e-6
+    components, left = [], set(range(fam.dimension))
+    while left:
+        component, front = set(), {min(left)}
+        while front:
+            component |= front
+            front = {j for i in front for j in np.flatnonzero(joined[i]).tolist()} - component
+        left -= component
+        components.append(sorted(component))
+    return [ProjectionFamily(fam.poset, fam.character,
+                             {g: m[np.ix_(part, part)] for g, m in b.items()})
+            for part in components]
+
+
+@MISSED_IN_DELTA2
+def test_every_summand_of_a_reducible_find_is_a_class_the_theory_builds():
+    # oracle-refute's first request, every lane on every profile past both
+    # bounds and the all-0-or-n rule at 1 restart: every lane is accepted
+    # at a reducible family, and each summand of one that splits is a
+    # blind sample of the irreducibles; a family F (+) F, whose eigenvalues
+    # of A cluster, may stay whole and is left out
+    chi = Character(dict.fromkeys(QUAD.elements, 0.5 + 1 / 6))
+    d = 4
+    profiles = rank_profiles(QUAD, chi, d)
+    kept = np.flatnonzero(trace_feasible(QUAD, chi, profiles, d))
+    kept = kept[norm_feasible(QUAD, chi, profiles[kept], d)]
+    lanes = [(pidx, profiles[pidx]) for pidx in kept.tolist()
+             if not _all_zero_or_n(profiles[pidx], d)]
+    cfg = SearchConfig(d, restarts=1, max_iterations=2000, seed=0)
+    outs = list(_run_lanes(QUAD, chi, cfg, lanes, LANE_POOL))
+    assert len(outs) == 10
+    assert all(out.report.passed and not out.report.irreducible for out in outs)
+    summands = [part for out in outs for parts in [_summands(out.family)]
+                if len(parts) > 1 for part in parts]
+    assert summands
+    built = [fam for ch in predict(QUAD, chi, ["g1", "g2"]).chains
+             for fam in build_from_chain(ch)]
+    assert [part for part in summands if not any(
+        fam.dimension == part.dimension and _equivalent(part, fam) for fam in built)] == []
 
 
 def _solve_families(p, chi, split):

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -479,6 +480,24 @@ def test_derived_orders_match_reference_on_shuffled_random_dags():
     rng = random.Random(15)
     for elements, rels in shuffled_dags(60, 7, rng):
         assert_derived_orders_match_reference(elements, rels)
+
+
+def test_relation_index_lists_the_closure_in_name_order():
+    # each poset on five points, its elements renamed so that name order
+    # runs against index order, and its dual, an induced part and a
+    # disjoint union whose second part's names sort first
+    for q in generate_posets(5):
+        names = dict(zip(q.elements, reversed(q.elements)))
+        p = Poset([names[g] for g in q.elements], [(names[g], names[h]) for g, h in q.hasse])
+        first = Poset(["a" + g for g in p.elements], [("a" + g, "a" + h) for g, h in p.hasse])
+        for r in (p, dual(p), p.induced(p.elements[::2]), disjoint_union(p, first)):
+            lo, hi = r.relation_index
+            pairs = [(r.elements[i], r.elements[j]) for i, j in zip(lo.tolist(), hi.tolist())]
+            closure = [(g, h) for g in r.elements for h in r.elements if r.less(g, h)]
+            assert pairs == sorted(r.relations) == sorted(closure)
+            assert pairs == [tuple(pair) for pair in r.to_dict()["relations"]]
+            assert lo.dtype == hi.dtype == np.intp
+            assert not lo.flags.writeable and not hi.flags.writeable
 
 
 def test_equal_posets_hash_equal():

@@ -179,3 +179,14 @@ def test_no_module_reads_a_private_attribute_of_another():
                 bad.append("%s reads %s, which its module does not define"
                            % (where(path, node), name))
     assert not bad, bad
+
+
+def test_only_the_poset_core_reads_relations():
+    # the closure's set of name pairs stays out of the solve, verify and
+    # oracle paths: every other module reads the order from a poset's
+    # relation_index, hasse pairs or masks
+    bad = ["%s reads .relations" % where(path, node)
+           for path in PACKAGE if path.name != "poset.py"
+           for node in ast.walk(tree_of(path))
+           if isinstance(node, ast.Attribute) and node.attr == "relations"]
+    assert not bad, bad
